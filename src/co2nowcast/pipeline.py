@@ -7,10 +7,14 @@ penalized panel quantile bridge for CO2-emissions growth (or, for the direct
 variant, conditions the quantile regression on the high-frequency blocks
 themselves), then matches a skewed Student-t density to the quantile triple.
 
+The calendar week is the unit of work. `run_out_of_sample` builds each
+week's information set and truncates the panel once, then hands the
+truncated panel and the information set to every stage; a bridge spec's CO2
+stage receives the energy nowcasts that stage one produced for that week.
 Lag offsets are pure functions of the calendar week, applied identically to
 training years and the target year (the "direct method" alignment), so no
 regressor can ever use information beyond the week's information set: all
-data access goes through the calendar truncation.
+data access goes through that one calendar truncation.
 """
 
 from __future__ import annotations
@@ -210,13 +214,12 @@ def energy_hist_mean(ds, entity: str) -> float:
     return float(np.mean(ds.get(VAR_EC, entity).values))
 
 
-def nowcast_energy(dataset: PanelDataset, rules, spec: ModelSpec, t: int, v: int,
-                   config: RunConfig):
-    """Truncate, assemble, fit, predict. Returns (nowcasts, gap entities)."""
+def nowcast_energy(ds, info: InformationSet, spec: ModelSpec, config: RunConfig):
+    """Stage one for the week of `info` on `ds`, the panel truncated by
+    `info`: assemble, fit, predict. Returns (nowcasts, gap entities)."""
     if spec.is_direct:
         raise DomainError("the direct model has no energy stage")
-    info = information_set(rules, t, v)
-    ds = truncate(dataset, info)
+    t, v = info.year, info.week
     if spec.kind == "HistMean":
         out = [
             EnergyNowcast(entity=e, year=t, week=v, value=energy_hist_mean(ds, e))
@@ -355,13 +358,15 @@ def _fit_density(quantiles, taus):
         return None
 
 
-def nowcast_co2_density(dataset: PanelDataset, rules, spec: ModelSpec, t: int,
-                        v: int, config: RunConfig):
-    """Quantile predictions, rearrangement, density fit and benchmark triple.
+def nowcast_co2_density(ds, info: InformationSet, spec: ModelSpec,
+                        config: RunConfig, energy):
+    """Stage two for the week of `info` on `ds`, the panel truncated by
+    `info`: quantile predictions, rearrangement, density fit and benchmark
+    triple. `energy` is the spec's stage-one result (nowcasts, gap
+    entities); HistMean ignores it and direct specs pass None.
 
-    Returns (nowcasts, gap entities)."""
-    info = information_set(rules, t, v)
-    ds = truncate(dataset, info)
+    Returns (nowcasts, gap entities), the gaps including stage one's."""
+    t, v = info.year, info.week
     taus = config.taus
     benchmarks = {
         e: co2_benchmark_quantiles(ds, e, taus) for e, _ in ds.series_of(VAR_CO2)
@@ -382,9 +387,9 @@ def nowcast_co2_density(dataset: PanelDataset, rules, spec: ModelSpec, t: int,
         rows, pred, labels = direct_design(ds, info, spec, t, config.estimation_start)
         gaps_energy = []
     else:
-        energy, gaps_energy = nowcast_energy(dataset, rules, spec, t, v, config)
+        nowcasts, gaps_energy = energy
         rows, pred, labels = bridge_design(
-            ds, info, {n.entity: n.value for n in energy}, t,
+            ds, info, {n.entity: n.value for n in nowcasts}, t,
             config.estimation_start,
         )
     rows, pred, gaps = _drop_thin_entities(rows, pred, min_rows=1)
@@ -455,8 +460,9 @@ def _realized(dataset, variable, entity, year):
 def run_out_of_sample(dataset: PanelDataset, config: RunConfig,
                       specs=None, rules=None) -> NowcastArchive:
     """Full pseudo-out-of-sample loop: every evaluation year, every calendar
-    week, every model spec, re-truncated and re-fitted. Deterministic given
-    dataset and config; failures become diagnostics rows, not crashes."""
+    week, every model spec, re-fitted on the week's one truncation of the
+    panel. Deterministic given dataset and config; failures become
+    diagnostics rows, not crashes."""
     if rules is None:
         rules = table2_rules()
     if specs is None:
@@ -464,6 +470,12 @@ def run_out_of_sample(dataset: PanelDataset, config: RunConfig,
     archive = NowcastArchive()
     for t in config.eval_years:
         for v in range(1, cal.N_WEEKS + 1):
+
+            def note(spec_kind, stage, detail):
+                archive.diagnostics.append(dict(
+                    spec=spec_kind, year=t, week=v, stage=stage, detail=detail,
+                ))
+
             info = information_set(rules, t, v)
             try:
                 ds = truncate(dataset, info)
@@ -471,60 +483,49 @@ def run_out_of_sample(dataset: PanelDataset, config: RunConfig,
                     e: energy_hist_mean(ds, e) for e, _ in ds.series_of(VAR_EC)
                 }
             except DataError as exc:
-                archive.diagnostics.append(dict(
-                    spec="*", year=t, week=v, stage="benchmark", detail=str(exc),
-                ))
+                note("*", "benchmark", str(exc))
                 continue
             for spec in specs:
+                energy = None
                 if not spec.is_direct:
                     try:
-                        nowcasts, gaps = nowcast_energy(
-                            dataset, rules, spec, t, v, config
-                        )
-                        for n in nowcasts:
-                            archive.energy_rows.append(dict(
-                                spec=spec.kind, entity=n.entity, year=t, week=v,
-                                prediction=n.value,
-                                benchmark=bench_energy.get(n.entity, float("nan")),
-                                realized=_realized(dataset, VAR_EC, n.entity, t),
-                            ))
-                        for e in gaps:
-                            archive.diagnostics.append(dict(
-                                spec=spec.kind, year=t, week=v, stage="energy",
-                                detail=f"entity {e} dropped: insufficient history",
-                            ))
+                        energy = nowcast_energy(ds, info, spec, config)
                     except DataError as exc:
-                        archive.diagnostics.append(dict(
-                            spec=spec.kind, year=t, week=v, stage="energy",
-                            detail=str(exc),
+                        # the CO2 stage reads stage one, so it fails alike
+                        note(spec.kind, "energy", str(exc))
+                        note(spec.kind, "co2", str(exc))
+                        continue
+                    nowcasts, gaps = energy
+                    for n in nowcasts:
+                        archive.energy_rows.append(dict(
+                            spec=spec.kind, entity=n.entity, year=t, week=v,
+                            prediction=n.value,
+                            benchmark=bench_energy.get(n.entity, float("nan")),
+                            realized=_realized(dataset, VAR_EC, n.entity, t),
                         ))
-                try:
-                    densities, gaps = nowcast_co2_density(
-                        dataset, rules, spec, t, v, config
-                    )
-                    for n in densities:
-                        realized = _realized(dataset, VAR_CO2, n.entity, t)
-                        for tau, pred_q, bench_q in zip(
-                            config.taus, n.quantiles, n.benchmark
-                        ):
-                            archive.co2_rows.append(dict(
-                                spec=spec.kind, entity=n.entity, year=t, week=v,
-                                tau=tau, prediction=pred_q, benchmark=bench_q,
-                                realized=realized,
-                            ))
-                        if n.params is not None:
-                            archive.density_rows.append(dict(
-                                spec=spec.kind, entity=n.entity, year=t, week=v,
-                                params=n.params,
-                            ))
                     for e in gaps:
-                        archive.diagnostics.append(dict(
-                            spec=spec.kind, year=t, week=v, stage="co2",
-                            detail=f"entity {e} dropped: insufficient history",
-                        ))
+                        note(spec.kind, "energy",
+                             f"entity {e} dropped: insufficient history")
+                try:
+                    densities, gaps = nowcast_co2_density(ds, info, spec, config, energy)
                 except DataError as exc:
-                    archive.diagnostics.append(dict(
-                        spec=spec.kind, year=t, week=v, stage="co2",
-                        detail=str(exc),
-                    ))
+                    note(spec.kind, "co2", str(exc))
+                    continue
+                for n in densities:
+                    realized = _realized(dataset, VAR_CO2, n.entity, t)
+                    for tau, pred_q, bench_q in zip(
+                        config.taus, n.quantiles, n.benchmark
+                    ):
+                        archive.co2_rows.append(dict(
+                            spec=spec.kind, entity=n.entity, year=t, week=v,
+                            tau=tau, prediction=pred_q, benchmark=bench_q,
+                            realized=realized,
+                        ))
+                    if n.params is not None:
+                        archive.density_rows.append(dict(
+                            spec=spec.kind, entity=n.entity, year=t, week=v,
+                            params=n.params,
+                        ))
+                for e in gaps:
+                    note(spec.kind, "co2", f"entity {e} dropped: insufficient history")
     return archive

@@ -277,14 +277,19 @@ def _relative_scores_one_seed(seed):
     co2_model, co2_bench = {}, {}
     for t in config.eval_years:
         for v in range(9, 49):
+            info = information_set(rules, t, v)
+            ds = truncate(dataset, info)
             for m_spec, store in ((spec, model_rows), (hist, bench_rows)):
-                out, _ = nowcast_energy(dataset, rules, m_spec, t, v, config)
+                out, _ = nowcast_energy(ds, info, m_spec, config)
                 store.setdefault(v, []).extend(
                     dict(entity=n.entity, year=t, prediction=n.value,
                          realized=realized("EC", n.entity, t))
                     for n in out
                 )
-        out, _ = nowcast_co2_density(dataset, rules, spec, t, 48, config)
+        info = information_set(rules, t, 48)
+        ds = truncate(dataset, info)
+        energy = nowcast_energy(ds, info, spec, config)
+        out, _ = nowcast_co2_density(ds, info, spec, config, energy)
         for n in out:
             y = realized("CO2", n.entity, t)
             for tau, q_m, q_b in zip(config.taus, n.quantiles, n.benchmark):

@@ -58,6 +58,12 @@ class TestRunConfig:
             RunConfig(weci_transform="log")
 
 
+def _week(ds, t, v):
+    """The panel truncated by the information set of (t, v), and that set."""
+    info = information_set(table2_rules(), t, v)
+    return truncate(ds, info), info
+
+
 def _coded_dataset():
     """Deterministic coding: every subperiod value is year*100 + sub, so a
     design row reveals exactly which periods it read."""
@@ -142,26 +148,25 @@ class TestNowcastEnergy:
                                        [0.0] * 24))
         ds.add("WECI", MixedFreqSeries("A", Frequency.WEEKLY, PeriodIndex(2000, 1),
                                        [0.0] * 104))
-        out, gaps = nowcast_energy(ds, table2_rules(), ModelSpec("HistMean"),
-                                   2005, 10, RunConfig(estimation_start=1990,
-                                                       eval_start=2005,
-                                                       eval_end=2005))
+        out, gaps = nowcast_energy(*_week(ds, 2005, 10), ModelSpec("HistMean"),
+                                   RunConfig(estimation_start=1990,
+                                             eval_start=2005, eval_end=2005))
         assert gaps == []
         assert out[0].value == pytest.approx(0.0)
 
     def test_direct_spec_rejected(self):
         ds, _ = make_dataset(n_entities=2, seed=3)
         with pytest.raises(DomainError):
-            nowcast_energy(ds, table2_rules(), ModelSpec("DirectAR-W-M-Q"),
-                           2011, 48, RunConfig(eval_start=2011, eval_end=2011))
+            nowcast_energy(*_week(ds, 2011, 48), ModelSpec("DirectAR-W-M-Q"),
+                           RunConfig(eval_start=2011, eval_end=2011))
 
     def test_noise_free_recovery_at_full_information(self):
         # at week 48 the information set reaches the generating anchors, so a
         # noise-free panel is fit exactly and the nowcast equals the outcome
         ds, truth = make_dataset(n_entities=4, seed=4, noise_c=0.0, noise_e=0.0)
         config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2011)
-        out, gaps = nowcast_energy(ds, table2_rules(), ModelSpec("AR-W-M-Q"),
-                                   2011, 48, config)
+        out, gaps = nowcast_energy(*_week(ds, 2011, 48), ModelSpec("AR-W-M-Q"),
+                                   config)
         assert gaps == []
         assert len(out) == 4
         for n in out:
@@ -173,12 +178,12 @@ class TestNowcastEnergy:
         rules = table2_rules()
         t, v = 2011, 10
         config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2011)
-        out, _ = nowcast_energy(ds, rules, ModelSpec("AR"), t, v, config)
+        info = information_set(rules, t, v)
+        cut = truncate(ds, info)
+        out, _ = nowcast_energy(cut, info, ModelSpec("AR"), config)
         # oracle: plain within regression of c_s on c_{s-d_v}
         from co2nowcast.panel_ls import DesignRow, fit_within, predict
 
-        info = information_set(rules, t, v)
-        cut = truncate(ds, info)
         d_v = t - info["EC"].year
         rows = []
         for e in cut.entities:
@@ -225,9 +230,10 @@ class TestBridgeDesign:
         config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2011,
                            fit_density=False)
         spec = ModelSpec("AR-W-M-Q")
-        energy, _ = nowcast_energy(ds, table2_rules(), spec, 2011, 48, config)
-        chat = {n.entity: n.value for n in energy}
-        out, _ = nowcast_co2_density(ds, table2_rules(), spec, 2011, 48, config)
+        cut, info = _week(ds, 2011, 48)
+        energy = nowcast_energy(cut, info, spec, config)
+        chat = {n.entity: n.value for n in energy[0]}
+        out, _ = nowcast_co2_density(cut, info, spec, config, energy)
         for n in out:
             assert n.quantiles[1] == pytest.approx(chat[n.entity], abs=1e-4)
 
@@ -256,8 +262,8 @@ class TestDensityNowcast:
         ds, _ = make_dataset(n_entities=2, seed=8)
         config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2011,
                            fit_density=False)
-        out, gaps = nowcast_co2_density(ds, table2_rules(), ModelSpec("HistMean"),
-                                        2011, 20, config)
+        out, gaps = nowcast_co2_density(*_week(ds, 2011, 20), ModelSpec("HistMean"),
+                                        config, None)
         assert gaps == []
         for n in out:
             assert n.quantiles == n.benchmark
@@ -267,8 +273,10 @@ class TestDensityNowcast:
         ds, _ = make_dataset(n_entities=3, seed=9)
         config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2011,
                            fit_density=True)
-        out, _ = nowcast_co2_density(ds, table2_rules(), ModelSpec("AR-W"),
-                                     2011, 30, config)
+        cut, info = _week(ds, 2011, 30)
+        spec = ModelSpec("AR-W")
+        energy = nowcast_energy(cut, info, spec, config)
+        out, _ = nowcast_co2_density(cut, info, spec, config, energy)
         assert len(out) == 3
         for n in out:
             assert n.quantiles[0] <= n.quantiles[1] <= n.quantiles[2]
@@ -301,6 +309,33 @@ class TestRunOutOfSample:
         for r in archive.energy_rows[:20]:
             expected = ds.get("EC", r["entity"]).value_at(PeriodIndex(r["year"]))
             assert r["realized"] == expected
+
+    def test_one_truncation_and_one_energy_fit_per_week(self, monkeypatch):
+        import co2nowcast.pipeline as pipeline
+
+        weeks, fits = [], []
+
+        def counting_truncate(dataset, info):
+            weeks.append((info.year, info.week))
+            return truncate(dataset, info)
+
+        def counting_fit_within(rows, **kwargs):
+            fits.append(len(rows))
+            return pipeline_fit_within(rows, **kwargs)
+
+        pipeline_fit_within = pipeline.fit_within
+        monkeypatch.setattr(pipeline, "truncate", counting_truncate)
+        monkeypatch.setattr(pipeline, "fit_within", counting_fit_within)
+        ds, _ = make_dataset(n_entities=2, seed=12)
+        specs = ("HistMean", "AR", "AR-W-M-Q", "DirectAR-W-M-Q")
+        config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2012,
+                           taus=(0.5,), specs=specs, fit_density=False)
+        archive = run_out_of_sample(ds, config)
+        assert archive.diagnostics == []
+        n_weeks = 2 * 48
+        assert len(weeks) == len(set(weeks)) == n_weeks
+        # only AR and AR-W-M-Q fit a within-LS energy stage
+        assert len(fits) == 2 * n_weeks
 
     def test_failures_become_diagnostics(self):
         # too little history: the annual lags predate the panel, so every

@@ -7,17 +7,14 @@ toward a common value rather than toward zero, so results do not depend on
 the location of y. With lambda = 0 the split is degenerate and plain
 per-entity intercepts are fitted instead (a_i = gamma_i, gamma0 = 0).
 
-Two solve paths share the same objective:
-  * instances with <= 200 rows: exact linear program (HiGHS), with a
-    second-stage LP that picks the coefficient vector with the smallest
-    signed sum among optima (deterministic tie-breaking on flat faces);
-  * larger instances: smoothed check loss (Huberized) with a continuation
-    schedule on the smoothing width, solved by L-BFGS-B.
+Every instance is solved exactly as a linear program (HiGHS). A
+second-stage LP then picks, among the optima, the coefficient vector with the
+smallest signed sum, so ties on flat faces are broken deterministically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -25,9 +22,6 @@ import scipy.sparse as sp
 
 from .errors import DomainError, SingularDesignError, UnknownEntityError
 from .panel_ls import DesignRow, _stack  # noqa: F401  (DesignRow re-exported)
-
-LP_MAX_ROWS = 200
-SMOOTH_WIDTHS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
 
 @dataclass(frozen=True)
@@ -133,72 +127,13 @@ def _fit_lp(y, X, idx, n_ent, tau, lam):
     return gamma0, a, beta
 
 
-def _smooth_loss_grad(u, tau, h):
-    """Huberized check loss, C1, equal to rho_tau outside |u| <= h."""
-    inside = np.abs(u) <= h
-    loss = np.where(inside, u * u / (4.0 * h) + (tau - 0.5) * u + h / 4.0,
-                    check_loss(u, tau))
-    grad = np.where(inside, u / (2.0 * h) + (tau - 0.5), tau - (u < 0.0))
-    return loss, grad
-
-
-def _fit_smooth(y, X, idx, n_ent, tau, lam):
-    n, k = X.shape
-    scale = max(float(np.median(np.abs(y - np.median(y)))), 1e-8)
-    per_entity = lam == 0.0
-
-    def unpack(theta):
-        if per_entity:
-            return 0.0, theta[:n_ent], theta[n_ent:]
-        return theta[0], theta[1 : n_ent + 1], theta[n_ent + 1 :]
-
-    def make_obj(h):
-        def fun(theta):
-            gamma0, a, beta = unpack(theta)
-            resid = y - gamma0 - a[idx] - X @ beta
-            loss, grad_u = _smooth_loss_grad(resid, tau, h)
-            total = float(np.sum(loss))
-            ga = np.bincount(idx, weights=-grad_u, minlength=n_ent)
-            gb = -X.T @ grad_u
-            if per_entity:
-                g = np.r_[ga, gb]
-            else:
-                pa = np.sqrt(a * a + h * h)
-                total += lam * float(np.sum(pa - h))
-                ga += lam * a / pa
-                g = np.r_[-np.sum(grad_u), ga, gb]
-            return total, g
-
-        return fun
-
-    theta = np.zeros(n_ent + k if per_entity else n_ent + 1 + k)
-    for h in SMOOTH_WIDTHS:
-        res = scipy.optimize.minimize(
-            make_obj(h * scale),
-            theta,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 1000, "ftol": 1e-15, "gtol": 1e-12},
-        )
-        theta = res.x
-    gamma0, a, beta = unpack(theta)
-    return float(gamma0), a.copy(), beta.copy()
-
-
-def fit_quantile(rows, spec: QuantileSpec, labels=None, solver=None) -> QuantileModel:
-    """Fit one quantile level; `solver` forces 'lp' or 'smooth' (tests only)."""
+def fit_quantile(rows, spec: QuantileSpec, labels=None) -> QuantileModel:
+    """Fit one quantile level by the exact LP."""
     y, X, idx, ents = _encode(rows)
     k = X.shape[1]
     if labels is None:
         labels = tuple(f"x{j}" for j in range(k))
-    if solver is None:
-        solver = "lp" if len(y) <= LP_MAX_ROWS else "smooth"
-    if solver == "lp":
-        gamma0, a, beta = _fit_lp(y, X, idx, len(ents), spec.tau, spec.lam)
-    elif solver == "smooth":
-        gamma0, a, beta = _fit_smooth(y, X, idx, len(ents), spec.tau, spec.lam)
-    else:
-        raise DomainError(f"unknown solver {solver!r}")
+    gamma0, a, beta = _fit_lp(y, X, idx, len(ents), spec.tau, spec.lam)
     obj = objective_value(y, X, idx, gamma0, a, beta, spec.tau, spec.lam)
     gamma = {e: float(gamma0 + a[i]) for i, e in enumerate(ents)}
     deviations = {e: float(a[i]) for i, e in enumerate(ents)}

@@ -108,7 +108,7 @@ class TestSingleEntityQuantiles:
 
 
 class TestLPOracle:
-    def test_random_instances_both_solvers(self):
+    def test_random_instances_match_lp_oracle(self):
         rng = np.random.default_rng(41)
         for trial in range(25):
             n_ent = int(rng.integers(2, 4))
@@ -126,14 +126,10 @@ class TestLPOracle:
             tau = (0.25, 0.5, 0.75)[trial % 3]
             lam = (0.0, 1.0, 10.0)[trial % 3 if trial < 12 else (trial + 1) % 3]
             opt = lp_oracle(rows, tau, lam)
-            for solver in ("lp", "smooth"):
-                model = fit_quantile(
-                    rows, QuantileSpec(tau=tau, lam=lam), solver=solver
-                )
-                assert model.objective <= opt * (1 + 1e-6) + 1e-9, (
-                    f"trial {trial} solver {solver}: "
-                    f"{model.objective} vs oracle {opt}"
-                )
+            model = fit_quantile(rows, QuantileSpec(tau=tau, lam=lam))
+            assert model.objective <= opt * (1 + 1e-6) + 1e-9, (
+                f"trial {trial}: {model.objective} vs oracle {opt}"
+            )
 
     def test_perturbation_optimality(self):
         rng = np.random.default_rng(2)
@@ -226,11 +222,6 @@ class TestValidationAndPlumbing:
         model = fit_quantile(rows, QuantileSpec(tau=0.5, lam=0.0))
         with pytest.raises(UnknownEntityError):
             predict_quantile(model, "B", [1.0])
-
-    def test_unknown_solver(self):
-        rows = make_rows(["A"] * 3, [1.0, 2.0, 3.0], [[1.0]] * 3)
-        with pytest.raises(DomainError):
-            fit_quantile(rows, QuantileSpec(tau=0.5), solver="simplex")
 
 
 class TestRearrange:

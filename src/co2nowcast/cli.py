@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import os
 import sys
 
 from . import __version__
-from .config import parse_config_file
+from .config import parse_config_file, parse_specs
 from .errors import DataError
 from .evaluation import score_table, score_table_csv
 from .ingest import build_dataset, load_store, read_manifest, write_store
@@ -73,11 +74,7 @@ def cmd_run(args) -> int:
     if not data_dir:
         raise DataError("no data_dir given (config key or --data-dir)")
     if args.specs:
-        from .config import parse_config_text
-
-        config, _ = parse_config_text(
-            open(args.config).read() + f"\nspecs={args.specs}\n"
-        )
+        config = dataclasses.replace(config, specs=parse_specs(args.specs))
     dataset = load_store(data_dir)
     specs = tuple(ModelSpec(kind=k) for k in config.specs)
     archive = run_out_of_sample(dataset, config, specs=specs)

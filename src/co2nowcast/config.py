@@ -18,6 +18,18 @@ KNOWN_KEYS = (
 )
 
 
+def parse_specs(value: str) -> tuple:
+    """Comma-separated model kinds, each checked against MODEL_KINDS."""
+    specs = tuple(s.strip() for s in value.split(",") if s.strip())
+    for s in specs:
+        if s not in MODEL_KINDS:
+            raise ConfigError(
+                f"config key 'specs': unknown model {s!r}; "
+                f"expected one of {MODEL_KINDS}"
+            )
+    return specs
+
+
 def parse_config_text(text: str):
     """Returns (RunConfig, data_dir). Unknown keys are fatal."""
     values: dict = {}
@@ -59,14 +71,7 @@ def parse_config_text(text: str):
         except ValueError:
             raise ConfigError("config key 'lambda': expected a float") from None
     if "specs" in values:
-        specs = tuple(s.strip() for s in values["specs"].split(",") if s.strip())
-        for s in specs:
-            if s not in MODEL_KINDS:
-                raise ConfigError(
-                    f"config key 'specs': unknown model {s!r}; "
-                    f"expected one of {MODEL_KINDS}"
-                )
-        kwargs["specs"] = specs
+        kwargs["specs"] = parse_specs(values["specs"])
     if "weci_transform" in values:
         kwargs["weci_transform"] = values["weci_transform"]
     if "fit_density" in values:

@@ -19,6 +19,8 @@ data access goes through that one calendar truncation.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -444,10 +446,13 @@ class NowcastArchive:
         return "\n".join(lines) + "\n"
 
     def diagnostics_csv(self) -> str:
-        lines = ["spec,target_year,week,stage,detail"]
+        """Diagnostics rows; a detail containing commas or quotes is quoted."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["spec", "target_year", "week", "stage", "detail"])
         for d in self.diagnostics:
-            lines.append(f"{d['spec']},{d['year']},{d['week']},{d['stage']},{d['detail']}")
-        return "\n".join(lines) + "\n"
+            writer.writerow([d["spec"], d["year"], d["week"], d["stage"], d["detail"]])
+        return out.getvalue()
 
 
 def _realized(dataset, variable, entity, year):
@@ -491,7 +496,8 @@ def run_out_of_sample(dataset: PanelDataset, config: RunConfig,
                     try:
                         energy = nowcast_energy(ds, info, spec, config)
                     except DataError as exc:
-                        # the CO2 stage reads stage one, so it fails alike
+                        # a bridge CO2 stage reads stage one, so it fails alike
+                        # (HistMean's stage one cannot raise)
                         note(spec.kind, "energy", str(exc))
                         note(spec.kind, "co2", str(exc))
                         continue

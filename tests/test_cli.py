@@ -96,6 +96,17 @@ class TestIngestAndRun:
     def test_no_diagnostics_on_clean_run(self, workspace):
         assert _body(os.path.join(workspace["out"], "diagnostics.csv"))[1:] == []
 
+    def test_specs_flag_overrides_config(self, workspace, tmp_path):
+        cfg = tmp_path / "specs.cfg"
+        cfg.write_text(f"data_dir = {workspace['store']}\nestimation_start = 1999\n"
+                       "eval_start = 2009\neval_end = 2009\n"
+                       "specs = HistMean,AR-W\nfit_density = false\n")
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", str(cfg), "--specs", "AR",
+                     "--out", out]) == EXIT_OK
+        rows = list(csv.DictReader(_body(os.path.join(out, "archive.csv"))))
+        assert rows and {r["spec"] for r in rows} == {"AR"}
+
     def test_rerun_is_byte_identical(self, workspace):
         out2 = str(workspace["root"] / "out2")
         assert main(["run", "--config", workspace["config"], "--out", out2]) == EXIT_OK
@@ -243,3 +254,8 @@ class TestErrorPaths:
         assert main(["run", "--config", str(cfg), "--out", out]) == EXIT_PARTIAL
         diags = _body(os.path.join(out, "diagnostics.csv"))
         assert len(diags) > 1
+        # details such as "empty energy design at (2009, week 3)" hold commas
+        rows = list(csv.reader(diags))
+        assert len(rows) == len(diags)
+        assert all(len(r) == 5 for r in rows)
+        assert any("," in r[4] for r in rows[1:])

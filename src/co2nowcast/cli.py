@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .config import parse_config_file, parse_specs
+from .config import parse_config_text, parse_specs
 from .errors import DataError
 from .evaluation import score_table, score_table_csv
 from .ingest import build_dataset, load_store, read_manifest, write_store
@@ -68,18 +68,20 @@ def cmd_calendar(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config, data_dir = parse_config_file(args.config)
+    with open(args.config) as fh:
+        source_text = fh.read()
+    config, data_dir = parse_config_text(source_text)
     if args.data_dir:
         data_dir = args.data_dir
     if not data_dir:
         raise DataError("no data_dir given (config key or --data-dir)")
     if args.specs:
         config = dataclasses.replace(config, specs=parse_specs(args.specs))
+        source_text += f"\n--specs {','.join(config.specs)}\n"
     dataset = load_store(data_dir)
     specs = tuple(ModelSpec(kind=k) for k in config.specs)
     archive = run_out_of_sample(dataset, config, specs=specs)
-    with open(args.config) as fh:
-        header = _header(fh.read())
+    header = _header(source_text)
     _write(os.path.join(args.out, "archive.csv"), header, archive.to_csv())
     _write(os.path.join(args.out, "density_params.csv"), header, archive.density_csv())
     _write(os.path.join(args.out, "diagnostics.csv"), header, archive.diagnostics_csv())

@@ -81,7 +81,3 @@ def parse_config_text(text: str):
         kwargs["fit_density"] = flag in ("true", "1")
     return RunConfig(**kwargs), values.get("data_dir")
 
-
-def parse_config_file(path: str):
-    with open(path) as fh:
-        return parse_config_text(fh.read())

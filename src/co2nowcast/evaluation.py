@@ -73,17 +73,12 @@ def quantile_score(rows, tau: float) -> float:
     return float(np.mean(list(per.values())))
 
 
-def crps(rows_by_tau: dict, weights=None) -> float:
+def crps(rows_by_tau: dict) -> float:
     """Equal-weight mean over quantile levels of the quantile scores."""
     taus = sorted(rows_by_tau)
     if not taus:
         raise ScoringGapError("no quantile levels to aggregate")
-    scores = [quantile_score(rows_by_tau[tau], tau) for tau in taus]
-    if weights is None:
-        weights = [1.0] * len(taus)
-    if len(weights) != len(taus):
-        raise DomainError("one weight per quantile level required")
-    return float(np.sum(np.asarray(weights) * np.asarray(scores)) / len(taus))
+    return float(np.mean([quantile_score(rows_by_tau[tau], tau) for tau in taus]))
 
 
 def crps_per_entity(rows_by_tau: dict) -> dict:

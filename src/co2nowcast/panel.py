@@ -256,9 +256,7 @@ class PanelDataset:
         ]
 
 
-def cross_section_mean(
-    dataset: PanelDataset, variable: str, period: PeriodIndex, return_count: bool = False
-):
+def cross_section_mean(dataset: PanelDataset, variable: str, period: PeriodIndex):
     """Arithmetic mean across entities with data at `period`."""
     values = []
     for _, series in dataset.series_of(variable):
@@ -269,7 +267,4 @@ def cross_section_mean(
             f"no entity has {variable!r} at "
             f"{period.label(dataset.frequency(variable))}"
         )
-    mean = math.fsum(values) / len(values)
-    if return_count:
-        return mean, len(values)
-    return mean
+    return math.fsum(values) / len(values)

@@ -122,13 +122,3 @@ def predict(model: FixedEffectsModel, entity: str, x) -> float:
             f"regressor length {x.shape} does not match model {model.beta.shape}"
         )
     return float(model.alpha[entity] + x @ model.beta)
-
-
-def coefficients_csv(model: FixedEffectsModel) -> str:
-    """Audit export: `label,value` lines, intercepts first."""
-    lines = ["label,value"]
-    for e in sorted(model.alpha):
-        lines.append(f"alpha[{e}],{model.alpha[e]!r}")
-    for lab, b in zip(model.labels, model.beta):
-        lines.append(f"{lab},{b!r}")
-    return "\n".join(lines) + "\n"

@@ -110,6 +110,10 @@ class RunConfig:
             raise ConfigError(f"unknown weci_transform {self.weci_transform!r}")
         if len(self.taus) != len(set(self.taus)) or list(self.taus) != sorted(self.taus):
             raise ConfigError("taus must be strictly ascending")
+        if self.fit_density and len(self.taus) != 3:
+            raise ConfigError(
+                f"fit_density needs exactly three taus, got {len(self.taus)}"
+            )
 
     @property
     def eval_years(self):

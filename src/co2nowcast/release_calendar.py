@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, UnknownVariableError
+from .errors import DomainError, UnknownVariableError
 from .panel import Frequency, PanelDataset, PeriodIndex
 
 N_WEEKS = 48
@@ -126,47 +126,3 @@ def calendar_rows(rules, t: int):
             cells.append(info[rule.variable].label(rule.frequency))
         rows.append((info.phase, v, f"{t}:W{v}", tuple(cells)))
     return rows
-
-
-def parse_schedule_csv(text: str):
-    """Schedule override: CSV `variable,week_from,week_to,year_offset,sub`.
-
-    Frequencies are inferred per variable from the known calendar variables;
-    unknown variables default to annual unless sub > 1 appears.
-    """
-    freq_default = {
-        VAR_CO2: Frequency.ANNUAL,
-        VAR_EC: Frequency.ANNUAL,
-        VAR_PI: Frequency.QUARTERLY,
-        VAR_ELEC: Frequency.MONTHLY,
-        VAR_WECI: Frequency.WEEKLY,
-    }
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0] != "variable,week_from,week_to,year_offset,sub":
-        raise ConfigError(
-            "schedule override must start with header "
-            "'variable,week_from,week_to,year_offset,sub'"
-        )
-    entries: dict = {}
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise ConfigError(f"schedule line {i}: expected 5 fields, got {len(parts)}")
-        var = parts[0]
-        try:
-            wf, wt, yo, sub = (int(p) for p in parts[1:])
-        except ValueError:
-            raise ConfigError(f"schedule line {i}: non-integer field") from None
-        if not 1 <= wf <= wt <= N_WEEKS:
-            raise ConfigError(f"schedule line {i}: bad week range {wf}..{wt}")
-        entries.setdefault(var, []).append(ScheduleEntry(wf, wt, yo, sub))
-    rules = []
-    for var, ents in entries.items():
-        freq = freq_default.get(var, Frequency.ANNUAL)
-        for e in ents:
-            if e.sub > freq.per_year:
-                raise ConfigError(
-                    f"variable {var!r}: sub {e.sub} exceeds {freq.value} range"
-                )
-        rules.append(ReleaseRule(var, freq, tuple(sorted(ents, key=lambda e: e.week_from))))
-    return tuple(rules)

@@ -16,6 +16,16 @@ analytically below a dyadic cutoff), has an algebraic endpoint singularity in
 its derivative, and for large |alpha| a sharp transition at u = 1/2; it is
 integrated by composite Gauss-Legendre quadrature on panels graded dyadically
 toward 0, 1/2 and 1.
+
+The fit matches three quantiles exactly at a fixed nu = 3 (`NU`): three
+quantiles identify (mu, sigma, alpha) and leave nu unidentified, so nu is a
+choice, not an estimate. It is the smallest nu of the grid
+{3, 5, 8, 12, 20, 30} over which the fit once searched. For every nu there the
+spacing ratio r of the matched triple is strictly monotone in alpha, and the
+ranges are nested (at the quartiles, nu = 3 covers r in [0.3873, 0.6127] and
+nu = 30 only [0.4242, 0.5758]). So nu = 3 matches every triple that a larger
+nu matches and comes closest to every triple that none matches: a grid
+search with ties going to the smallest nu returns nu = 3 for every triple.
 """
 
 from __future__ import annotations
@@ -24,14 +34,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 from scipy.stats import t as student_t
 
 from .errors import DomainError, OrderingError
 
-NU_GRID = (3.0, 5.0, 8.0, 12.0, 20.0, 30.0)
+NU = 3.0  # degrees of freedom of every fitted density; see above
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_NU_TIE_TOL = 1e-12
 _K_MAX = 30  # dyadic grading depth; tail mass below 2^-_K_MAX added analytically
 
 
@@ -208,103 +217,40 @@ def _profile_mu_sigma(values, q, sigma_floor):
 
 _ALPHA_GRID = (-32.0, -16.0, -8.0, -4.0, -2.0, -1.0, -0.5, 0.0,
                0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-_GRID_QUANTILE_CACHE: dict = {}  # (levels, alpha, nu) -> standardized quantiles
 
 
-def _fit_single_nu(levels, values, nu, sigma_floor):
-    cache = {}
-    levels = tuple(levels)
-    levels_arr = np.asarray(levels, dtype=float)
-
-    def std_quantiles(alpha):
-        if alpha in cache:
-            return cache[alpha]
-        if alpha in _ALPHA_GRID:  # data-independent, reused across fits
-            key = (levels, alpha, nu)
-            if key not in _GRID_QUANTILE_CACHE:
-                if len(_GRID_QUANTILE_CACHE) > 4096:
-                    _GRID_QUANTILE_CACHE.clear()
-                _GRID_QUANTILE_CACHE[key] = _std_quantiles(levels_arr, alpha, nu)
-            q = _GRID_QUANTILE_CACHE[key]
-        else:
-            z0 = None
-            if cache:  # warm start from the nearest alpha already solved
-                z0 = cache[min(cache, key=lambda a: abs(a - alpha))]
-            q = _std_quantiles(levels_arr, alpha, nu, z0=z0)
-        cache[alpha] = q
-        return q
-
-    def fit_at(alpha):
-        q = std_quantiles(alpha)
-        mu, sigma = _profile_mu_sigma(values, q, sigma_floor)
-        return mu, sigma, float(np.sum((values - mu - sigma * q) ** 2))
-
-    def sse(alpha):
-        return fit_at(alpha)[2]
-
-    objs = [sse(a) for a in _ALPHA_GRID]
-    j = int(np.argmin(objs))
-
-    # exact-match shortcut: with three targets, (mu, sigma) absorb location
-    # and scale, so alpha is pinned by the spacing ratio of the quantiles;
-    # a bracketed root gives the global minimum (objective ~ 0) directly
-    if len(levels) == 3 and values[2] > values[0]:
-        target = (values[1] - values[0]) / (values[2] - values[0])
-
-        def spacing_gap(alpha):
-            q = std_quantiles(alpha)
-            return (q[1] - q[0]) / (q[2] - q[0]) - target
-
-        gaps = [spacing_gap(a) for a in _ALPHA_GRID]
-        bracketed = False
-        for a, b, ga, gb in zip(_ALPHA_GRID, _ALPHA_GRID[1:], gaps, gaps[1:]):
-            if ga == 0.0 or ga * gb < 0.0:
-                bracketed = True
-                alpha = a if ga == 0.0 else float(
-                    brentq(spacing_gap, a, b, xtol=1e-10, maxiter=200)
-                )
-                mu, sigma, obj = fit_at(alpha)
-                if obj <= objs[j]:
-                    return SkewTParams(mu=float(mu), sigma=float(sigma),
-                                       alpha=float(alpha), nu=nu), obj
-                break
-        if not bracketed:
-            # The profiled objective depends on alpha only through the
-            # spacing ratio, so on an interval where the ratio never hits
-            # the target the minimum sits at an endpoint: the best grid
-            # point is the best feasible alpha, and refinement between
-            # neighbouring grid points cannot improve on it.
-            mu, sigma, obj = fit_at(_ALPHA_GRID[j])
-            return SkewTParams(mu=float(mu), sigma=float(sigma),
-                               alpha=float(_ALPHA_GRID[j]), nu=nu), obj
-
-    lo = _ALPHA_GRID[max(j - 1, 0)]
-    hi = _ALPHA_GRID[min(j + 1, len(_ALPHA_GRID) - 1)]
-    if lo < hi:
-        res = minimize_scalar(
-            sse, bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-7, "maxiter": 200},
-        )
-        alpha = float(res.x) if res.fun <= objs[j] else _ALPHA_GRID[j]
-    else:
-        alpha = _ALPHA_GRID[j]
-    mu, sigma, obj = fit_at(alpha)
-    return SkewTParams(mu=float(mu), sigma=float(sigma), alpha=float(alpha), nu=nu), obj
+def _spacing_ratio(q):
+    return (q[..., 1] - q[..., 0]) / (q[..., 2] - q[..., 0])
 
 
-def fit_from_quantiles(levels, values, nu_grid=NU_GRID, full_output=False):
-    """Match three conditional quantiles by minimizing squared distance.
+@lru_cache(maxsize=64)
+def _grid_quantiles(levels: tuple, nu: float) -> np.ndarray:
+    """Standardized quantiles at `levels` for every alpha of the grid; they
+    do not depend on the data, so every fit at these levels shares them."""
+    grid = np.array([_std_quantiles(np.asarray(levels), a, nu) for a in _ALPHA_GRID])
+    grid.flags.writeable = False
+    return grid
 
-    (mu, sigma, alpha) are optimized at each nu of the grid (three quantiles
-    cannot identify four parameters); the smallest nu among objectives within
-    1e-12 of the best wins.
+
+def fit_from_quantiles(levels, values, nu: float = NU) -> SkewTParams:
+    """Match three conditional quantiles exactly, at fixed `nu`.
+
+    With (mu, sigma) profiled out in closed form, the match depends on alpha
+    only through the spacing ratio r = (v2 - v1) / (v3 - v1), which is
+    strictly monotone in alpha. alpha is the root of r(alpha) = r inside the
+    grid bracket that holds it; a ratio beyond the grid's range is clamped
+    to the nearer end, alpha = +/-32.
     """
     levels = tuple(float(t) for t in levels)
     values = np.array([float(v) for v in values])
+    nu = float(nu)
     if any(not 0.0 < t < 1.0 for t in levels) or list(levels) != sorted(levels):
         raise DomainError("levels must be ascending and inside (0, 1)")
-    if len(levels) != len(values):
-        raise DomainError("levels and values must have equal length")
+    if len(levels) != 3 or len(values) != 3:
+        raise DomainError(
+            f"a skew-t fit needs exactly three quantiles, got {len(levels)} "
+            f"levels and {len(values)} values"
+        )
     if np.any(np.diff(values) < 0):
         raise OrderingError(f"quantile values not ascending: {values.tolist()}")
     # widen exact ties so the target is strictly ascending
@@ -312,24 +258,36 @@ def fit_from_quantiles(levels, values, nu_grid=NU_GRID, full_output=False):
     for j in range(1, len(values)):
         if values[j] <= values[j - 1]:
             values[j] = values[j - 1] + eps
+    sigma_floor = max(1e-8 * float(values[-1] - values[0]), 1e-300)
+    target = _spacing_ratio(values)
 
-    iqr = float(values[-1] - values[0])
-    sigma_floor = max(1e-8 * iqr, 1e-300)
-    scale2 = max(1.0, float(np.max(np.abs(values)))) ** 2
+    grid = _grid_quantiles(levels, nu)
+    gaps = _spacing_ratio(grid) - target
+    for k in range(len(_ALPHA_GRID) - 1):
+        if gaps[k] == 0.0:
+            alpha, q = _ALPHA_GRID[k], grid[k]
+            break
+        if gaps[k] * gaps[k + 1] < 0.0:
+            # brentq evaluates both ends first: seed them from the grid, and
+            # warm-start every later solve from the nearest alpha solved
+            solved = {_ALPHA_GRID[k]: grid[k], _ALPHA_GRID[k + 1]: grid[k + 1]}
 
-    fits = []
-    for nu in sorted(float(n) for n in nu_grid):
-        params, obj = _fit_single_nu(levels, values, nu, sigma_floor)
-        fits.append((params, obj))
-        if obj <= _NU_TIE_TOL * scale2:
-            break  # an exact match at the smallest nu so far wins any tie
-    best_obj = min(obj for _, obj in fits)
-    for params, obj in fits:  # ascending nu: smallest nu wins ties
-        if obj <= best_obj + _NU_TIE_TOL * scale2:
-            if full_output:
-                return params, dict(fits_by_nu=fits, objective=obj)
-            return params
-    raise AssertionError("unreachable")
+            def std_quantiles(a):
+                if a not in solved:
+                    z0 = solved[min(solved, key=lambda b: abs(b - a))]
+                    solved[a] = _std_quantiles(np.asarray(levels), a, nu, z0=z0)
+                return solved[a]
+
+            alpha = float(brentq(lambda a: _spacing_ratio(std_quantiles(a)) - target,
+                                 _ALPHA_GRID[k], _ALPHA_GRID[k + 1],
+                                 xtol=1e-10, maxiter=200))
+            q = std_quantiles(alpha)
+            break
+    else:  # r lies beyond the range r(alpha) covers: the nearer end
+        k = 0 if abs(gaps[0]) < abs(gaps[-1]) else len(_ALPHA_GRID) - 1
+        alpha, q = _ALPHA_GRID[k], grid[k]
+    mu, sigma = _profile_mu_sigma(values, q, sigma_floor)
+    return SkewTParams(mu=float(mu), sigma=float(sigma), alpha=float(alpha), nu=nu)
 
 
 def density_grid(p: SkewTParams, n_points: int = 401, span: float = 5.0):

@@ -158,7 +158,7 @@ def test_criterion_5_skew_t_self_consistency():
     truth = SkewTParams(mu=0.2, sigma=0.8, alpha=2.5, nu=8.0)
     values = tuple(quantile(truth, t) for t in levels)
     # three quantiles cannot identify nu, so recovery pins the generating nu
-    fitted = fit_from_quantiles(levels, values, nu_grid=[truth.nu])
+    fitted = fit_from_quantiles(levels, values, nu=truth.nu)
     assert fitted.mu == pytest.approx(truth.mu, abs=1e-3)
     assert fitted.sigma == pytest.approx(truth.sigma, abs=1e-3)
     assert fitted.alpha == pytest.approx(truth.alpha, abs=1e-3)

@@ -1,13 +1,12 @@
 import pytest
 
-from co2nowcast.errors import ConfigError, DomainError, UnknownVariableError
+from co2nowcast.errors import DomainError, UnknownVariableError
 from co2nowcast.panel import Frequency, MixedFreqSeries, PanelDataset, PeriodIndex
 from co2nowcast.release_calendar import (
     BACKCAST_LAST_WEEK,
     N_WEEKS,
     calendar_rows,
     information_set,
-    parse_schedule_csv,
     table2_rules,
     truncate,
 )
@@ -176,29 +175,3 @@ class TestTruncate:
         info = information_set(table2_rules(), 2021, 9)
         with pytest.raises(UnknownVariableError):
             truncate(ds, info)
-
-
-class TestScheduleOverride:
-    def test_round_trips_a_custom_rule(self):
-        text = (
-            "variable,week_from,week_to,year_offset,sub\n"
-            "CO2,1,10,-2,1\n"
-            "CO2,11,48,-1,1\n"
-        )
-        (rule,) = parse_schedule_csv(text)
-        assert rule.latest(2021, 5) == PeriodIndex(2019)
-        assert rule.latest(2021, 11) == PeriodIndex(2020)
-
-    def test_bad_header(self):
-        with pytest.raises(ConfigError):
-            parse_schedule_csv("var,from,to\nCO2,1,48\n")
-
-    def test_bad_week_range(self):
-        text = "variable,week_from,week_to,year_offset,sub\nCO2,10,2,-1,1\n"
-        with pytest.raises(ConfigError):
-            parse_schedule_csv(text)
-
-    def test_sub_out_of_range_for_frequency(self):
-        text = "variable,week_from,week_to,year_offset,sub\nPI,1,48,0,7\n"
-        with pytest.raises(ConfigError):
-            parse_schedule_csv(text)

@@ -111,9 +111,20 @@ class TestIngestAndRun:
         out2 = str(workspace["root"] / "out2")
         assert main(["run", "--config", workspace["config"], "--out", out2]) == EXIT_OK
         for name in ("archive.csv", "density_params.csv"):
-            a = open(os.path.join(workspace["out"], name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
-            assert a == b
+            with open(os.path.join(workspace["out"], name), "rb") as fa, \
+                    open(os.path.join(out2, name), "rb") as fb:
+                assert fa.read() == fb.read()
+
+    def test_specs_flag_changes_config_hash(self, workspace, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", workspace["config"], "--specs", "HistMean",
+                     "--out", out]) == EXIT_OK
+        with open(os.path.join(workspace["out"], "archive.csv")) as fh:
+            full = fh.readline()
+        with open(os.path.join(out, "archive.csv")) as fh:
+            narrowed = fh.readline()
+        assert full.startswith("# config_hash=") and narrowed.startswith("# config_hash=")
+        assert full != narrowed
 
 
 class TestEvaluate:

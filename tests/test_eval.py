@@ -98,10 +98,6 @@ class TestCrps:
         r = rows("A", [1.0, 0.0], [0.0, 2.0])
         assert crps({0.5: r}) == pytest.approx(quantile_score(r, 0.5))
 
-    def test_weights_length_checked(self):
-        with pytest.raises(DomainError):
-            crps({0.5: rows("A", [1.0], [0.0])}, weights=[1.0, 1.0])
-
     def test_per_entity_requires_matched_entities(self):
         with pytest.raises(ScoringGapError):
             crps_per_entity({

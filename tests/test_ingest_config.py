@@ -265,6 +265,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="taus"):
             parse_config_text("taus = 0.25;0.5\n")
 
+    def test_density_needs_three_taus(self):
+        with pytest.raises(ConfigError, match="fit_density needs exactly three taus"):
+            parse_config_text("taus = 0.5\n")
+        cfg, _ = parse_config_text("taus = 0.5\nfit_density = false\n")
+        assert cfg.taus == (0.5,)
+
     def test_unknown_spec(self):
         with pytest.raises(ConfigError, match="unknown model 'ARX'"):
             parse_config_text("specs = ARX\n")

@@ -155,9 +155,10 @@ class TestCrossSectionMean:
                                   "X", PeriodIndex(2000)) == 3.0
 
     def test_count_reported(self):
-        mean, n = cross_section_mean(self._dataset({"A": 1.0, "B": 3.0}),
-                                     "X", PeriodIndex(2000), return_count=True)
-        assert (mean, n) == (2.0, 2)
+        # the mean counts only the entities that report at the period
+        ds = self._dataset({"A": 1.0, "B": 3.0})
+        ds.add("X", annual("C", 2001, [100.0]))
+        assert cross_section_mean(ds, "X", PeriodIndex(2000)) == 2.0
 
     def test_no_coverage(self):
         with pytest.raises(CoverageError):

@@ -9,7 +9,6 @@ from co2nowcast.errors import (
 )
 from co2nowcast.panel_ls import (
     DesignRow,
-    coefficients_csv,
     fit_within,
     predict,
 )
@@ -145,12 +144,3 @@ class TestPredict:
     def test_length_mismatch(self):
         with pytest.raises(LengthError):
             predict(exact_linear_model(), "A", [1.0, 2.0])
-
-
-def test_coefficients_csv_layout():
-    text = coefficients_csv(exact_linear_model())
-    lines = text.strip().splitlines()
-    assert lines[0] == "label,value"
-    assert lines[1].startswith("alpha[A],")
-    assert lines[2].startswith("alpha[B],")
-    assert lines[3].startswith("x0,")

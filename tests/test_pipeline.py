@@ -57,6 +57,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(weci_transform="log")
 
+    @pytest.mark.parametrize("taus", [(0.5,), (0.25, 0.75), (0.1, 0.25, 0.75, 0.9)])
+    def test_density_needs_three_taus(self, taus):
+        with pytest.raises(ConfigError, match="three taus"):
+            RunConfig(taus=taus)
+        assert RunConfig(taus=taus, fit_density=False).taus == taus
+
 
 def _week(ds, t, v):
     """The panel truncated by the information set of (t, v), and that set."""

@@ -117,37 +117,35 @@ class TestFitFromQuantiles:
         # with nu pinned, three matched quantiles identify (mu, sigma, alpha)
         truth = SkewTParams(mu=0.0, sigma=1.0, alpha=3.0, nu=8.0)
         values = [quantile(truth, t) for t in LEVELS]
-        fit = fit_from_quantiles(LEVELS, values, nu_grid=[8.0])
+        fit = fit_from_quantiles(LEVELS, values, nu=8.0)
         assert fit.mu == pytest.approx(truth.mu, abs=1e-3)
         assert fit.sigma == pytest.approx(truth.sigma, abs=1e-3)
         assert fit.alpha == pytest.approx(truth.alpha, abs=1e-3)
 
     def test_symmetric_input_gives_no_skew(self):
         q = 0.6745
-        fit = fit_from_quantiles(LEVELS, (-q, 0.0, q), nu_grid=[8.0])
+        fit = fit_from_quantiles(LEVELS, (-q, 0.0, q), nu=8.0)
         assert abs(fit.alpha) < 1e-3
         assert abs(fit.mu) < 1e-3
 
     def test_normal_quartiles_near_standard_normal(self):
         # conditional on the heaviest-tailed grid entry being excluded, the
         # normal quartiles 0.67449 give back roughly a unit scale
-        fit = fit_from_quantiles(LEVELS, (-0.6745, 0.0, 0.6745), nu_grid=[30.0])
+        fit = fit_from_quantiles(LEVELS, (-0.6745, 0.0, 0.6745), nu=30.0)
         assert fit.mu == pytest.approx(0.0, abs=0.02)
         assert fit.sigma == pytest.approx(1.0, rel=0.02)
 
     def test_exact_match_objective(self):
         truth = SkewTParams(mu=0.4, sigma=0.7, alpha=-2.0, nu=5.0)
         values = [quantile(truth, t) for t in LEVELS]
-        fit, extra = fit_from_quantiles(
-            LEVELS, values, nu_grid=[5.0], full_output=True
-        )
+        fit = fit_from_quantiles(LEVELS, values, nu=5.0)
         scale2 = max(1.0, max(abs(v) for v in values)) ** 2
-        assert extra["objective"] <= 1e-12 * scale2
+        assert _residual(fit, values) <= 1e-12 * scale2
 
     def test_location_scale_equivariance(self):
         values = np.array([-0.8, 0.1, 1.3])
-        base = fit_from_quantiles(LEVELS, values, nu_grid=[8.0])
-        moved = fit_from_quantiles(LEVELS, 2.0 + 3.0 * values, nu_grid=[8.0])
+        base = fit_from_quantiles(LEVELS, values, nu=8.0)
+        moved = fit_from_quantiles(LEVELS, 2.0 + 3.0 * values, nu=8.0)
         assert moved.mu == pytest.approx(2.0 + 3.0 * base.mu, abs=1e-6)
         assert moved.sigma == pytest.approx(3.0 * base.sigma, rel=1e-6)
         assert moved.alpha == pytest.approx(base.alpha, abs=1e-4)
@@ -158,20 +156,47 @@ class TestFitFromQuantiles:
             fit_from_quantiles(LEVELS, (1.0, 0.5, 2.0))
 
     def test_tied_values_widened_not_rejected(self):
-        fit = fit_from_quantiles(LEVELS, (0.0, 0.0, 1.0), nu_grid=[8.0])
+        fit = fit_from_quantiles(LEVELS, (0.0, 0.0, 1.0), nu=8.0)
         assert fit.sigma > 0
 
     def test_bad_levels(self):
         with pytest.raises(DomainError):
             fit_from_quantiles((0.5, 0.25, 0.75), (0.0, 1.0, 2.0))
 
-    def test_smallest_nu_wins_exact_ties(self):
-        # any in-family triple is matched exactly at every nu, so the
-        # tie-break must settle on the smallest grid value
-        truth = SkewTParams(mu=0.0, sigma=1.0, alpha=1.0, nu=12.0)
-        values = [quantile(truth, t) for t in LEVELS]
-        fit = fit_from_quantiles(LEVELS, values, nu_grid=[12.0, 5.0])
-        assert fit.nu == 5.0
+    def test_default_nu_fits_at_least_as_well_as_larger_nu(self):
+        # r(alpha) ranges are nested in nu, so nu = 3 matches every triple a
+        # larger nu matches and comes closest to those none matches
+        rng = np.random.default_rng(5)
+        ratios = [0.45, 0.52, 0.40, 0.60, 0.30, 0.36, 0.65, 0.70]
+        for r in ratios:
+            lo, width = rng.normal(0.0, 2.0), float(np.exp(rng.normal()))
+            values = (lo, lo + r * width, lo + width)
+            scale2 = max(1.0, max(abs(v) for v in values)) ** 2
+            best = _residual(fit_from_quantiles(LEVELS, values), values)
+            for nu in (5.0, 8.0, 12.0, 20.0, 30.0):
+                other = _residual(fit_from_quantiles(LEVELS, values, nu=nu), values)
+                assert best <= other + 1e-12 * scale2, (r, nu)
+
+    def test_ratio_above_range_clamps_to_left_skew(self):
+        # r = 0.7 > 0.6127, the widest ratio nu = 3 reaches
+        fit = fit_from_quantiles(LEVELS, (0.0, 0.7, 1.0))
+        assert fit.alpha == -32.0 and fit.nu == 3.0
+
+    def test_ratio_below_range_clamps_to_right_skew(self):
+        # r = 0.3 < 0.3873, the narrowest ratio nu = 3 reaches
+        fit = fit_from_quantiles(LEVELS, (0.0, 0.3, 1.0))
+        assert fit.alpha == 32.0 and fit.nu == 3.0
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_other_level_counts_rejected(self, n):
+        levels = tuple(np.linspace(0.1, 0.9, n)) if n > 1 else (0.5,)
+        with pytest.raises(DomainError, match="three"):
+            fit_from_quantiles(levels, tuple(range(n)))
+
+
+def _residual(fit, values):
+    """Squared distance between the fitted and the target quantiles."""
+    return sum((quantile(fit, t) - v) ** 2 for t, v in zip(LEVELS, values))
 
 
 def test_density_grid_normalization():

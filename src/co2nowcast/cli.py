@@ -21,7 +21,7 @@ from .config import parse_config_text, parse_specs
 from .errors import DataError
 from .evaluation import score_table, score_table_csv
 from .ingest import build_dataset, load_store, read_manifest, write_store
-from .pipeline import ModelSpec, run_out_of_sample
+from .pipeline import run_out_of_sample
 from .release_calendar import calendar_rows, table2_rules
 from .skew_t import SkewTParams, density_grid
 
@@ -79,8 +79,7 @@ def cmd_run(args) -> int:
         config = dataclasses.replace(config, specs=parse_specs(args.specs))
         source_text += f"\n--specs {','.join(config.specs)}\n"
     dataset = load_store(data_dir)
-    specs = tuple(ModelSpec(kind=k) for k in config.specs)
-    archive = run_out_of_sample(dataset, config, specs=specs)
+    archive = run_out_of_sample(dataset, config)
     header = _header(source_text)
     _write(os.path.join(args.out, "archive.csv"), header, archive.to_csv())
     _write(os.path.join(args.out, "density_params.csv"), header, archive.density_csv())

@@ -160,9 +160,9 @@ def predict_quantile(model: QuantileModel, entity: str, x) -> float:
     return float(model.gamma[entity] + x @ model.beta)
 
 
-def rearrange(triple):
-    """Sort a quantile triple ascending to undo quantile crossing."""
-    q = tuple(float(v) for v in triple)
-    if len(q) != 3 or not all(np.isfinite(q)):
-        raise DomainError("rearrange expects three finite values")
+def rearrange(quantiles):
+    """Sort quantile predictions ascending to undo quantile crossing."""
+    q = tuple(float(v) for v in quantiles)
+    if not all(np.isfinite(q)):
+        raise DomainError("rearrange expects finite values")
     return tuple(sorted(q))

@@ -20,13 +20,15 @@ data access goes through that one calendar truncation.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import release_calendar as cal
-from .almon import AlmonMap, AlmonSpec, build_almon_map
+from .almon import AlmonSpec, build_almon_map
 from .errors import ConfigError, CoverageError, DataError, DomainError
 from .panel import PanelDataset, PeriodIndex, cross_section_mean, lag_vector
 from .panel_ls import DesignRow, fit_within, predict
@@ -59,11 +61,12 @@ N_QUARTER_LAGS = 4
 N_MONTH_LAGS = 12
 N_WEEK_LAGS = 52
 
+ALMON_MAP = build_almon_map(AlmonSpec(C=N_WEEK_LAGS))
+
 
 @dataclass(frozen=True)
 class ModelSpec:
     kind: str
-    almon: AlmonSpec = field(default_factory=AlmonSpec)
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -144,72 +147,77 @@ def _shifted(latest: PeriodIndex, t: int, s: int) -> PeriodIndex:
     return PeriodIndex(latest.year + (s - t), latest.sub)
 
 
-def _energy_row_x(ds, info, spec, amap, entity, t, s, d_v):
-    parts = [np.array([ds.get(VAR_EC, entity).value_at(PeriodIndex(s - d_v))])]
-    if spec.has_q:
-        anchor = _shifted(info[VAR_PI], t, s)
-        parts.append(lag_vector(ds.get(VAR_PI, entity), anchor, N_QUARTER_LAGS))
-    if spec.has_m:
-        anchor = _shifted(info[VAR_ELEC], t, s)
-        parts.append(lag_vector(ds.get(VAR_ELEC, entity), anchor, N_MONTH_LAGS))
-    if spec.has_w:
-        anchor = _shifted(info[VAR_WECI], t, s)
-        w = lag_vector(ds.get(VAR_WECI, entity), anchor, N_WEEK_LAGS)
-        parts.append(amap.Q @ w)
-    return np.concatenate(parts)
+def _hf_x(ds, info, spec, entity, t, s):
+    """The high-frequency blocks `spec` reads for year s (s = t: the target
+    year): quarterly and monthly lags, and the Almon-weighted weekly lags."""
+    blocks = []
+    for has, var, n_lags in ((spec.has_q, VAR_PI, N_QUARTER_LAGS),
+                             (spec.has_m, VAR_ELEC, N_MONTH_LAGS),
+                             (spec.has_w, VAR_WECI, N_WEEK_LAGS)):
+        if has:
+            lags = lag_vector(ds.get(var, entity), _shifted(info[var], t, s), n_lags)
+            blocks.append(ALMON_MAP.Q @ lags if var == VAR_WECI else lags)
+    return blocks
 
 
-def _energy_labels(spec, amap):
-    labels = ["ar_c"]
+def _hf_labels(spec):
+    labels = []
     if spec.has_q:
         labels += [f"q{j}" for j in range(1, N_QUARTER_LAGS + 1)]
     if spec.has_m:
         labels += [f"m{j}" for j in range(1, N_MONTH_LAGS + 1)]
     if spec.has_w:
-        labels += [f"w{j}" for j in range(1, amap.spec.n_params + 1)]
+        labels += [f"w{j}" for j in range(1, ALMON_MAP.spec.n_params + 1)]
     return tuple(labels)
 
 
+def _design(ds, info, y_var, t, estimation_start, x_of, name):
+    """Training rows for the years from `estimation_start` to the latest year
+    of `y_var` in `info`, and a prediction row for the target year t, per
+    entity with a `y_var` series; `x_of(entity, s)` builds the regressors of
+    year s. A row whose data `ds` lacks is skipped."""
+    rows, pred = [], []
+    for entity, y_series in ds.series_of(y_var):
+        for s in range(estimation_start, info[y_var].year + 1):
+            try:
+                y = y_series.value_at(PeriodIndex(s))
+                x = x_of(entity, s)
+            except CoverageError:
+                continue
+            rows.append(DesignRow(entity=entity, year=s, y=y, x=x))
+        try:
+            pred.append((entity, x_of(entity, t)))
+        except CoverageError:
+            pass
+    if not rows:
+        raise CoverageError(f"empty {name} design at ({t}, week {info.week})")
+    return rows, pred
+
+
 def assemble_energy_design(ds, info: InformationSet, spec: ModelSpec, t: int,
-                           estimation_start: int, amap: AlmonMap | None = None):
+                           estimation_start: int):
     """Training rows plus prediction rows for the MIDAS energy regression.
 
     `ds` must already be truncated by the information set. Training years
     with insufficient history are dropped per entity.
     """
-    if amap is None and spec.has_w:
-        amap = build_almon_map(spec.almon)
-    ec_latest = info[VAR_EC].year
-    d_v = t - ec_latest
-    rows, pred = [], []
-    for entity in ds.entities:
-        if not ds.has(VAR_EC, entity):
-            continue
-        for s in range(estimation_start, ec_latest + 1):
-            try:
-                y = ds.get(VAR_EC, entity).value_at(PeriodIndex(s))
-                x = _energy_row_x(ds, info, spec, amap, entity, t, s, d_v)
-            except CoverageError:
-                continue
-            rows.append(DesignRow(entity=entity, year=s, y=y, x=x))
-        try:
-            xp = _energy_row_x(ds, info, spec, amap, entity, t, t, d_v)
-        except CoverageError:
-            continue
-        pred.append((entity, xp))
-    if not rows:
-        raise CoverageError(f"empty energy design at ({t}, week {info.week})")
-    return rows, pred, _energy_labels(spec, amap)
+    d_v = t - info[VAR_EC].year
+
+    def x_of(entity, s):
+        ar = ds.get(VAR_EC, entity).value_at(PeriodIndex(s - d_v))
+        return np.concatenate([[ar], *_hf_x(ds, info, spec, entity, t, s)])
+
+    rows, pred = _design(ds, info, VAR_EC, t, estimation_start, x_of, "energy")
+    return rows, pred, ("ar_c",) + _hf_labels(spec)
 
 
 def _drop_thin_entities(rows, pred, min_rows=2):
-    """Entities need >= min_rows training rows for a fixed effect."""
-    counts: dict = {}
-    for r in rows:
-        counts[r.entity] = counts.get(r.entity, 0) + 1
+    """Entities need >= min_rows training rows for a fixed effect. An entity
+    with training rows but no prediction row is a gap too; its rows stay."""
+    counts = Counter(r.entity for r in rows)
     keep = {e for e, n in counts.items() if n >= min_rows}
-    dropped = sorted(set(counts) | {e for e, _ in pred})
-    dropped = [e for e in dropped if e not in keep]
+    predicted = {e for e, _ in pred}
+    dropped = sorted((set(counts) | predicted) - (keep & predicted))
     rows = [r for r in rows if r.entity in keep]
     pred = [(e, x) for e, x in pred if e in keep]
     return rows, pred, dropped
@@ -252,102 +260,42 @@ def bridge_design(ds, info: InformationSet, energy: dict, t: int,
     """Quantile-bridge design: AR lag of emissions growth, the energy term
     (realized in training, first-stage nowcast in prediction) and the
     cross-sectional-average factors at the latest available lag."""
-    co2_latest = info[VAR_CO2].year
-    g_v = t - co2_latest
+    g_v = t - info[VAR_CO2].year
+    factors = functools.cache(lambda year: (
+        cross_section_mean(ds, VAR_CO2, PeriodIndex(year)),
+        cross_section_mean(ds, VAR_EC, PeriodIndex(year)),
+    ))
 
-    def factors(year):
-        return np.array([
-            cross_section_mean(ds, VAR_CO2, PeriodIndex(year)),
-            cross_section_mean(ds, VAR_EC, PeriodIndex(year)),
-        ])
+    def x_of(entity, s):
+        ar = ds.get(VAR_CO2, entity).value_at(PeriodIndex(s - g_v))
+        if s < t:
+            c = ds.get(VAR_EC, entity).value_at(PeriodIndex(s))
+        elif entity in energy:
+            c = energy[entity]
+        else:
+            raise CoverageError(f"no first-stage nowcast for entity {entity!r}")
+        return np.array([ar, c, *factors(s - g_v)])
 
-    rows, pred = [], []
-    for entity in ds.entities:
-        if not (ds.has(VAR_CO2, entity) and ds.has(VAR_EC, entity)):
-            continue
-        e_series = ds.get(VAR_CO2, entity)
-        c_series = ds.get(VAR_EC, entity)
-        for s in range(estimation_start, co2_latest + 1):
-            try:
-                y = e_series.value_at(PeriodIndex(s))
-                x = np.concatenate([
-                    [e_series.value_at(PeriodIndex(s - g_v))],
-                    [c_series.value_at(PeriodIndex(s))],
-                    factors(s - g_v),
-                ])
-            except CoverageError:
-                continue
-            rows.append(DesignRow(entity=entity, year=s, y=y, x=x))
-        if entity not in energy:
-            continue
-        try:
-            xp = np.concatenate([
-                [e_series.value_at(PeriodIndex(t - g_v))],
-                [energy[entity]],
-                factors(t - g_v),
-            ])
-        except CoverageError:
-            continue
-        pred.append((entity, xp))
-    if not rows:
-        raise CoverageError(f"empty bridge design at ({t}, week {info.week})")
+    rows, pred = _design(ds, info, VAR_CO2, t, estimation_start, x_of, "bridge")
     return rows, pred, BRIDGE_LABELS
 
 
 def direct_design(ds, info: InformationSet, spec: ModelSpec, t: int,
-                  estimation_start: int, amap: AlmonMap | None = None):
+                  estimation_start: int):
     """Direct quantile design: emissions growth on its own AR lag, the
     high-frequency blocks, and the scalar emissions factor."""
-    if amap is None and spec.has_w:
-        amap = build_almon_map(spec.almon)
-    co2_latest = info[VAR_CO2].year
-    g_v = t - co2_latest
-    rows, pred = [], []
-    for entity in ds.entities:
-        if not ds.has(VAR_CO2, entity):
-            continue
-        e_series = ds.get(VAR_CO2, entity)
+    g_v = t - info[VAR_CO2].year
+    f_e = functools.cache(
+        lambda year: cross_section_mean(ds, VAR_CO2, PeriodIndex(year))
+    )
 
-        def build_x(s):
-            parts = [np.array([e_series.value_at(PeriodIndex(s - g_v))])]
-            if spec.has_q:
-                parts.append(lag_vector(
-                    ds.get(VAR_PI, entity), _shifted(info[VAR_PI], t, s),
-                    N_QUARTER_LAGS,
-                ))
-            if spec.has_m:
-                parts.append(lag_vector(
-                    ds.get(VAR_ELEC, entity), _shifted(info[VAR_ELEC], t, s),
-                    N_MONTH_LAGS,
-                ))
-            if spec.has_w:
-                w = lag_vector(
-                    ds.get(VAR_WECI, entity), _shifted(info[VAR_WECI], t, s),
-                    N_WEEK_LAGS,
-                )
-                parts.append(amap.Q @ w)
-            parts.append(np.array([
-                cross_section_mean(ds, VAR_CO2, PeriodIndex(s - g_v))
-            ]))
-            return np.concatenate(parts)
+    def x_of(entity, s):
+        ar = ds.get(VAR_CO2, entity).value_at(PeriodIndex(s - g_v))
+        hf = _hf_x(ds, info, spec, entity, t, s)
+        return np.concatenate([[ar], *hf, [f_e(s - g_v)]])
 
-        for s in range(estimation_start, co2_latest + 1):
-            try:
-                y = e_series.value_at(PeriodIndex(s))
-                x = build_x(s)
-            except CoverageError:
-                continue
-            rows.append(DesignRow(entity=entity, year=s, y=y, x=x))
-        try:
-            xp = build_x(t)
-        except CoverageError:
-            continue
-        pred.append((entity, xp))
-    if not rows:
-        raise CoverageError(f"empty direct design at ({t}, week {info.week})")
-    labels = _energy_labels(spec, amap)[1:]  # drop the energy AR label
-    labels = ("ar_e",) + labels + ("f_e",)
-    return rows, pred, labels
+    rows, pred = _design(ds, info, VAR_CO2, t, estimation_start, x_of, "direct")
+    return rows, pred, ("ar_e",) + _hf_labels(spec) + ("f_e",)
 
 
 def co2_benchmark_quantiles(ds, entity: str, taus) -> tuple:
@@ -357,13 +305,6 @@ def co2_benchmark_quantiles(ds, entity: str, taus) -> tuple:
     return tuple(float(q) for q in np.quantile(values, taus))
 
 
-def _fit_density(quantiles, taus):
-    try:
-        return fit_from_quantiles(taus, quantiles)
-    except DataError:
-        return None
-
-
 def nowcast_co2_density(ds, info: InformationSet, spec: ModelSpec,
                         config: RunConfig, energy):
     """Stage two for the week of `info` on `ds`, the panel truncated by
@@ -371,7 +312,8 @@ def nowcast_co2_density(ds, info: InformationSet, spec: ModelSpec,
     triple. `energy` is the spec's stage-one result (nowcasts, gap
     entities); HistMean ignores it and direct specs pass None.
 
-    Returns (nowcasts, gap entities), the gaps including stage one's."""
+    Returns (nowcasts, gap entities), the gaps including stage one's. A
+    density fit that fails raises its `DataError` to the caller."""
     t, v = info.year, info.week
     taus = config.taus
     benchmarks = {
@@ -381,8 +323,8 @@ def nowcast_co2_density(ds, info: InformationSet, spec: ModelSpec,
     if spec.kind == "HistMean":
         out = []
         for e in sorted(benchmarks):
-            q = rearrange(benchmarks[e]) if len(taus) == 3 else tuple(benchmarks[e])
-            params = _fit_density(q, taus) if config.fit_density else None
+            q = rearrange(benchmarks[e])
+            params = fit_from_quantiles(taus, q) if config.fit_density else None
             out.append(CO2DensityNowcast(
                 entity=e, year=t, week=v, quantiles=q,
                 benchmark=benchmarks[e], params=params,
@@ -406,8 +348,8 @@ def nowcast_co2_density(ds, info: InformationSet, spec: ModelSpec,
     out = []
     for e, x in pred:
         preds = [predict_quantile(m, e, x) for m in models]
-        q = rearrange(preds) if len(preds) == 3 else tuple(sorted(preds))
-        params = _fit_density(q, taus) if config.fit_density else None
+        q = rearrange(preds)
+        params = fit_from_quantiles(taus, q) if config.fit_density else None
         out.append(CO2DensityNowcast(
             entity=e, year=t, week=v, quantiles=q,
             benchmark=benchmarks.get(e, ()), params=params,
@@ -466,16 +408,13 @@ def _realized(dataset, variable, entity, year):
         return float("nan")
 
 
-def run_out_of_sample(dataset: PanelDataset, config: RunConfig,
-                      specs=None, rules=None) -> NowcastArchive:
+def run_out_of_sample(dataset: PanelDataset, config: RunConfig) -> NowcastArchive:
     """Full pseudo-out-of-sample loop: every evaluation year, every calendar
     week, every model spec, re-fitted on the week's one truncation of the
     panel. Deterministic given dataset and config; failures become
     diagnostics rows, not crashes."""
-    if rules is None:
-        rules = table2_rules()
-    if specs is None:
-        specs = tuple(ModelSpec(kind=k) for k in config.specs)
+    rules = table2_rules()
+    specs = tuple(ModelSpec(kind=k) for k in config.specs)
     archive = NowcastArchive()
     for t in config.eval_years:
         for v in range(1, cal.N_WEEKS + 1):

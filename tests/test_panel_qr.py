@@ -227,9 +227,12 @@ class TestValidationAndPlumbing:
 class TestRearrange:
     def test_sorted_stays(self):
         assert rearrange((1.0, 2.0, 3.0)) == (1.0, 2.0, 3.0)
+        assert rearrange((4.0,)) == (4.0,)
+        assert rearrange((1.0, 2.0, 3.0, 4.0, 5.0)) == (1.0, 2.0, 3.0, 4.0, 5.0)
 
     def test_crossing_fixed(self):
         assert rearrange((3.0, 1.0, 2.0)) == (1.0, 2.0, 3.0)
+        assert rearrange((5.0, 1.0, 4.0, 2.0, 3.0)) == (1.0, 2.0, 3.0, 4.0, 5.0)
 
     def test_ties_kept(self):
         assert rearrange((2.0, 2.0, 2.0)) == (2.0, 2.0, 2.0)
@@ -237,3 +240,7 @@ class TestRearrange:
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             rearrange((1.0, float("nan"), 2.0))
+        with pytest.raises(DomainError):
+            rearrange((float("nan"),))
+        with pytest.raises(DomainError):
+            rearrange((1.0, 2.0, float("inf"), 3.0, 4.0))

@@ -89,18 +89,42 @@ def _coded_dataset():
     return ds
 
 
+ENERGY_KINDS = [k for k in MODEL_KINDS if k != "HistMean" and not k.startswith("Direct")]
+
+
 class TestEnergyDesign:
-    def test_regressor_count_and_labels(self):
+    @pytest.mark.parametrize("kind", ENERGY_KINDS)
+    def test_regressor_count_and_labels(self, kind):
         ds, _ = make_dataset(n_entities=3, seed=1)
         info = information_set(table2_rules(), 2011, 24)
         cut = truncate(ds, info)
-        rows, pred, labels = assemble_energy_design(
-            cut, info, ModelSpec("AR-W-M-Q"), 2011, 1990
-        )
-        assert len(labels) == 1 + 4 + 12 + 2
-        assert labels[0] == "ar_c" and labels[1] == "q1" and labels[-1] == "w2"
-        assert all(len(r.x) == 19 for r in rows)
+        spec = ModelSpec(kind)
+        rows, pred, labels = assemble_energy_design(cut, info, spec, 2011, 1990)
+        width = 1 + 4 * spec.has_q + 12 * spec.has_m + 2 * spec.has_w
+        assert len(labels) == width
+        assert labels[0] == "ar_c"
+        if spec.has_q:
+            assert labels[1] == "q1"
+        if spec.has_w:
+            assert labels[-1] == "w2"
+        assert rows and all(len(r.x) == width for r in rows)
         assert len(pred) == 3
+        assert all(len(x) == width for _, x in pred)
+
+    def test_entity_without_prediction_row_is_a_gap(self):
+        # S01's weekly series ends 60 weeks early: it keeps its training rows
+        # but has no prediction row at (2012, 40), which must be reported
+        base, _ = make_dataset(n_entities=3, seed=4)
+        ds = PanelDataset()
+        for var in base.variables:
+            for e, s in base.series_of(var):
+                if e == "S01" and var == "WECI":
+                    s = MixedFreqSeries(e, Frequency.WEEKLY, s.start, s.values[:-60])
+                ds.add(var, s)
+        config = RunConfig(estimation_start=1990, eval_start=2012, eval_end=2012)
+        out, gaps = nowcast_energy(*_week(ds, 2012, 40), ModelSpec("AR-W"), config)
+        assert [n.entity for n in out] == ["S00", "S02"]
+        assert "S01" in gaps
 
     def test_alignment_is_a_pure_function_of_week(self):
         # training year s reads the same within-year offsets as target year t
@@ -245,6 +269,27 @@ class TestBridgeDesign:
 
 
 class TestDirectDesign:
+    def test_shares_energy_blocks_and_reads_emissions_factor(self):
+        ds, _ = make_dataset(n_entities=3, seed=7)
+        t, v = 2011, 24
+        info = information_set(table2_rules(), t, v)
+        cut = truncate(ds, info)
+        e_rows, e_pred, _ = assemble_energy_design(
+            cut, info, ModelSpec("AR-W-M-Q"), t, 1990)
+        d_rows, d_pred, _ = direct_design(
+            cut, info, ModelSpec("DirectAR-W-M-Q"), t, 1990)
+        energy_x = {(r.entity, r.year): r.x for r in e_rows}
+        energy_x.update({(e, t): x for e, x in e_pred})
+        direct_x = {(r.entity, r.year): r.x for r in d_rows}
+        direct_x.update({(e, t): x for e, x in d_pred})
+        shared = set(energy_x) & set(direct_x)
+        assert len(shared) > 3 and {(e, t) for e in cut.entities} <= shared
+        g_v = t - info["CO2"].year
+        for (entity, year) in shared:
+            assert np.array_equal(energy_x[entity, year][1:], direct_x[entity, year][1:-1])
+            assert direct_x[entity, year][-1] == cross_section_mean(
+                cut, "CO2", PeriodIndex(year - g_v))
+
     def test_labels_and_counts(self):
         ds, _ = make_dataset(n_entities=3, seed=7)
         info = information_set(table2_rules(), 2011, 24)
@@ -291,6 +336,22 @@ class TestDensityNowcast:
 
 
 class TestRunOutOfSample:
+    def test_density_fit_error_becomes_diagnostic(self, monkeypatch):
+        import co2nowcast.pipeline as pipeline
+
+        def failing_fit(levels, values):
+            raise DomainError("skew-t fit failed")
+
+        monkeypatch.setattr(pipeline, "fit_from_quantiles", failing_fit)
+        ds, _ = make_dataset(n_entities=2, seed=13)
+        config = RunConfig(estimation_start=1990, eval_start=2012, eval_end=2012,
+                           specs=("HistMean", "AR"), fit_density=True)
+        archive = run_out_of_sample(ds, config)
+        assert archive.density_rows == []
+        co2 = [d for d in archive.diagnostics if d["stage"] == "co2"]
+        assert len(co2) == 2 * 48
+        assert all(d["detail"] == "skew-t fit failed" for d in co2)
+
     @staticmethod
     def _run(seed=10):
         ds, _ = make_dataset(n_entities=3, seed=seed)

@@ -67,6 +67,28 @@ def _encode(rows):
     return y, X, idx, ents
 
 
+def _constraint_matrix(X, idx, n_ent, lam):
+    """CSC matrix [I, -I, G, -G, X, -X] of the LP's equality constraints,
+    built from index arrays: G holds one indicator column per entity, after a
+    column of ones for the common intercept when lam > 0. Zeros of X are not
+    stored, and row indices ascend within each column."""
+    n = X.shape[0]
+    g_rows = np.argsort(idx, kind="stable")  # column by column, rows ascending
+    g_counts = np.bincount(idx, minlength=n_ent)
+    if lam != 0.0:
+        g_rows = np.r_[np.arange(n), g_rows]
+        g_counts = np.r_[n, g_counts]
+    x_cols, x_rows = np.nonzero(X.T)
+    x_vals = X[x_rows, x_cols]
+    x_counts = np.bincount(x_cols, minlength=X.shape[1])
+    rows = np.r_[np.arange(n), np.arange(n), g_rows, g_rows, x_rows, x_rows]
+    data = np.r_[np.ones(n), -np.ones(n), np.ones(g_rows.size),
+                 -np.ones(g_rows.size), x_vals, -x_vals]
+    counts = np.r_[np.ones(2 * n, dtype=int), g_counts, g_counts, x_counts, x_counts]
+    indptr = np.r_[0, np.cumsum(counts)]
+    return sp.csc_matrix((data, rows, indptr), shape=(n, indptr.size - 1))
+
+
 def _fit_lp(y, X, idx, n_ent, tau, lam):
     """Exact LP: split residuals and coefficients into positive parts.
 
@@ -76,21 +98,8 @@ def _fit_lp(y, X, idx, n_ent, tau, lam):
     """
     n, k = X.shape
     m = n_ent if lam == 0.0 else n_ent + 1
-
-    G = sp.lil_matrix((n, m))
-    if lam == 0.0:
-        G[np.arange(n), idx] = 1.0
-        pen = np.zeros(m)
-    else:
-        G[:, 0] = 1.0
-        G[np.arange(n), idx + 1] = 1.0
-        pen = np.r_[0.0, np.full(n_ent, lam)]
-    G = G.tocsc()
-
-    A_eq = sp.hstack(
-        [sp.eye(n), -sp.eye(n), G, -G, sp.csc_matrix(X), sp.csc_matrix(-X)],
-        format="csc",
-    )
+    A_eq = _constraint_matrix(X, idx, n_ent, lam)
+    pen = np.zeros(m) if lam == 0.0 else np.r_[0.0, np.full(n_ent, lam)]
     c = np.r_[
         np.full(n, tau), np.full(n, 1.0 - tau), pen, pen, np.zeros(k), np.zeros(k)
     ]

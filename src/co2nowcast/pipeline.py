@@ -211,13 +211,14 @@ def assemble_energy_design(ds, info: InformationSet, spec: ModelSpec, t: int,
     return rows, pred, ("ar_c",) + _hf_labels(spec)
 
 
-def _drop_thin_entities(rows, pred, min_rows=2):
-    """Entities need >= min_rows training rows for a fixed effect. An entity
-    with training rows but no prediction row is a gap too; its rows stay."""
+def _drop_thin_entities(rows, pred, entities, min_rows=2):
+    """Entities need >= min_rows training rows for a fixed effect and a
+    prediction row. Every other entity of `entities` (those with a series of
+    the design's variable) is a gap; one with training rows but no
+    prediction row keeps its rows."""
     counts = Counter(r.entity for r in rows)
     keep = {e for e, n in counts.items() if n >= min_rows}
-    predicted = {e for e, _ in pred}
-    dropped = sorted((set(counts) | predicted) - (keep & predicted))
+    dropped = sorted(set(entities) - (keep & {e for e, _ in pred}))
     rows = [r for r in rows if r.entity in keep]
     pred = [(e, x) for e, x in pred if e in keep]
     return rows, pred, dropped
@@ -243,7 +244,9 @@ def nowcast_energy(ds, info: InformationSet, spec: ModelSpec, config: RunConfig)
     rows, pred, labels = assemble_energy_design(
         ds, info, spec, t, config.estimation_start
     )
-    rows, pred, gaps = _drop_thin_entities(rows, pred)
+    rows, pred, gaps = _drop_thin_entities(
+        rows, pred, [e for e, _ in ds.series_of(VAR_EC)]
+    )
     model = fit_within(rows, labels=labels)
     out = [
         EnergyNowcast(entity=e, year=t, week=v, value=predict(model, e, x))
@@ -340,7 +343,7 @@ def nowcast_co2_density(ds, info: InformationSet, spec: ModelSpec,
             ds, info, {n.entity: n.value for n in nowcasts}, t,
             config.estimation_start,
         )
-    rows, pred, gaps = _drop_thin_entities(rows, pred, min_rows=1)
+    rows, pred, gaps = _drop_thin_entities(rows, pred, benchmarks, min_rows=1)
     gaps = sorted(set(gaps) | set(gaps_energy))
 
     models = [fit_quantile(rows, QuantileSpec(tau=tau, lam=config.lam), labels=labels)

@@ -15,7 +15,11 @@ The integrand is bounded, approaches constants at u -> 0 and u -> 1 (handled
 analytically below a dyadic cutoff), has an algebraic endpoint singularity in
 its derivative, and for large |alpha| a sharp transition at u = 1/2; it is
 integrated by composite Gauss-Legendre quadrature on panels graded dyadically
-toward 0, 1/2 and 1.
+toward 0, 1/2 and 1. The breakpoints are one constant (`_BREAKS`), so the
+nodes, weights and T_nu^{-1} values of every panel between two of them are
+computed once per nu; only each z's first and last panel, which end at the
+cutoff and at T_nu(z), get new ones. T_nu, T_nu^{-1} and t_nu are the
+`scipy.special` functions that `scipy.stats.t` evaluates, called directly.
 
 The fit matches three quantiles exactly at a fixed nu = 3 (`NU`): three
 quantiles identify (mu, sigma, alpha) and leave nu unidentified, so nu is a
@@ -26,6 +30,8 @@ ranges are nested (at the quartiles, nu = 3 covers r in [0.3873, 0.6127] and
 nu = 30 only [0.4242, 0.5758]). So nu = 3 matches every triple that a larger
 nu matches and comes closest to every triple that none matches: a grid
 search with ties going to the smallest nu returns nu = 3 for every triple.
+Fits are memoised per distinct (levels, values, nu) in a bounded cache: a
+benchmark triple, for one, repeats week after week.
 """
 
 from __future__ import annotations
@@ -35,13 +41,20 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import t as student_t
+from scipy.special import poch, stdtr, stdtrit
 
 from .errors import DomainError, OrderingError
 
 NU = 3.0  # degrees of freedom of every fitted density; see above
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _K_MAX = 30  # dyadic grading depth; tail mass below 2^-_K_MAX added analytically
+# panel breakpoints in u, graded dyadically toward 0, 1/2 and 1 (the
+# integrand's transition at u = 1/2 for large |alpha|)
+_BREAKS = np.unique(np.concatenate([
+    np.ldexp(1.0, -np.arange(1, _K_MAX)), 1.0 - np.ldexp(1.0, -np.arange(1, _K_MAX)),
+    0.5 - np.ldexp(1.0, -np.arange(2, 22)), 0.5 + np.ldexp(1.0, -np.arange(2, 22)),
+]))
+_BREAKS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -66,38 +79,48 @@ def _skew_arg(z, alpha, nu):
     return alpha * w
 
 
+def _t_pdf(z, nu):
+    """Student-t density, in the closed form `scipy.stats.t` evaluates."""
+    return np.exp(np.log(poch(0.5 * nu, 0.5)) - 0.5 * (np.log(nu) + np.log(np.pi))
+                  - (nu + 1) / 2 * np.log1p(z * z / nu))
+
+
 def _std_pdf(z, alpha, nu):
-    return 2.0 * student_t.pdf(z, nu) * student_t.cdf(_skew_arg(z, alpha, nu), nu + 1.0)
+    return 2.0 * _t_pdf(z, nu) * stdtr(nu + 1.0, _skew_arg(z, alpha, nu))
 
 
-def _panel_breakpoints(lo: float, upper: float) -> np.ndarray:
-    """Dyadic grading toward u = 0, 1/2 and 1, clipped to [lo, upper]."""
-    pts = {lo, upper}
-    for k in range(1, _K_MAX):
-        p = 2.0 ** (-k)
-        if lo < p < upper:
-            pts.add(p)
-        q = 1.0 - 2.0 ** (-k)
-        if lo < q < upper:
-            pts.add(q)
-    for k in range(2, 22):  # integrand transition at u = 1/2 for large |alpha|
-        for q in (0.5 - 2.0 ** (-k), 0.5 + 2.0 ** (-k)):
-            if lo < q < upper:
-                pts.add(q)
-    return np.array(sorted(pts))
+def _gauss_rule(a, b):
+    """Gauss-Legendre nodes and weights on the panels [a_i, b_i], flattened
+    panel by panel."""
+    mid = 0.5 * (b + a)
+    half = 0.5 * (b - a)
+    u = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    return u, w
+
+
+@lru_cache(maxsize=16)
+def _interior_panels(nu: float):
+    """Weights and skew-argument factors w(T_nu^{-1}(u)) at the nodes of every
+    panel between consecutive `_BREAKS`; they do not depend on the data."""
+    u, w = _gauss_rule(_BREAKS[:-1], _BREAKS[1:])
+    wg = _skew_arg(stdtrit(nu, u), 1.0, nu)
+    w.flags.writeable = wg.flags.writeable = False
+    return w, wg
 
 
 def _std_cdf_many(zs, alpha: float, nu: float) -> np.ndarray:
-    """F(z) for a batch of z, sharing one ppf/cdf evaluation pass."""
+    """F(z) for a batch of z. The panels between two breakpoints are shared
+    by every z and evaluated once per call; only each z's first and last
+    panel, which end at the cutoff and at T_nu(z), get new nodes."""
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
-    uppers = student_t.cdf(zs, nu)
+    uppers = stdtr(nu, zs)
     out = np.zeros(zs.shape)
     eps = 2.0 ** (-_K_MAX)
     # integrand limits at the endpoints (constants added analytically)
-    lim_lo = 2.0 * student_t.cdf(-alpha * np.sqrt(nu + 1.0), nu + 1.0)
-    lim_hi = 2.0 * student_t.cdf(alpha * np.sqrt(nu + 1.0), nu + 1.0)
-    chunks_u, chunks_w, offsets, live = [], [], [0], []
-    tails = []
+    lim_lo = 2.0 * stdtr(nu + 1.0, -alpha * np.sqrt(nu + 1.0))
+    lim_hi = 2.0 * stdtr(nu + 1.0, alpha * np.sqrt(nu + 1.0))
+    edge_a, edge_b, spans, live, tails = [], [], [], [], []
     for j, upper in enumerate(uppers):
         if zs[j] == np.inf or upper >= 1.0:
             out[j] = 1.0
@@ -115,20 +138,41 @@ def _std_cdf_many(zs, alpha: float, nu: float) -> np.ndarray:
         if upper_eff <= lo_edge:
             out[j] = min(tail, 1.0)
             continue
-        bp = _panel_breakpoints(lo_edge, upper_eff)
-        mid = 0.5 * (bp[1:] + bp[:-1])
-        half = 0.5 * (bp[1:] - bp[:-1])
-        chunks_u.append((mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel())
-        chunks_w.append((half[:, None] * _GL_WEIGHTS[None, :]).ravel())
-        offsets.append(offsets[-1] + chunks_u[-1].size)
+        # breakpoints strictly inside (lo_edge, upper_eff) are _BREAKS[i0:i1]
+        i0 = int(np.searchsorted(_BREAKS, lo_edge, side="right"))
+        i1 = int(np.searchsorted(_BREAKS, upper_eff, side="left"))
+        if i0 == i1:  # one panel
+            edge_a.append(lo_edge)
+            edge_b.append(upper_eff)
+        else:
+            edge_a += [lo_edge, _BREAKS[i1 - 1]]
+            edge_b += [_BREAKS[i0], upper_eff]
+        spans.append((i0, i1))
         live.append(j)
         tails.append(tail)
     if live:
-        u = np.concatenate(chunks_u)
-        w = np.concatenate(chunks_w)
-        g = student_t.ppf(u, nu)
-        integrand = 2.0 * student_t.cdf(_skew_arg(g, alpha, nu), nu + 1.0)
-        sums = np.add.reduceat(w * integrand, np.array(offsets[:-1]))
+        n = len(_GL_NODES)
+        u, w = _gauss_rule(np.array(edge_a), np.array(edge_b))
+        integrand = 2.0 * stdtr(nu + 1.0, _skew_arg(stdtrit(nu, u), alpha, nu))
+        edge = (w * integrand).reshape(-1, n)
+        first = min(i0 for i0, _ in spans)
+        last = max(i1 for _, i1 in spans) - 1
+        w_in, wg_in = _interior_panels(nu)
+        inner = w_in[first * n:last * n] * (
+            2.0 * stdtr(nu + 1.0, alpha * wg_in[first * n:last * n]))
+        # each z's panels in order, so reduceat sums the same floats in the
+        # same order as a per-z rule would
+        pieces, offsets, k = [], [0], 0
+        for i0, i1 in spans:
+            if i0 == i1:
+                pieces.append(edge[k])
+                k += 1
+            else:
+                pieces += [edge[k], inner[(i0 - first) * n:(i1 - 1 - first) * n],
+                           edge[k + 1]]
+                k += 2
+            offsets.append(offsets[-1] + n * (i1 - i0 + 1))
+        sums = np.add.reduceat(np.concatenate(pieces), np.array(offsets[:-1]))
         out[np.array(live)] = np.clip(sums + np.array(tails), 0.0, 1.0)
     return out
 
@@ -141,7 +185,7 @@ def _std_cdf(z: float, alpha: float, nu: float) -> float:
 
 @lru_cache(maxsize=4096)
 def _t_ppf(tau: float, nu: float) -> float:
-    return float(student_t.ppf(tau, nu))
+    return float(stdtrit(nu, tau))
 
 
 def _std_quantiles(taus, alpha: float, nu: float, z0=None) -> np.ndarray:
@@ -239,11 +283,16 @@ def fit_from_quantiles(levels, values, nu: float = NU) -> SkewTParams:
     only through the spacing ratio r = (v2 - v1) / (v3 - v1), which is
     strictly monotone in alpha. alpha is the root of r(alpha) = r inside the
     grid bracket that holds it; a ratio beyond the grid's range is clamped
-    to the nearer end, alpha = +/-32.
+    to the nearer end, alpha = +/-32. Fits are memoised per distinct
+    (levels, values, nu); an input that is rejected raises on every call.
     """
-    levels = tuple(float(t) for t in levels)
-    values = np.array([float(v) for v in values])
-    nu = float(nu)
+    return _fit(tuple(float(t) for t in levels), tuple(float(v) for v in values),
+                float(nu))
+
+
+@lru_cache(maxsize=4096)
+def _fit(levels: tuple, values: tuple, nu: float) -> SkewTParams:
+    values = np.array(values)
     if any(not 0.0 < t < 1.0 for t in levels) or list(levels) != sorted(levels):
         raise DomainError("levels must be ascending and inside (0, 1)")
     if len(levels) != 3 or len(values) != 3:

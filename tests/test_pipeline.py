@@ -126,6 +126,21 @@ class TestEnergyDesign:
         assert [n.entity for n in out] == ["S00", "S02"]
         assert "S01" in gaps
 
+    def test_entity_without_any_row_is_a_gap(self):
+        # S01's weekly series keeps only its first 60 weeks: it yields neither
+        # a training row nor a prediction row at (2012, 40)
+        base, _ = make_dataset(n_entities=3, seed=4)
+        ds = PanelDataset()
+        for var in base.variables:
+            for e, s in base.series_of(var):
+                if e == "S01" and var == "WECI":
+                    s = MixedFreqSeries(e, Frequency.WEEKLY, s.start, s.values[:60])
+                ds.add(var, s)
+        config = RunConfig(estimation_start=1990, eval_start=2012, eval_end=2012)
+        out, gaps = nowcast_energy(*_week(ds, 2012, 40), ModelSpec("AR-W"), config)
+        assert [n.entity for n in out] == ["S00", "S02"]
+        assert gaps == ["S01"]
+
     def test_alignment_is_a_pure_function_of_week(self):
         # training year s reads the same within-year offsets as target year t
         ds = _coded_dataset()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import scipy.integrate
+from scipy.stats import t as student_t
 
+from co2nowcast import skew_t
 from co2nowcast.errors import DomainError, OrderingError
 from co2nowcast.skew_t import (
     SkewTParams,
@@ -27,8 +29,6 @@ class TestPdf:
         assert pdf(p, 0.0) == pytest.approx(1.0 / np.pi, abs=1e-12)
 
     def test_symmetric_center_matches_student_t(self):
-        from scipy.stats import t as student_t
-
         p = SkewTParams(mu=2.0, sigma=1.7, alpha=0.0, nu=6.0)
         assert pdf(p, 2.0) == pytest.approx(student_t.pdf(0.0, 6.0) / 1.7)
 
@@ -205,3 +205,91 @@ def test_density_grid_normalization():
     assert len(x) == 401 and len(fx) == 401
     total = np.trapezoid(fx, x)
     assert total == pytest.approx(1.0, abs=1e-2)
+
+
+def _reference_cdf(z, alpha, nu):
+    """F(z) one z at a time: breakpoints collected in a set and
+    scipy.stats.t's cdf and ppf, summed as `_std_cdf_many` sums them."""
+    upper = float(student_t.cdf(z, nu))
+    if z == np.inf or upper >= 1.0:
+        return 1.0
+    if upper <= 0.0:
+        return 0.0
+    eps = 2.0 ** -30
+    lim = [2.0 * student_t.cdf(s * alpha * np.sqrt(nu + 1.0), nu + 1.0) for s in (-1, 1)]
+    lo = min(eps, upper)
+    tail = lo * lim[0]
+    if upper - (1.0 - eps) > 0.0:
+        tail += (upper - (1.0 - eps)) * lim[1]
+        upper = 1.0 - eps
+    if upper <= lo:
+        return min(tail, 1.0)
+    pts = {lo, upper}
+    for k in range(1, 30):
+        pts |= {p for p in (2.0 ** -k, 1.0 - 2.0 ** -k) if lo < p < upper}
+    for k in range(2, 22):
+        pts |= {p for p in (0.5 - 2.0 ** -k, 0.5 + 2.0 ** -k) if lo < p < upper}
+    bp = np.array(sorted(pts))
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    mid, half = 0.5 * (bp[1:] + bp[:-1]), 0.5 * (bp[1:] - bp[:-1])
+    u = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    w = (half[:, None] * weights[None, :]).ravel()
+    g = student_t.ppf(u, nu)
+    wg = g * np.sqrt((nu + 1.0) / (nu + g * g))
+    integrand = 2.0 * student_t.cdf(alpha * wg, nu + 1.0)
+    total = np.add.reduceat(w * integrand, [0])[0] + tail
+    return float(np.clip(total, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("nu", [3.0, 5.0, 30.0])
+def test_cdf_kernel_bit_identical_to_reference(nu):
+    rng = np.random.default_rng(11)
+    # T_nu(z) below 2^-30 (tail only), in (2^-30, 2^-29) (the first and last
+    # panels fall in one gap), at 2^-29, in (1 - 2^-29, 1 - 2^-30) and above
+    # 1 - 2^-30 (upper tail added analytically)
+    edges = student_t.ppf([2.0 ** -31, 2.0 ** -29.5, 2.0 ** -29,
+                           1.0 - 2.0 ** -29.5, 1.0 - 2.0 ** -31], nu)
+    zs = np.r_[1e6, -1e6, np.inf, -np.inf, 0.0, edges, rng.normal(0.0, 3.0, 30)]
+    for alpha in (-32.0, -3.3, 0.0, 0.7, 32.0):
+        got = skew_t._std_cdf_many(zs, alpha, nu)
+        want = np.array([_reference_cdf(z, alpha, nu) for z in zs])
+        assert np.array_equal(got, want), alpha
+
+
+class TestFitMemo:
+    VALUES = (-0.8, 0.1, 1.3)  # spacing ratio 0.43, inside the matched range
+
+    @pytest.fixture
+    def roots(self, monkeypatch):
+        skew_t._fit.cache_clear()
+        calls = []
+        brentq = skew_t.brentq
+
+        def counting_brentq(*args, **kwargs):
+            calls.append(args)
+            return brentq(*args, **kwargs)
+
+        monkeypatch.setattr(skew_t, "brentq", counting_brentq)
+        return calls
+
+    def test_same_triple_fits_once(self, roots):
+        first = fit_from_quantiles(LEVELS, self.VALUES)
+        second = fit_from_quantiles(list(LEVELS), np.array(self.VALUES))
+        assert len(roots) == 1
+        assert first == second
+
+    @pytest.mark.parametrize("levels, values, nu", [
+        (LEVELS, VALUES, 5.0),
+        ((0.1, 0.5, 0.9), VALUES, 3.0),
+        (LEVELS, (-0.8, 0.1, 1.31), 3.0),
+    ], ids=["nu", "levels", "value"])
+    def test_any_change_is_a_new_fit(self, roots, levels, values, nu):
+        base = fit_from_quantiles(LEVELS, self.VALUES)
+        other = fit_from_quantiles(levels, values, nu=nu)
+        assert len(roots) == 2
+        assert other != base
+
+    def test_rejected_input_raises_every_time(self, roots):
+        for _ in range(2):
+            with pytest.raises(OrderingError):
+                fit_from_quantiles(LEVELS, (1.0, 0.5, 2.0))

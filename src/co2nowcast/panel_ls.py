@@ -1,7 +1,13 @@
-"""Panel least squares with entity fixed effects (within estimator)."""
+"""Panel least squares with entity fixed effects (within estimator).
+
+Each distinct design is fitted once per process: `_fit` is a bounded
+`lru_cache` keyed on the bytes and shape of y and X, the row entities and the
+labels (which the rank-deficiency message names), everything the fit reads.
+"""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +77,7 @@ def fit_within(rows, labels=None) -> FixedEffectsModel:
 
     Numerically equivalent to dummy-variable OLS; intercepts recovered as
     alpha_i = mean_i(y) - mean_i(x)' beta. Unbalanced panels are allowed;
-    each entity is demeaned on its own rows.
+    each entity is demeaned on its own rows. `beta` is read-only.
     """
     y, X, entities = _stack(rows)
     k = X.shape[1]
@@ -80,7 +86,22 @@ def fit_within(rows, labels=None) -> FixedEffectsModel:
     labels = tuple(labels)
     if len(labels) != k:
         raise LengthError(f"{len(labels)} labels for {k} regressors")
+    alpha, beta, resid_var = _fit(y.tobytes(), X.tobytes(), X.shape,
+                                  tuple(entities), labels)
+    return FixedEffectsModel(
+        alpha=dict(alpha), beta=beta, labels=labels, resid_var=resid_var
+    )
 
+
+@functools.lru_cache(maxsize=32)
+def _fit(y_bytes, X_bytes, shape, entities, labels):
+    """The within fit on arrays rebuilt from the key alone: (alpha items,
+    read-only beta, residual variance). At paper shape a key holds at most
+    231 KB (a 1,377 x 19 energy design), so the 32 entries hold at most
+    about 7.5 MB."""
+    y = np.frombuffer(y_bytes, dtype=float)
+    X = np.frombuffer(X_bytes, dtype=float).reshape(shape)
+    k = shape[1]
     groups: dict = {}
     for i, e in enumerate(entities):
         groups.setdefault(e, []).append(i)
@@ -102,15 +123,11 @@ def fit_within(rows, labels=None) -> FixedEffectsModel:
         means[e] = (ybar, xbar)
 
     beta = _solve_pivoted(Xd, yd, labels)
-    alpha = {e: float(ybar - xbar @ beta) for e, (ybar, xbar) in means.items()}
+    beta.flags.writeable = False
+    alpha = tuple((e, float(ybar - xbar @ beta)) for e, (ybar, xbar) in means.items())
     resid = yd - Xd @ beta
     dof = max(len(y) - k - len(groups), 1)
-    return FixedEffectsModel(
-        alpha=alpha,
-        beta=beta,
-        labels=labels,
-        resid_var=float(resid @ resid / dof),
-    )
+    return alpha, beta, float(resid @ resid / dof)
 
 
 def predict(model: FixedEffectsModel, entity: str, x) -> float:

@@ -10,17 +10,22 @@ per-entity intercepts are fitted instead (a_i = gamma_i, gamma0 = 0).
 Every instance is solved exactly as a linear program (HiGHS). A
 second-stage LP then picks, among the optima, the coefficient vector with the
 smallest signed sum, so ties on flat faces are broken deterministically.
+
+Each distinct LP is solved once per process: `_solve` is a bounded
+`lru_cache` keyed on the bytes and shape of y, X and the entity index, the
+entity count, tau and lambda, which is everything the LP reads.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 import scipy.sparse as sp
 
-from .errors import DomainError, SingularDesignError, UnknownEntityError
+from .errors import DomainError, LengthError, SingularDesignError, UnknownEntityError
 from .panel_ls import DesignRow, _stack  # noqa: F401  (DesignRow re-exported)
 
 
@@ -63,7 +68,7 @@ def _encode(rows):
     y, X, entities = _stack(rows)
     ents = sorted(set(entities))
     pos = {e: i for i, e in enumerate(ents)}
-    idx = np.array([pos[e] for e in entities])
+    idx = np.array([pos[e] for e in entities], dtype=np.intp)
     return y, X, idx, ents
 
 
@@ -136,13 +141,31 @@ def _fit_lp(y, X, idx, n_ent, tau, lam):
     return gamma0, a, beta
 
 
+@functools.lru_cache(maxsize=32)
+def _solve(y_bytes, X_bytes, shape, idx_bytes, n_ent, tau, lam):
+    """`_fit_lp` on arrays rebuilt from the key alone; a and beta read-only.
+    At paper shape a key holds at most 233 KB (a 1,326 x 20 direct design),
+    so the 32 entries hold at most about 7.5 MB."""
+    y = np.frombuffer(y_bytes, dtype=float)
+    X = np.frombuffer(X_bytes, dtype=float).reshape(shape)
+    idx = np.frombuffer(idx_bytes, dtype=np.intp)
+    gamma0, a, beta = _fit_lp(y, X, idx, n_ent, tau, lam)
+    a.flags.writeable = False
+    beta.flags.writeable = False
+    return gamma0, a, beta
+
+
 def fit_quantile(rows, spec: QuantileSpec, labels=None) -> QuantileModel:
-    """Fit one quantile level by the exact LP."""
+    """Fit one quantile level by the exact LP; `beta` is read-only."""
     y, X, idx, ents = _encode(rows)
     k = X.shape[1]
     if labels is None:
         labels = tuple(f"x{j}" for j in range(k))
-    gamma0, a, beta = _fit_lp(y, X, idx, len(ents), spec.tau, spec.lam)
+    labels = tuple(labels)
+    if len(labels) != k:
+        raise LengthError(f"{len(labels)} labels for {k} regressors")
+    gamma0, a, beta = _solve(y.tobytes(), X.tobytes(), X.shape, idx.tobytes(),
+                             len(ents), spec.tau, spec.lam)
     obj = objective_value(y, X, idx, gamma0, a, beta, spec.tau, spec.lam)
     gamma = {e: float(gamma0 + a[i]) for i, e in enumerate(ents)}
     deviations = {e: float(a[i]) for i, e in enumerate(ents)}
@@ -153,7 +176,7 @@ def fit_quantile(rows, spec: QuantileSpec, labels=None) -> QuantileModel:
         common=gamma0,
         deviations=deviations,
         beta=beta,
-        labels=tuple(labels),
+        labels=labels,
         objective=obj,
     )
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from co2nowcast import panel_ls
 from co2nowcast.errors import (
     DegenerateEntityError,
     LengthError,
@@ -64,6 +65,63 @@ class TestFitWithin:
                                 [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(LengthError):
             fit_within(rows, labels=("only_one",))
+
+
+class TestFitMemo:
+    ENTS = ["A", "A", "A", "B", "B", "B"]
+    Y = [1.0, 2.5, 2.0, 4.0, 3.0, 6.5]
+    X = [[0.5, 1.0], [1.0, -1.0], [2.0, 0.5], [0.0, 2.0], [1.5, 0.0], [3.0, 1.0]]
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        panel_ls._fit.cache_clear()
+        calls = []
+        solve = panel_ls._solve_pivoted
+
+        def counting_solve(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(panel_ls, "_solve_pivoted", counting_solve)
+        return calls
+
+    def test_same_design_fits_once(self, solves):
+        first = fit_within(rows_from_arrays(self.ENTS, range(6), self.Y, self.X))
+        second = fit_within(rows_from_arrays(self.ENTS, range(10, 16),
+                                             np.array(self.Y), self.X))
+        assert len(solves) == 1
+        assert np.array_equal(first.beta, second.beta)
+        assert first.alpha == second.alpha
+        assert first.alpha is not second.alpha
+
+    @pytest.mark.parametrize("change", ["y", "x", "entity", "labels"])
+    def test_any_change_is_a_new_fit(self, solves, change):
+        ents, y, X, labels = list(self.ENTS), list(self.Y), list(self.X), None
+        if change == "y":
+            y[2] += 1e-12
+        elif change == "x":
+            X[4] = [1.5, 1e-12]
+        elif change == "entity":
+            ents[2] = "B"
+            ents[3] = "A"
+        else:
+            labels = ("u", "v")
+        fit_within(rows_from_arrays(self.ENTS, range(6), self.Y, self.X))
+        fit_within(rows_from_arrays(ents, range(6), y, X), labels=labels)
+        assert len(solves) == 2
+
+    def test_rank_deficient_design_raises_every_time(self, solves):
+        X = [[x[0], 2.0 * x[0]] for x in self.X]
+        rows = rows_from_arrays(self.ENTS, range(6), self.Y, X)
+        for _ in range(2):
+            with pytest.raises(SingularDesignError, match="collinear"):
+                fit_within(rows, labels=("u", "v"))
+        assert len(solves) == 2
+
+    def test_beta_is_read_only(self, solves):
+        model = fit_within(rows_from_arrays(self.ENTS, range(6), self.Y, self.X))
+        with pytest.raises(ValueError):
+            model.beta[0] = 0.0
 
 
 class TestDummyVariableOracle:

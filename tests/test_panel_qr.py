@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from co2nowcast.errors import DomainError, UnknownEntityError
+from co2nowcast import panel_qr
+from co2nowcast.errors import (
+    DomainError,
+    LengthError,
+    SingularDesignError,
+    UnknownEntityError,
+)
 from co2nowcast.panel_ls import DesignRow
 from co2nowcast.panel_qr import (
     QuantileSpec,
@@ -210,6 +216,21 @@ class TestShrinkage:
         assert m1.objective == pytest.approx(3.0 * m0.objective, rel=1e-8)
 
 
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Arguments of every `_fit_lp` call, starting from an empty LP cache."""
+    panel_qr._solve.cache_clear()
+    calls = []
+    fit_lp = panel_qr._fit_lp
+
+    def counting_fit_lp(*args):
+        calls.append(args)
+        return fit_lp(*args)
+
+    monkeypatch.setattr(panel_qr, "_fit_lp", counting_fit_lp)
+    return calls
+
+
 class TestValidationAndPlumbing:
     def test_bad_tau(self):
         with pytest.raises(DomainError):
@@ -222,6 +243,59 @@ class TestValidationAndPlumbing:
         model = fit_quantile(rows, QuantileSpec(tau=0.5, lam=0.0))
         with pytest.raises(UnknownEntityError):
             predict_quantile(model, "B", [1.0])
+
+    def test_label_length_checked(self, lp_calls):
+        rows = make_rows(["A", "A"], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(LengthError):
+            fit_quantile(rows, QuantileSpec(tau=0.5), labels=("only_one",))
+        assert lp_calls == []
+
+
+class TestSolveMemo:
+    ENTS = ["A", "A", "A", "B", "B", "B"]
+    Y = [1.0, 2.5, 2.0, 4.0, 3.0, 6.5]
+    X = [[0.5], [1.0], [2.0], [0.0], [1.5], [3.0]]
+    SPEC = QuantileSpec(tau=0.5, lam=1.0)
+
+    def test_same_design_solves_once(self, lp_calls):
+        first = fit_quantile(make_rows(self.ENTS, self.Y, self.X), self.SPEC)
+        second = fit_quantile(make_rows(self.ENTS, np.array(self.Y), self.X),
+                              QuantileSpec(tau=0.5, lam=1.0), labels=("x",))
+        assert len(lp_calls) == 1
+        assert np.array_equal(first.beta, second.beta)
+        assert first.gamma == second.gamma
+        assert second.labels == ("x",)
+
+    @pytest.mark.parametrize("change", ["y", "x", "entity", "tau", "lam"])
+    def test_any_change_is_a_new_solve(self, lp_calls, change):
+        ents, y, X, spec = list(self.ENTS), list(self.Y), list(self.X), self.SPEC
+        if change == "y":
+            y[2] += 1e-12
+        elif change == "x":
+            X[4] = [1.5 + 1e-12]
+        elif change == "entity":
+            ents[2] = "B"
+        elif change == "tau":
+            spec = QuantileSpec(tau=0.25, lam=1.0)
+        else:
+            spec = QuantileSpec(tau=0.5, lam=0.5)
+        fit_quantile(make_rows(self.ENTS, self.Y, self.X), self.SPEC)
+        fit_quantile(make_rows(ents, y, X), spec)
+        assert len(lp_calls) == 2
+
+    def test_failed_lp_raises_every_time(self, lp_calls, monkeypatch):
+        failed = scipy.optimize.OptimizeResult(success=False, message="forced")
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: failed)
+        rows = make_rows(self.ENTS, self.Y, self.X)
+        for _ in range(2):
+            with pytest.raises(SingularDesignError, match="forced"):
+                fit_quantile(rows, self.SPEC)
+        assert len(lp_calls) == 2
+
+    def test_beta_is_read_only(self, lp_calls):
+        model = fit_quantile(make_rows(self.ENTS, self.Y, self.X), self.SPEC)
+        with pytest.raises(ValueError):
+            model.beta[0] = 0.0
 
 
 class TestRearrange:

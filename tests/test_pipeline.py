@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from co2nowcast import panel_ls, panel_qr, skew_t
 from co2nowcast.errors import ConfigError, DomainError
 from co2nowcast.panel import (
     Frequency,
@@ -430,3 +431,53 @@ class TestRunOutOfSample:
         assert len(archive.diagnostics) > 0
         for d in archive.diagnostics:
             assert d["stage"] in ("energy", "co2", "benchmark")
+
+
+class TestDistinctDesignsFitOnce:
+    def test_one_lp_per_tau_for_one_bridge_week(self, monkeypatch):
+        panel_qr._solve.cache_clear()
+        taus = []
+        fit_lp = panel_qr._fit_lp
+
+        def counting_fit_lp(y, X, idx, n_ent, tau, lam):
+            taus.append(tau)
+            return fit_lp(y, X, idx, n_ent, tau, lam)
+
+        monkeypatch.setattr(panel_qr, "_fit_lp", counting_fit_lp)
+        ds, _ = make_dataset(n_entities=3, seed=9)
+        config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2011,
+                           fit_density=False)
+
+        def bridge_week(v):
+            cut, info = _week(ds, 2011, v)
+            for kind in ENERGY_KINDS:
+                spec = ModelSpec(kind)
+                energy = nowcast_energy(cut, info, spec, config)
+                out, _ = nowcast_co2_density(cut, info, spec, config, energy)
+                assert len(out) == 3
+
+        bridge_week(5)
+        assert taus == list(config.taus)
+        bridge_week(8)  # the same annual information set: nothing to solve
+        assert len(taus) == 3
+        bridge_week(9)  # the CO2 release adds a training year
+        assert taus == 2 * list(config.taus)
+
+    def test_warm_cache_equals_cold_cache(self):
+        def outputs(seed):
+            ds, _ = make_dataset(n_entities=3, seed=seed)
+            config = RunConfig(estimation_start=1990, eval_start=2012, eval_end=2012,
+                               specs=("HistMean", "AR", "AR-W-M-Q"))
+            archive = run_out_of_sample(ds, config)
+            return archive.to_csv(), archive.density_csv(), archive.diagnostics_csv()
+
+        caches = (panel_qr._solve, panel_ls._fit, skew_t._fit)
+        for cache in caches:
+            cache.cache_clear()
+        cold = outputs(14)
+        hits = [cache.cache_info().hits for cache in caches]
+        warm = outputs(14)
+        assert all(cache.cache_info().hits > h for cache, h in zip(caches, hits))
+        outputs(15)
+        interleaved = outputs(14)
+        assert cold == warm == interleaved

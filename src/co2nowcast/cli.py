@@ -122,6 +122,13 @@ def cmd_evaluate(args) -> int:
             "metric requires quantile rows, but the archive holds only "
             "point nowcasts"
         )
+    if args.metric == "qs":
+        levels = sorted({float(r["tau_or_point"]) for r in pool})
+        if all(abs(tau - args.tau) > 1e-12 for tau in levels):
+            raise DataError(
+                f"quantile level tau={args.tau} not in archive; "
+                f"available: {levels}"
+            )
 
     def by_week(spec):
         out: dict = {}

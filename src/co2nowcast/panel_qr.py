@@ -7,9 +7,15 @@ toward a common value rather than toward zero, so results do not depend on
 the location of y. With lambda = 0 the split is degenerate and plain
 per-entity intercepts are fitted instead (a_i = gamma_i, gamma0 = 0).
 
-Every instance is solved exactly as a linear program (HiGHS). A
-second-stage LP then picks, among the optima, the coefficient vector with the
-smallest signed sum, so ties on flat faces are broken deterministically.
+Every instance is solved exactly by one HiGHS call on the dual LP, the
+rank-score form (Koenker & Bassett 1978; Koenker 2005, ch. 6), whose
+marginals are an optimal (gamma0, a, beta). Where the optimum is not unique,
+the tie rule picks, on the exact optimal face, the coefficients with the
+smallest signed sum gamma0 + sum(a) + sum(beta) (sum(gamma) + sum(beta) when
+lambda = 0). When the predictions are unique and only the gamma0/a split
+slides, that is the largest gamma0 the signs of the a_i admit, in closed
+form; on any other flat face one small LP over the face picks the point. The
+objective is never relaxed above the optimum.
 
 Each distinct LP is solved once per process: `_solve` is a bounded
 `lru_cache` keyed on the bytes and shape of y, X and the entity index, the
@@ -23,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
-import scipy.sparse as sp
 
 from .errors import DomainError, LengthError, SingularDesignError, UnknownEntityError
 from .panel_ls import DesignRow, _stack  # noqa: F401  (DesignRow re-exported)
@@ -72,73 +77,80 @@ def _encode(rows):
     return y, X, idx, ents
 
 
-def _constraint_matrix(X, idx, n_ent, lam):
-    """CSC matrix [I, -I, G, -G, X, -X] of the LP's equality constraints,
-    built from index arrays: G holds one indicator column per entity, after a
-    column of ones for the common intercept when lam > 0. Zeros of X are not
-    stored, and row indices ascend within each column."""
-    n = X.shape[0]
-    g_rows = np.argsort(idx, kind="stable")  # column by column, rows ascending
-    g_counts = np.bincount(idx, minlength=n_ent)
-    if lam != 0.0:
-        g_rows = np.r_[np.arange(n), g_rows]
-        g_counts = np.r_[n, g_counts]
-    x_cols, x_rows = np.nonzero(X.T)
-    x_vals = X[x_rows, x_cols]
-    x_counts = np.bincount(x_cols, minlength=X.shape[1])
-    rows = np.r_[np.arange(n), np.arange(n), g_rows, g_rows, x_rows, x_rows]
-    data = np.r_[np.ones(n), -np.ones(n), np.ones(g_rows.size),
-                 -np.ones(g_rows.size), x_vals, -x_vals]
-    counts = np.r_[np.ones(2 * n, dtype=int), g_counts, g_counts, x_counts, x_counts]
-    indptr = np.r_[0, np.cumsum(counts)]
-    return sp.csc_matrix((data, rows, indptr), shape=(n, indptr.size - 1))
+_TOL = 1e-7  # HiGHS feasibility tolerance: a value this close to a bound is at it
 
 
 def _fit_lp(y, X, idx, n_ent, tau, lam):
-    """Exact LP: split residuals and coefficients into positive parts.
+    """Exact optimum from one HiGHS solve of the dual, the rank-score form.
 
-    Variable layout: [u+ (n), u- (n), g+ (m), g- (m), b+ (k), b- (k)] where
-    the g block holds per-entity intercepts when lam == 0 and
-    [gamma0, a_1..a_N] when lam > 0.
+    The primal design D holds the intercept columns and then X: one indicator
+    column per entity when lam == 0 (coefficients gamma_i), or a column of
+    ones and then the indicators when lam > 0 (gamma0, a_1..a_N). The dual is
+
+        min -y'd  s.t.  tau - 1 <= d <= tau,  D_f'd = 0,  |G'd| <= lam,
+
+    where D_f are the free columns (all of D when lam == 0; the ones and X
+    when lam > 0) and G the penalized indicators. Its marginals are an
+    optimal primal vertex. Complementary slackness with d spans the optimal
+    face: rows with d inside the box have zero residual, rows at tau (tau - 1)
+    a residual >= 0 (<= 0), an entity with |G_i'd| < lam has a_i = 0, and
+    G_i'd = +lam (-lam) gives a_i >= 0 (<= 0). The tie rule picks the point
+    of the face with the smallest signed sum of all coefficients.
     """
     n, k = X.shape
-    m = n_ent if lam == 0.0 else n_ent + 1
-    A_eq = _constraint_matrix(X, idx, n_ent, lam)
-    pen = np.zeros(m) if lam == 0.0 else np.r_[0.0, np.full(n_ent, lam)]
-    c = np.r_[
-        np.full(n, tau), np.full(n, 1.0 - tau), pen, pen, np.zeros(k), np.zeros(k)
-    ]
-    res = scipy.optimize.linprog(c, A_eq=A_eq, b_eq=y, method="highs")
+    G = np.zeros((n, n_ent))
+    G[np.arange(n), idx] = 1.0
+    D = np.hstack([G, X]) if lam == 0.0 else np.hstack([np.ones((n, 1)), G, X])
+    free = np.ones(D.shape[1], dtype=bool)
+    A_ub = b_ub = None
+    if lam != 0.0:
+        free[1 : 1 + n_ent] = False
+        A_ub, b_ub = np.vstack([G.T, -G.T]), np.full(2 * n_ent, lam)
+    res = scipy.optimize.linprog(
+        -y, A_ub=A_ub, b_ub=b_ub, A_eq=D[:, free].T, b_eq=np.zeros(free.sum()),
+        bounds=(tau - 1.0, tau), method="highs",
+    )
     if not res.success:
         raise SingularDesignError(f"quantile LP failed: {res.message}")
-    opt = float(res.fun)
+    d = res.x
+    coef = np.empty(D.shape[1])
+    coef[free] = -res.eqlin.marginals
+    lo = np.where(free, -np.inf, 0.0)  # bounds of each coefficient on the face
+    hi = np.where(free, np.inf, 0.0)
+    if lam != 0.0:
+        mu = res.ineqlin.marginals
+        coef[~free] = mu[n_ent:] - mu[:n_ent]
+        s, tol = G.T @ d, min(_TOL, 0.5 * lam)  # a tiny lam keeps its signs apart
+        lo[~free] = np.where(s <= tol - lam, -np.inf, 0.0)
+        hi[~free] = np.where(s >= lam - tol, np.inf, 0.0)
+    keep = (lo != 0.0) | (hi != 0.0)  # coefficients not pinned at zero
+    coef[~keep] = 0.0
+    inner = (d > tau - 1.0 + _TOL) & (d < tau - _TOL)
 
-    # stage 2: among optimal solutions, minimize the signed sum of the
-    # intercepts and slopes (lexicographic tie-break toward small values)
-    c2 = np.r_[
-        np.zeros(2 * n), np.ones(m), -np.ones(m), np.ones(k), -np.ones(k)
-    ]
-    cap = opt + 1e-9 * (1.0 + abs(opt))
-    res2 = scipy.optimize.linprog(
-        c2,
-        A_eq=A_eq,
-        b_eq=y,
-        A_ub=c.reshape(1, -1),
-        b_ub=[cap],
-        method="highs",
-    )
-    if res2.success:
-        sol = res2.x
-    else:
-        sol = res.x
-
-    g = sol[2 * n : 2 * n + m] - sol[2 * n + m : 2 * n + 2 * m]
-    beta = sol[2 * n + 2 * m : 2 * n + 2 * m + k] - sol[2 * n + 2 * m + k :]
+    # With lam > 0 and no a_i pinned at zero, gamma0 + t, a - t keeps every
+    # prediction. If the zero-residual rows pin everything else, that slide is
+    # the only tie: the signed sum falls as gamma0 rises (N > 1), so take the
+    # largest gamma0 the signs admit, the smallest gamma_i with a_i >= 0.
+    slide = lam != 0.0 and keep[1 : 1 + n_ent].all()
+    if np.linalg.matrix_rank(D[inner][:, keep]) == keep.sum() - slide:
+        if slide:
+            gamma = coef[0] + coef[1 : 1 + n_ent]
+            coef[0] = gamma[hi[1 : 1 + n_ent] > 0.0].min()
+            coef[1 : 1 + n_ent] = gamma - coef[0]
+    else:  # a flat face: one small LP over (gamma, beta) picks the point
+        upper = ~inner & (d > tau - 0.5)  # d at tau
+        lower = ~inner & ~upper  # d at tau - 1
+        face = scipy.optimize.linprog(
+            np.ones(D.shape[1]),
+            A_ub=np.vstack([D[upper], -D[lower]]), b_ub=np.r_[y[upper], -y[lower]],
+            A_eq=D[inner], b_eq=y[inner], bounds=np.c_[lo, hi], method="highs",
+        )
+        if not face.success:  # unbounded: collinear columns of [G X]
+            raise SingularDesignError(f"quantile tie-break LP failed: {face.message}")
+        coef = face.x
     if lam == 0.0:
-        gamma0, a = 0.0, g
-    else:
-        gamma0, a = float(g[0]), g[1:]
-    return gamma0, a, beta
+        return 0.0, coef[:n_ent], coef[n_ent:]
+    return float(coef[0]), coef[1 : 1 + n_ent], coef[1 + n_ent :]
 
 
 @functools.lru_cache(maxsize=32)

@@ -160,6 +160,20 @@ class TestEvaluate:
         assert rc == EXIT_FATAL
         assert "AR-M" in capsys.readouterr().err
 
+    def test_qs_tau_missing_from_archive(self, tmp_path, capsys):
+        path = tmp_path / "median_only.csv"
+        path.write_text(
+            "spec,variable,entity,target_year,week,tau_or_point,"
+            "prediction,benchmark,realized\n"
+            "HistMean,CO2,A,2009,1,0.5,0.1,0.1,0.2\n"
+        )
+        out = tmp_path / "out"
+        rc = main(["evaluate", "--archive", str(path), "--metric", "qs",
+                   "--tau", "0.3", "--out", str(out)])
+        assert rc == EXIT_FATAL
+        assert "tau=0.3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_crps_needs_quantile_rows(self, tmp_path, capsys):
         path = tmp_path / "points_only.csv"
         path.write_text(

@@ -8,11 +8,16 @@ quantile levels, and the diagnostics of thin entities and failed stages.
 Regenerate the file only for an intended change of output:
 
     PYTHONPATH=src python tests/test_golden_archive.py
+
+which prints, per case, table and float column, the largest absolute and
+relative change from the file it replaces.
 """
 
+import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from co2nowcast.panel import Frequency, MixedFreqSeries, PanelDataset, PeriodIndex
@@ -67,22 +72,22 @@ CASES = {
 }
 
 
+COLUMNS = dict(
+    energy=("spec", "entity", "year", "week", "prediction", "benchmark", "realized"),
+    co2=("spec", "entity", "year", "week", "tau", "prediction", "benchmark",
+         "realized"),
+    density=("spec", "entity", "year", "week", "mu", "sigma", "alpha", "nu"),
+    diagnostics=("spec", "year", "week", "stage", "detail"),
+)
+
+
 def _tables(archive):
     """Every archived row as a flat list, in archive order."""
-    return dict(
-        energy=[[r["spec"], r["entity"], r["year"], r["week"],
-                 r["prediction"], r["benchmark"], r["realized"]]
-                for r in archive.energy_rows],
-        co2=[[r["spec"], r["entity"], r["year"], r["week"], r["tau"],
-              r["prediction"], r["benchmark"], r["realized"]]
-             for r in archive.co2_rows],
-        density=[[r["spec"], r["entity"], r["year"], r["week"],
-                  r["params"].mu, r["params"].sigma, r["params"].alpha,
-                  r["params"].nu]
-                 for r in archive.density_rows],
-        diagnostics=[[d["spec"], d["year"], d["week"], d["stage"], d["detail"]]
-                     for d in archive.diagnostics],
-    )
+    density = [dict(r, **dataclasses.asdict(r["params"])) for r in archive.density_rows]
+    rows = dict(energy=archive.energy_rows, co2=archive.co2_rows, density=density,
+                diagnostics=archive.diagnostics)
+    return {table: [[r[c] for c in COLUMNS[table]] for r in rows[table]]
+            for table in COLUMNS}
 
 
 def _run(name):
@@ -119,8 +124,41 @@ def test_archive_matches_golden(golden, name):
                     assert a == b, (where, g, w)
 
 
+def _changes(old, new):
+    """One line per case, table and float column: the largest absolute and
+    relative change from `old` to `new`. Any other difference (a row count, a
+    string or an int) is reported as such."""
+    lines = []
+    for name in sorted(new):
+        for table, columns in COLUMNS.items():
+            was, now = old.get(name, {}).get(table, []), new[name][table]
+            where = f"{name}/{table}"
+            if len(was) != len(now):
+                lines.append(f"{where}: {len(was)} -> {len(now)} rows")
+                continue
+            if not now:
+                continue
+            for j, col in enumerate(columns):
+                pairs = [(w[j], g[j]) for w, g in zip(was, now)]
+                if not all(isinstance(w, float) for w, _ in pairs):
+                    if any(w != g for w, g in pairs):
+                        lines.append(f"{where}.{col}: values differ")
+                    continue
+                w, g = np.array(pairs).T
+                same = (w == g) | (np.isnan(w) & np.isnan(g))
+                diff = np.where(same, 0.0, np.abs(g - w))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    rel = np.where(same, 0.0, diff / np.abs(w))
+                lines.append(f"{where}.{col}: max abs {diff.max():.3g}, "
+                             f"max rel {rel.max():.3g} over {len(pairs)} rows")
+    return lines
+
+
 if __name__ == "__main__":
+    with open(GOLDEN_PATH) as fh:
+        previous = json.load(fh)
     pinned = {name: _run(name) for name in sorted(CASES)}
+    print("\n".join(_changes(previous, pinned)))
     with open(GOLDEN_PATH, "w") as fh:
         json.dump(pinned, fh, indent=None, separators=(",", ":"))
         fh.write("\n")

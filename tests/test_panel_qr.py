@@ -169,6 +169,81 @@ class TestLPOracle:
                 assert objective(b, dict(model.gamma)) >= base - 1e-8
 
 
+class TestExactOptimum:
+    def test_random_panels_reach_the_lp_optimum(self):
+        """Criterion-4-style panels over the whole tau x lambda grid: the fit
+        is an exact optimum, not one within a relaxed cap above it."""
+        rng = np.random.default_rng(17)
+        for tau in (0.25, 0.5, 0.75):
+            for lam in (0.0, 1.0, 10.0):
+                for _ in range(3):
+                    k = int(rng.integers(1, 4))
+                    rows = []
+                    for i in range(int(rng.integers(2, 5))):
+                        for s in range(int(rng.integers(4, 12))):
+                            x = rng.normal(size=k)
+                            y = float(0.5 * i + x @ rng.normal(size=k) + rng.normal())
+                            rows.append(DesignRow(entity=f"E{i}", year=s, y=y, x=x))
+                    opt = lp_oracle(rows, tau, lam)
+                    model = fit_quantile(rows, QuantileSpec(tau=tau, lam=lam))
+                    assert model.objective <= opt * (1 + 1e-12) + 1e-12, (
+                        f"tau={tau} lam={lam}: {model.objective} vs oracle {opt}"
+                    )
+
+
+@pytest.fixture
+def linprog_calls(monkeypatch):
+    """Number of `scipy.optimize.linprog` calls, from an empty LP cache."""
+    panel_qr._solve.cache_clear()
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(args)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
+    return calls
+
+
+class TestTieRule:
+    def test_unique_predictions_take_one_linprog_call(self, linprog_calls):
+        # seven rows per entity keep tau * 7 off the integers, so no entity's
+        # quantile is an interval; these fits are unique
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(21, 2))
+        ents = ["A"] * 7 + ["B"] * 7 + ["C"] * 7
+        y = np.repeat([0.0, 1.0, 2.0], 7) + X @ [1.0, -0.5] + rng.normal(size=21)
+        for tau in (0.25, 0.5):
+            for lam in (0.0, 0.3, 10.0):
+                fit_quantile(make_rows(ents, y, X), QuantileSpec(tau=tau, lam=lam))
+        assert len(linprog_calls) == 6
+
+    def test_straddling_deviations_take_the_top_of_the_segment(self, linprog_calls):
+        # gamma_A = -5 and gamma_B = 5 are unique, and every common intercept
+        # in [-5, 5] gives the same objective; the tie rule takes the largest
+        rows = make_rows(["A"] * 3 + ["B"] * 3,
+                         [-6.0, -5.0, -4.0, 4.0, 5.0, 6.0], [[]] * 6)
+        model = fit_quantile(rows, QuantileSpec(tau=0.5, lam=0.4))
+        assert model.gamma["A"] == pytest.approx(-5.0, abs=1e-12)
+        assert model.gamma["B"] == pytest.approx(5.0, abs=1e-12)
+        assert model.common == model.gamma["B"]
+        assert model.deviations["B"] == 0.0
+        assert len(linprog_calls) == 1
+        assert model.objective <= lp_oracle(rows, 0.5, 0.4) * (1 + 1e-12)
+
+    def test_flat_face_takes_the_smallest_signed_sum(self, linprog_calls):
+        # each entity's medians form a segment and a common intercept in
+        # [1.5, 2] fits both with a = 0: a flat face, resolved by one face LP
+        rows = make_rows(["A"] * 4 + ["B"] * 4,
+                         [0.0, 1.0, 2.0, 3.0, 0.5, 1.5, 2.5, 3.5], [[]] * 8)
+        model = fit_quantile(rows, QuantileSpec(tau=0.5, lam=1.0))
+        assert model.common == pytest.approx(1.5, abs=1e-9)
+        assert model.deviations == {"A": 0.0, "B": 0.0}
+        assert len(linprog_calls) == 2
+        assert model.objective <= lp_oracle(rows, 0.5, 1.0) * (1 + 1e-12)
+
+
 class TestShrinkage:
     @staticmethod
     def _rows():
@@ -249,6 +324,16 @@ class TestValidationAndPlumbing:
         with pytest.raises(LengthError):
             fit_quantile(rows, QuantileSpec(tau=0.5), labels=("only_one",))
         assert lp_calls == []
+
+    def test_collinear_design_raises(self):
+        # beta = (b1 + 2t, b2 - t) fits alike, and its signed sum falls
+        # without bound, so no fit satisfies the tie rule
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=9)
+        rows = make_rows(["A"] * 4 + ["B"] * 5, x + rng.normal(size=9),
+                         np.c_[x, 2.0 * x])
+        with pytest.raises(SingularDesignError, match="tie-break"):
+            fit_quantile(rows, QuantileSpec(tau=0.5, lam=0.0))
 
 
 class TestSolveMemo:

@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .config import parse_config_text, parse_specs
-from .errors import DataError
+from .errors import DataError, ScoringGapError
 from .evaluation import score_table, score_table_csv
 from .ingest import build_dataset, load_store, read_manifest, write_store
 from .pipeline import run_out_of_sample
@@ -151,8 +151,11 @@ def cmd_evaluate(args) -> int:
     with open(args.archive) as fh:
         header = _header(fh.read())
     for spec in specs:
-        table = score_table(by_week(spec), bench, args.metric,
-                            tau=args.tau if args.metric == "qs" else None)
+        try:
+            table = score_table(by_week(spec), bench, args.metric,
+                                tau=args.tau if args.metric == "qs" else None)
+        except ScoringGapError as exc:
+            raise ScoringGapError(f"spec {spec!r} against {args.relative_to!r}: {exc}")
         name = f"scores_{args.metric}" + (
             f"_tau{args.tau}" if args.metric == "qs" else ""
         ) + f"_{spec}.csv"
@@ -186,7 +189,12 @@ def cmd_density(args) -> int:
             if r["variable"] == "CO2":
                 realized[(r["entity"], r["year"])] = r["realized"]
 
-    weeks = [int(w) for w in args.weeks.split(",")]
+    weeks = []
+    for token in args.weeks.split(","):
+        try:
+            weeks.append(int(token))
+        except ValueError:
+            raise DataError(f"--weeks: {token!r} is not a week number") from None
     with open(path) as fh:
         header = _header(fh.read())
     written = []

@@ -124,6 +124,9 @@ def score_table(rows_by_week, bench_rows_by_week, metric: str, tau: float | None
     """
     from .release_calendar import BACKCAST_LAST_WEEK
 
+    missing = sorted(set(rows_by_week) - set(bench_rows_by_week))
+    if missing:
+        raise ScoringGapError(f"benchmark has no rows at weeks {missing}")
     out = []
     for v in sorted(rows_by_week):
         if metric == "rmsfe":

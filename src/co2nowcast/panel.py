@@ -8,7 +8,6 @@ merged into week 52 by the data ingester.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,10 +116,6 @@ class MixedFreqSeries:
     def last_period(self) -> PeriodIndex:
         return advance(self.frequency, self.start, len(self) - 1)
 
-    def has(self, period: PeriodIndex) -> bool:
-        k = ordinal(self.frequency, period) - ordinal(self.frequency, self.start)
-        return 0 <= k < len(self)
-
     def value_at(self, period: PeriodIndex) -> float:
         k = ordinal(self.frequency, period) - ordinal(self.frequency, self.start)
         if not 0 <= k < len(self):
@@ -181,23 +176,6 @@ def per_capita(values: MixedFreqSeries, population: MixedFreqSeries) -> MixedFre
     return MixedFreqSeries(values.entity, values.frequency, values.start, out)
 
 
-def lag_vector(series: MixedFreqSeries, asof: PeriodIndex, count: int):
-    """Return [v(asof), v(asof-1), ..., v(asof-count+1)], newest first."""
-    if count < 1:
-        raise DomainError("lag count must be >= 1")
-    k = ordinal(series.frequency, asof) - ordinal(series.frequency, series.start)
-    if k >= len(series):
-        raise CoverageError(
-            f"entity {series.entity!r} has no value at {asof.label(series.frequency)}"
-        )
-    if k - count + 1 < 0:
-        raise CoverageError(
-            f"lag window of {count} ending at {asof.label(series.frequency)} "
-            f"extends before the start of entity {series.entity!r}"
-        )
-    return series.values[k - count + 1 : k + 1][::-1].copy()
-
-
 class PanelDataset:
     """Map from (variable, entity) to series, with variable/entity rosters.
 
@@ -238,9 +216,6 @@ class PanelDataset:
         except KeyError:
             raise CoverageError(f"unknown variable {variable!r}") from None
 
-    def has(self, variable: str, entity: str) -> bool:
-        return (variable, entity) in self._series
-
     def get(self, variable: str, entity: str) -> MixedFreqSeries:
         try:
             return self._series[(variable, entity)]
@@ -255,16 +230,3 @@ class PanelDataset:
             if (variable, e) in self._series
         ]
 
-
-def cross_section_mean(dataset: PanelDataset, variable: str, period: PeriodIndex):
-    """Arithmetic mean across entities with data at `period`."""
-    values = []
-    for _, series in dataset.series_of(variable):
-        if series.has(period):
-            values.append(series.value_at(period))
-    if not values:
-        raise CoverageError(
-            f"no entity has {variable!r} at "
-            f"{period.label(dataset.frequency(variable))}"
-        )
-    return math.fsum(values) / len(values)

@@ -31,6 +31,7 @@ import numpy as np
 import scipy.optimize
 
 from .errors import DomainError, LengthError, SingularDesignError, UnknownEntityError
+from .evaluation import pinball
 from .panel_ls import DesignRow, _stack  # noqa: F401  (DesignRow re-exported)
 
 
@@ -58,15 +59,9 @@ class QuantileModel:
     objective: float
 
 
-def check_loss(u, tau: float):
-    """Pinball loss rho_tau(u) = u * (tau - 1{u < 0})."""
-    u = np.asarray(u, dtype=float)
-    return u * (tau - (u < 0.0))
-
-
 def objective_value(y, X, entity_idx, gamma0, a, beta, tau, lam) -> float:
     resid = y - gamma0 - a[entity_idx] - X @ beta
-    return float(np.sum(check_loss(resid, tau)) + lam * np.sum(np.abs(a)))
+    return float(np.sum(pinball(resid, tau)) + lam * np.sum(np.abs(a)))
 
 
 def _encode(rows):

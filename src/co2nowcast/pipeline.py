@@ -15,13 +15,19 @@ Lag offsets are pure functions of the calendar week, applied identically to
 training years and the target year (the "direct method" alignment), so no
 regressor can ever use information beyond the week's information set: all
 data access goes through that one calendar truncation.
+
+A design reads each variable of the truncated panel as one (entity x period)
+array, NaN where an entity has no value, and builds every (entity, year) row
+at once: one fancy index per block gathers the AR lag, the lag windows, the
+Almon-weighted weekly lags and the cross-sectional factors of all years. A
+row with any missing value is skipped.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -30,7 +36,7 @@ import numpy as np
 from . import release_calendar as cal
 from .almon import AlmonSpec, build_almon_map
 from .errors import ConfigError, CoverageError, DataError, DomainError
-from .panel import PanelDataset, PeriodIndex, cross_section_mean, lag_vector
+from .panel import Frequency, PanelDataset, PeriodIndex, ordinal
 from .panel_ls import DesignRow, fit_within, predict
 from .panel_qr import QuantileSpec, fit_quantile, predict_quantile, rearrange
 from .release_calendar import (
@@ -141,23 +147,47 @@ class CO2DensityNowcast:
     params: SkewTParams | None
 
 
-def _shifted(latest: PeriodIndex, t: int, s: int) -> PeriodIndex:
-    """The anchor for training year s: the week's availability pattern shifted
-    by whole years, so offsets are the same function of v for every year."""
-    return PeriodIndex(latest.year + (s - t), latest.sub)
+def _panel_array(ds, var):
+    """`var` of `ds` as (first ordinal, frequency, array): the array has one
+    row per entity of `ds` and one column per period from the earliest start,
+    NaN where the entity has no value, and a last all-NaN column that every
+    period outside the array reads."""
+    series = dict(ds.series_of(var))
+    freq = ds.frequency(var) if series else Frequency.ANNUAL
+    spans = [(i, ordinal(freq, series[e].start), series[e].values)
+             for i, e in enumerate(ds.entities) if e in series]
+    first = min((k for _, k, _ in spans), default=0)
+    end = max((k + v.size for _, k, v in spans), default=first)
+    arr = np.full((len(ds.entities), end - first + 1), np.nan)
+    for i, k, v in spans:
+        arr[i, k - first : k - first + v.size] = v
+    return first, freq, arr
 
 
-def _hf_x(ds, info, spec, entity, t, s):
-    """The high-frequency blocks `spec` reads for year s (s = t: the target
-    year): quarterly and monthly lags, and the Almon-weighted weekly lags."""
+def _hf_x(read, info, spec):
+    """The high-frequency blocks `spec` reads: quarterly and monthly lags,
+    and the Almon-weighted weekly lags."""
     blocks = []
     for has, var, n_lags in ((spec.has_q, VAR_PI, N_QUARTER_LAGS),
                              (spec.has_m, VAR_ELEC, N_MONTH_LAGS),
                              (spec.has_w, VAR_WECI, N_WEEK_LAGS)):
         if has:
-            lags = lag_vector(ds.get(var, entity), _shifted(info[var], t, s), n_lags)
-            blocks.append(ALMON_MAP.Q @ lags if var == VAR_WECI else lags)
+            lags = read(var, info[var], n_lags)
+            if var == VAR_WECI:  # one Q @ lags per row, bit for bit
+                w = np.matmul(ALMON_MAP.Q, lags.reshape(-1, n_lags, 1))
+                lags = w.reshape(*lags.shape[:2], -1)
+            blocks.append(lags)
     return blocks
+
+
+def _factor(read, var, anchor):
+    """The cross-sectional mean of `var` at `anchor` per year, over every
+    entity of the panel with a value there; NaN where none has one."""
+    means = []
+    for col in read(var, anchor, every=True)[:, :, 0].T:
+        have = col[np.isfinite(col)]
+        means.append(math.fsum(have) / have.size if have.size else np.nan)
+    return np.array(means)[None, :, None]
 
 
 def _hf_labels(spec):
@@ -174,23 +204,44 @@ def _hf_labels(spec):
 def _design(ds, info, y_var, t, estimation_start, x_of, name):
     """Training rows for the years from `estimation_start` to the latest year
     of `y_var` in `info`, and a prediction row for the target year t, per
-    entity with a `y_var` series; `x_of(entity, s)` builds the regressors of
-    year s. A row whose data `ds` lacks is skipped."""
-    rows, pred = [], []
-    for entity, y_series in ds.series_of(y_var):
-        for s in range(estimation_start, info[y_var].year + 1):
-            try:
-                y = y_series.value_at(PeriodIndex(s))
-                x = x_of(entity, s)
-            except CoverageError:
-                continue
-            rows.append(DesignRow(entity=entity, year=s, y=y, x=x))
-        try:
-            pred.append((entity, x_of(entity, t)))
-        except CoverageError:
-            pass
+    entity with a `y_var` series, entity-major with years ascending.
+
+    The regressors are the AR lag of `y_var` and the blocks `x_of(read,
+    names)` returns, each an (entity, year, column) array over the design
+    entities and the years (t last). `read(var, anchor, n)` is `var` at
+    ordinal(anchor) + per_year * (s - t) minus 0..n-1 in year s, NaN where
+    `ds` has no value; `every=True` reads every entity of `ds`. A row with
+    any missing value is skipped."""
+    entities = ds.entities
+    names = [e for e, _ in ds.series_of(y_var)]
+    own = np.array([entities.index(e) for e in names], dtype=np.intp)
+    years = np.append(np.arange(estimation_start, info[y_var].year + 1), t)
+    arrays = {}
+
+    def read(var, anchor, n=1, every=False):
+        if var not in arrays:
+            arrays[var] = _panel_array(ds, var)
+        first, freq, arr = arrays[var]
+        k = (ordinal(freq, anchor) - first + freq.per_year * (years - t)[:, None]
+             - np.arange(n))
+        k[(k < 0) | (k >= arr.shape[1] - 1)] = -1
+        rows = np.arange(len(entities)) if every else own
+        return arr[rows[:, None, None], k]
+
+    y = read(y_var, PeriodIndex(t))[:, :, 0]
+    blocks = [read(y_var, info[y_var]), *x_of(read, names)]
+    X = np.concatenate([np.broadcast_to(b, y.shape + b.shape[2:]) for b in blocks],
+                       axis=2)
+    ok = np.isfinite(X).all(axis=2)
+    train = ok[:, :-1] & np.isfinite(y[:, :-1])
+    year_of, y_of = years.tolist(), y.tolist()
+    rows = [DesignRow(entity=names[i], year=year_of[j], y=y_of[i][j], x=X[i, j])
+            for i, j in zip(*np.nonzero(train))]
     if not rows:
         raise CoverageError(f"empty {name} design at ({t}, week {info.week})")
+    # copies: a view into X can be less aligned than a fresh array, and the
+    # dot product in `predict` may then round differently
+    pred = [(names[i], X[i, -1].copy()) for i in np.flatnonzero(ok[:, -1])]
     return rows, pred
 
 
@@ -201,13 +252,8 @@ def assemble_energy_design(ds, info: InformationSet, spec: ModelSpec, t: int,
     `ds` must already be truncated by the information set. Training years
     with insufficient history are dropped per entity.
     """
-    d_v = t - info[VAR_EC].year
-
-    def x_of(entity, s):
-        ar = ds.get(VAR_EC, entity).value_at(PeriodIndex(s - d_v))
-        return np.concatenate([[ar], *_hf_x(ds, info, spec, entity, t, s)])
-
-    rows, pred = _design(ds, info, VAR_EC, t, estimation_start, x_of, "energy")
+    rows, pred = _design(ds, info, VAR_EC, t, estimation_start,
+                         lambda read, _: _hf_x(read, info, spec), "energy")
     return rows, pred, ("ar_c",) + _hf_labels(spec)
 
 
@@ -263,21 +309,11 @@ def bridge_design(ds, info: InformationSet, energy: dict, t: int,
     """Quantile-bridge design: AR lag of emissions growth, the energy term
     (realized in training, first-stage nowcast in prediction) and the
     cross-sectional-average factors at the latest available lag."""
-    g_v = t - info[VAR_CO2].year
-    factors = functools.cache(lambda year: (
-        cross_section_mean(ds, VAR_CO2, PeriodIndex(year)),
-        cross_section_mean(ds, VAR_EC, PeriodIndex(year)),
-    ))
-
-    def x_of(entity, s):
-        ar = ds.get(VAR_CO2, entity).value_at(PeriodIndex(s - g_v))
-        if s < t:
-            c = ds.get(VAR_EC, entity).value_at(PeriodIndex(s))
-        elif entity in energy:
-            c = energy[entity]
-        else:
-            raise CoverageError(f"no first-stage nowcast for entity {entity!r}")
-        return np.array([ar, c, *factors(s - g_v)])
+    def x_of(read, entities):
+        c = read(VAR_EC, PeriodIndex(t))  # realized energy in training years
+        c[:, -1, 0] = [energy.get(e, np.nan) for e in entities]
+        lag = info[VAR_CO2]
+        return [c, _factor(read, VAR_CO2, lag), _factor(read, VAR_EC, lag)]
 
     rows, pred = _design(ds, info, VAR_CO2, t, estimation_start, x_of, "bridge")
     return rows, pred, BRIDGE_LABELS
@@ -287,15 +323,8 @@ def direct_design(ds, info: InformationSet, spec: ModelSpec, t: int,
                   estimation_start: int):
     """Direct quantile design: emissions growth on its own AR lag, the
     high-frequency blocks, and the scalar emissions factor."""
-    g_v = t - info[VAR_CO2].year
-    f_e = functools.cache(
-        lambda year: cross_section_mean(ds, VAR_CO2, PeriodIndex(year))
-    )
-
-    def x_of(entity, s):
-        ar = ds.get(VAR_CO2, entity).value_at(PeriodIndex(s - g_v))
-        hf = _hf_x(ds, info, spec, entity, t, s)
-        return np.concatenate([[ar], *hf, [f_e(s - g_v)]])
+    def x_of(read, _):
+        return [*_hf_x(read, info, spec), _factor(read, VAR_CO2, info[VAR_CO2])]
 
     rows, pred = _design(ds, info, VAR_CO2, t, estimation_start, x_of, "direct")
     return rows, pred, ("ar_e",) + _hf_labels(spec) + ("f_e",)

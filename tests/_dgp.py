@@ -15,7 +15,6 @@ from co2nowcast.panel import (
     MixedFreqSeries,
     PanelDataset,
     PeriodIndex,
-    lag_vector,
 )
 
 
@@ -69,7 +68,8 @@ def make_dataset(
         alphas[entity], etas[entity] = a_i, g_i
         c_vals, e_vals = [], []
         for t in range(first_year, last_year + 1):
-            w_sig = float(b @ lag_vector(weci, PeriodIndex(t, 44), 52))
+            k = 52 * (t - hf_first) + 43  # weci's index of week 44 of year t
+            w_sig = float(b @ weci.values[k - 51 : k + 1][::-1].copy())  # newest first
             z_sig = elec.value_at(PeriodIndex(t, 10))
             x_sig = pi.value_at(PeriodIndex(t, 3))
             c = a_i + w_sig + beta_m * z_sig + beta_q * x_sig + rng.normal(0, noise_c)

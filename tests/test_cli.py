@@ -174,6 +174,23 @@ class TestEvaluate:
         assert "tau=0.3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_benchmark_missing_a_week(self, tmp_path, capsys):
+        # the benchmark spec has no row at week 1, which AR has
+        path = tmp_path / "gappy.csv"
+        path.write_text(
+            "spec,variable,entity,target_year,week,tau_or_point,"
+            "prediction,benchmark,realized\n"
+            "AR,EC,A,2009,1,point,0.1,0.1,0.2\n"
+            "AR,EC,A,2009,2,point,0.1,0.1,0.2\n"
+            "AR-W,EC,A,2009,2,point,0.3,0.1,0.2\n"
+        )
+        rc = main(["evaluate", "--archive", str(path), "--metric", "rmsfe",
+                   "--relative-to", "AR-W", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_FATAL
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "'AR'" in err and "AR-W" in err and "[1]" in err
+
     def test_crps_needs_quantile_rows(self, tmp_path, capsys):
         path = tmp_path / "points_only.csv"
         path.write_text(
@@ -218,6 +235,15 @@ class TestDensityCommand:
                    "--spec", "AR-W", "--out", str(workspace["root"] / "d3")])
         assert rc == EXIT_FATAL
         assert "no density" in capsys.readouterr().err
+
+
+    def test_bad_week_token(self, workspace, capsys):
+        rc = main(["density", "--archive-dir", workspace["out"],
+                   "--entity", "S00", "--year", "2009", "--weeks", "9,x",
+                   "--spec", "AR-W", "--out", str(workspace["root"] / "d4")])
+        assert rc == EXIT_FATAL
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'x'" in err
 
 
 class TestCalendarCommand:

@@ -67,6 +67,10 @@ class TestQuantileScore:
         assert quantile_score(rows("A", [0.0], [1.0]), 0.25) == pytest.approx(0.25)
         assert pinball(1.0, 0.25) == pytest.approx(0.25)
         assert pinball(-1.0, 0.25) == pytest.approx(0.75)
+        assert pinball(0.0, 0.7) == 0.0
+        u = np.random.default_rng(5).normal(size=100)
+        for tau in (0.1, 0.5, 0.9):
+            assert np.all(pinball(u, tau) >= 0.0)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(19)

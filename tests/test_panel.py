@@ -8,8 +8,6 @@ from co2nowcast.panel import (
     PanelDataset,
     PeriodIndex,
     advance,
-    cross_section_mean,
-    lag_vector,
     per_capita,
     yoy_log_growth,
 )
@@ -106,70 +104,6 @@ class TestPerCapita:
     def test_missing_population_year(self):
         with pytest.raises(CoverageError):
             per_capita(annual("A", 2000, [1.0, 2.0]), annual("A", 2000, [3.0]))
-
-
-class TestLagVector:
-    def test_newest_first(self):
-        s = MixedFreqSeries("A", Frequency.QUARTERLY, PeriodIndex(2000, 1),
-                            [1.0, 2.0, 3.0, 4.0])
-        assert lag_vector(s, PeriodIndex(2000, 4), 4).tolist() == [4.0, 3.0, 2.0, 1.0]
-
-    def test_count_one(self):
-        s = MixedFreqSeries("A", Frequency.QUARTERLY, PeriodIndex(2000, 1),
-                            [1.0, 2.0, 3.0, 4.0])
-        assert lag_vector(s, PeriodIndex(2000, 3), 1).tolist() == [3.0]
-
-    def test_window_before_start(self):
-        s = MixedFreqSeries("A", Frequency.QUARTERLY, PeriodIndex(2000, 1),
-                            [1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(CoverageError):
-            lag_vector(s, PeriodIndex(2000, 2), 4)
-
-    def test_length_property(self):
-        s = MixedFreqSeries("A", Frequency.MONTHLY, PeriodIndex(2000, 1),
-                            np.arange(24.0))
-        for k in (1, 5, 12):
-            v = lag_vector(s, PeriodIndex(2001, 12), k)
-            assert len(v) == k
-        assert lag_vector(s, PeriodIndex(2001, 12), 1)[0] == s.value_at(
-            PeriodIndex(2001, 12))
-
-
-class TestCrossSectionMean:
-    def _dataset(self, values):
-        ds = PanelDataset()
-        for e, v in values.items():
-            ds.add("X", annual(e, 2000, [v]))
-        return ds
-
-    def test_two_entities(self):
-        assert cross_section_mean(self._dataset({"A": 1.0, "B": 3.0}),
-                                  "X", PeriodIndex(2000)) == 2.0
-
-    def test_single_entity(self):
-        assert cross_section_mean(self._dataset({"A": 7.0}),
-                                  "X", PeriodIndex(2000)) == 7.0
-
-    def test_three_entities(self):
-        assert cross_section_mean(self._dataset({"A": 1.0, "B": 2.0, "C": 6.0}),
-                                  "X", PeriodIndex(2000)) == 3.0
-
-    def test_count_reported(self):
-        # the mean counts only the entities that report at the period
-        ds = self._dataset({"A": 1.0, "B": 3.0})
-        ds.add("X", annual("C", 2001, [100.0]))
-        assert cross_section_mean(ds, "X", PeriodIndex(2000)) == 2.0
-
-    def test_no_coverage(self):
-        with pytest.raises(CoverageError):
-            cross_section_mean(self._dataset({"A": 1.0}), "X", PeriodIndex(1999))
-
-    def test_order_invariance(self):
-        vals = {"B": 2.0, "A": 1.0, "C": 6.0}
-        m1 = cross_section_mean(self._dataset(vals), "X", PeriodIndex(2000))
-        m2 = cross_section_mean(self._dataset(dict(reversed(vals.items()))),
-                                "X", PeriodIndex(2000))
-        assert m1 == m2
 
 
 class TestPanelDataset:

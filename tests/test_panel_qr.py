@@ -9,11 +9,12 @@ from co2nowcast.errors import (
     SingularDesignError,
     UnknownEntityError,
 )
+from co2nowcast.evaluation import pinball
 from co2nowcast.panel_ls import DesignRow
 from co2nowcast.panel_qr import (
     QuantileSpec,
-    check_loss,
     fit_quantile,
+    objective_value,
     predict_quantile,
     rearrange,
 )
@@ -79,16 +80,25 @@ def lp_oracle(rows, tau, lam):
 
 
 class TestCheckLoss:
+    """The objective charges each residual the pinball loss."""
+
+    @staticmethod
+    def loss(u, tau):
+        # one entity, no regressors, zero coefficients: the residual is y
+        y = np.array([u])
+        return objective_value(y, np.zeros((1, 0)), np.zeros(1, dtype=np.intp),
+                               0.0, np.zeros(1), np.zeros(0), tau, 1.0)
+
     def test_values(self):
-        assert check_loss(1.0, 0.25) == pytest.approx(0.25)
-        assert check_loss(-1.0, 0.25) == pytest.approx(0.75)
-        assert check_loss(0.0, 0.7) == 0.0
+        assert self.loss(1.0, 0.25) == pytest.approx(0.25)
+        assert self.loss(-1.0, 0.25) == pytest.approx(0.75)
+        assert self.loss(0.0, 0.7) == 0.0
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         u = rng.normal(size=100)
         for tau in (0.1, 0.5, 0.9):
-            assert np.all(check_loss(u, tau) >= 0.0)
+            assert all(self.loss(ui, tau) >= 0.0 for ui in u)
 
 
 class TestSingleEntityQuantiles:
@@ -158,7 +168,7 @@ class TestLPOracle:
                 abs(gamma[e] - model.common) for e in ents
             )
             for r, yi, xi in zip(rows, y, X):
-                total += float(check_loss(yi - gamma[r.entity] - xi @ beta, 0.5))
+                total += float(pinball(yi - gamma[r.entity] - xi @ beta, 0.5))
             return total
 
         base = objective(model.beta, dict(model.gamma))

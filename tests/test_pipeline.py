@@ -1,16 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
 from co2nowcast import panel_ls, panel_qr, skew_t
-from co2nowcast.errors import ConfigError, DomainError
+from co2nowcast.errors import ConfigError, CoverageError, DomainError
 from co2nowcast.panel import (
     Frequency,
     MixedFreqSeries,
     PanelDataset,
     PeriodIndex,
-    cross_section_mean,
+    advance,
+    ordinal,
 )
+from co2nowcast.panel_ls import DesignRow
 from co2nowcast.pipeline import (
+    ALMON_MAP,
     BRIDGE_LABELS,
     MODEL_KINDS,
     ModelSpec,
@@ -21,6 +26,7 @@ from co2nowcast.pipeline import (
     direct_design,
     nowcast_co2_density,
     nowcast_energy,
+    _drop_thin_entities,
     run_out_of_sample,
 )
 from co2nowcast.release_calendar import information_set, table2_rules, truncate
@@ -258,8 +264,9 @@ class TestBridgeDesign:
         for r in rows:
             assert r.x[0] == (r.year - 3) * 100.0 + 1  # AR lag of emissions
             assert r.x[1] == r.year * 100.0 + 1  # realized energy in training
-            assert r.x[2] == cross_section_mean(cut, "CO2", PeriodIndex(r.year - 3))
-            assert r.x[3] == cross_section_mean(cut, "EC", PeriodIndex(r.year - 3))
+            # both entities are coded alike, so each factor is their common value
+            assert r.x[2] == (r.year - 3) * 100.0 + 1
+            assert r.x[3] == (r.year - 3) * 100.0 + 1
         for _, xp in pred:
             assert xp[1] == 123.0  # first-stage nowcast in prediction
 
@@ -303,8 +310,9 @@ class TestDirectDesign:
         g_v = t - info["CO2"].year
         for (entity, year) in shared:
             assert np.array_equal(energy_x[entity, year][1:], direct_x[entity, year][1:-1])
-            assert direct_x[entity, year][-1] == cross_section_mean(
-                cut, "CO2", PeriodIndex(year - g_v))
+            co2 = [cut.get("CO2", e).value_at(PeriodIndex(year - g_v))
+                   for e in cut.entities]
+            assert direct_x[entity, year][-1] == math.fsum(co2) / len(co2)
 
     def test_labels_and_counts(self):
         ds, _ = make_dataset(n_entities=3, seed=7)
@@ -316,6 +324,155 @@ class TestDirectDesign:
         assert len(labels) == 1 + 4 + 12 + 2 + 1
         assert all(len(r.x) == len(labels) for r in rows)
         assert len(pred) == 3
+
+
+def _reference_panel():
+    """S01's annual series start eight years late and its high-frequency
+    series fourteen, S02's emissions end five years and its weekly series 70
+    weeks early, S03 has energy but no emissions, and every energy series
+    starts two years after emissions, so the energy factor of the first
+    training years has no entity with data."""
+    base, _ = make_dataset(n_entities=4, first_year=1986, last_year=2012, seed=3)
+    ds = PanelDataset()
+    for var in base.variables:
+        for e, s in base.series_of(var):
+            late = (8 if s.frequency is Frequency.ANNUAL else 14) * (e == "S01")
+            skip = (late + 2 * (var == "EC")) * s.frequency.per_year
+            values = s.values[skip:]
+            if e == "S02":
+                values = values[:{"CO2": -5, "WECI": -70}.get(var)]
+            if not (e == "S03" and var == "CO2"):
+                ds.add(var, MixedFreqSeries(e, s.frequency,
+                                            advance(s.frequency, s.start, skip), values))
+    return ds
+
+
+def _ref_value(ds, var, entity, period):
+    try:
+        return ds.get(var, entity).value_at(period)
+    except CoverageError:
+        return None
+
+
+def _ref_lags(ds, var, entity, anchor, n):
+    """[v(anchor), ..., v(anchor - n + 1)], newest first, or None where the
+    window leaves the series."""
+    try:
+        series = ds.get(var, entity)
+    except CoverageError:
+        return None
+    k = ordinal(series.frequency, anchor) - ordinal(series.frequency, series.start)
+    if k >= len(series) or k - n + 1 < 0:
+        return None
+    return series.values[k - n + 1 : k + 1][::-1].copy()
+
+
+def _ref_mean(ds, var, year):
+    """Mean over the entities with a value at `year`; None if none has."""
+    values = [v for e, _ in ds.series_of(var)
+              if (v := _ref_value(ds, var, e, PeriodIndex(year))) is not None]
+    return math.fsum(values) / len(values) if values else None
+
+
+def _ref_design(ds, info, t, start, spec=None, energy=None):
+    """The per-row design: one value or lag window at a time, a row skipped
+    where any of them is missing. The bridge design when `spec` is None."""
+    y_var = "CO2" if spec is None or spec.is_direct else "EC"
+    lag = t - info[y_var].year
+
+    def x_of(entity, s):
+        parts = [_ref_value(ds, y_var, entity, PeriodIndex(s - lag))]
+        if spec is None:
+            parts.append(_ref_value(ds, "EC", entity, PeriodIndex(s)) if s < t
+                         else energy.get(entity))
+            parts += [_ref_mean(ds, "CO2", s - lag), _ref_mean(ds, "EC", s - lag)]
+        else:
+            for has, var, n in ((spec.has_q, "PI", 4), (spec.has_m, "ELEC", 12),
+                                (spec.has_w, "WECI", 52)):
+                if has:
+                    anchor = PeriodIndex(info[var].year + s - t, info[var].sub)
+                    lags = _ref_lags(ds, var, entity, anchor, n)
+                    parts.append(ALMON_MAP.Q @ lags if var == "WECI" and lags is not None
+                                 else lags)
+            if spec.is_direct:
+                parts.append(_ref_mean(ds, "CO2", s - lag))
+        if any(p is None for p in parts):
+            return None
+        return np.concatenate([np.atleast_1d(p) for p in parts])
+
+    rows, pred = [], []
+    for entity, _ in ds.series_of(y_var):
+        for s in range(start, info[y_var].year + 1):
+            y, x = _ref_value(ds, y_var, entity, PeriodIndex(s)), x_of(entity, s)
+            if y is not None and x is not None:
+                rows.append(DesignRow(entity=entity, year=s, y=y, x=x))
+        x = x_of(entity, t)
+        if x is not None:
+            pred.append((entity, x))
+    return rows, pred
+
+
+class TestDesignEqualsReference:
+    def test_every_design_of_two_years(self):
+        ds = _reference_panel()
+        skipped = set()  # (design, entity, year) with y and its AR lag present
+
+        def check(name, build, min_rows, spec=None, energy=None):
+            rows, pred, _ = build()
+            ref_rows, ref_pred = _ref_design(cut, info, t, 1990, spec, energy)
+            assert [(r.entity, r.year, r.y, r.x.tobytes()) for r in rows] == [
+                (r.entity, r.year, r.y, r.x.tobytes()) for r in ref_rows]
+            assert all(type(r.y) is float and type(r.year) is int for r in rows)
+            assert [(e, x.tobytes()) for e, x in pred] == [
+                (e, x.tobytes()) for e, x in ref_pred]
+            y_var = "CO2" if spec is None or spec.is_direct else "EC"
+            entities = [e for e, _ in cut.series_of(y_var)]
+            gaps = _drop_thin_entities(rows, pred, entities, min_rows)[2]
+            assert gaps == _drop_thin_entities(ref_rows, ref_pred, entities, min_rows)[2]
+            lag = t - info[y_var].year
+            kept = {(r.entity, r.year) for r in rows}
+            skipped.update(
+                (name, e, s) for e in entities for s in range(1990, info[y_var].year + 1)
+                if (e, s) not in kept
+                and _ref_value(cut, y_var, e, PeriodIndex(s)) is not None
+                and _ref_value(cut, y_var, e, PeriodIndex(s - lag)) is not None)
+            return gaps
+
+        gaps = set()
+        for t in (2011, 2012):
+            for v in range(1, 49):
+                cut, info = _week(ds, t, v)
+                # S00 has no first-stage nowcast: it keeps its training rows only
+                energy = {"S01": 0.5, "S02": -0.25, "S03": 1.0}
+                gaps.update(check("bridge", lambda: bridge_design(
+                    cut, info, energy, t, 1990), 1, energy=energy))
+                for kind in MODEL_KINDS[1:]:
+                    spec = ModelSpec(kind)
+                    if spec.is_direct:
+                        build, min_rows = lambda: direct_design(
+                            cut, info, spec, t, 1990), 1
+                    else:
+                        build, min_rows = lambda: assemble_energy_design(
+                            cut, info, spec, t, 1990), 2
+                    gaps.update(check(kind, build, min_rows, spec))
+        # the panel reaches every case: a missing nowcast, a weekly series cut
+        # short, a lag window before the series start, and a factor year
+        # that no entity covers
+        assert {"S00", "S02"} <= gaps
+        assert ("DirectAR-W-M-Q", "S01", 1998) in skipped
+        assert ("bridge", "S00", 1990) in skipped
+
+    def test_empty_design_raises(self):
+        cut, info = _week(_reference_panel(), 2011, 30)
+        with pytest.raises(CoverageError, match="empty energy design"):
+            assemble_energy_design(cut, info, ModelSpec("AR"), 2011, 2012)
+        # a panel without weekly data has no row for a weekly block
+        no_weci = PanelDataset()
+        for var in ("CO2", "EC"):
+            for _, series in cut.series_of(var):
+                no_weci.add(var, series)
+        with pytest.raises(CoverageError, match="empty energy design"):
+            assemble_energy_design(no_weci, info, ModelSpec("AR-W"), 2011, 1990)
 
 
 class TestDensityNowcast:

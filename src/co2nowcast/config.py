@@ -13,7 +13,6 @@ KNOWN_KEYS = (
     "taus",
     "lambda",
     "specs",
-    "weci_transform",
     "fit_density",
 )
 
@@ -72,8 +71,6 @@ def parse_config_text(text: str):
             raise ConfigError("config key 'lambda': expected a float") from None
     if "specs" in values:
         kwargs["specs"] = parse_specs(values["specs"])
-    if "weci_transform" in values:
-        kwargs["weci_transform"] = values["weci_transform"]
     if "fit_density" in values:
         flag = values["fit_density"].lower()
         if flag not in ("true", "false", "1", "0"):

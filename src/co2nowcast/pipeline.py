@@ -11,6 +11,9 @@ The calendar week is the unit of work. `run_out_of_sample` builds each
 week's information set and truncates the panel once, then hands the
 truncated panel and the information set to every stage; a bridge spec's CO2
 stage receives the energy nowcasts that stage one produced for that week.
+No target year reads another year's fits, so the years run in parallel, one
+forked worker process per year up to the usable CPUs, and are merged in year
+order; the archive is the same as that of one process running them in turn.
 Lag offsets are pure functions of the calendar week, applied identically to
 training years and the target year (the "direct method" alignment), so no
 regressor can ever use information beyond the week's information set: all
@@ -28,8 +31,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import multiprocessing
+import os
 from collections import Counter
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -107,7 +114,6 @@ class RunConfig:
     taus: tuple = (0.25, 0.5, 0.75)
     lam: float = 1.0
     specs: tuple = MODEL_KINDS
-    weci_transform: str = "levels"  # or "yoy_log"; applied at ingestion
     fit_density: bool = True
 
     def __post_init__(self):
@@ -115,8 +121,6 @@ class RunConfig:
             raise ConfigError("eval_start must be <= eval_end")
         if self.estimation_start >= self.eval_start:
             raise ConfigError("estimation_start must precede the evaluation years")
-        if self.weci_transform not in ("levels", "yoy_log"):
-            raise ConfigError(f"unknown weci_transform {self.weci_transform!r}")
         if len(self.taus) != len(set(self.taus)) or list(self.taus) != sorted(self.taus):
             raise ConfigError("taus must be strictly ascending")
         if self.fit_density and len(self.taus) != 3:
@@ -440,73 +444,108 @@ def _realized(dataset, variable, entity, year):
         return float("nan")
 
 
+def _run_year(dataset: PanelDataset, config: RunConfig, t: int) -> NowcastArchive:
+    """Every calendar week and model spec of target year t, re-fitted on the
+    week's one truncation of the panel; failures become diagnostics rows."""
+    rules = table2_rules()
+    specs = tuple(ModelSpec(kind=k) for k in config.specs)
+    archive = NowcastArchive()
+    for v in range(1, cal.N_WEEKS + 1):
+
+        def note(spec_kind, stage, detail):
+            archive.diagnostics.append(dict(
+                spec=spec_kind, year=t, week=v, stage=stage, detail=detail,
+            ))
+
+        info = information_set(rules, t, v)
+        try:
+            ds = truncate(dataset, info)
+            bench_energy = {
+                e: energy_hist_mean(ds, e) for e, _ in ds.series_of(VAR_EC)
+            }
+        except DataError as exc:
+            note("*", "benchmark", str(exc))
+            continue
+        for spec in specs:
+            energy = None
+            if not spec.is_direct:
+                try:
+                    energy = nowcast_energy(ds, info, spec, config)
+                except DataError as exc:
+                    # a bridge CO2 stage reads stage one, so it fails alike
+                    # (HistMean's stage one cannot raise)
+                    note(spec.kind, "energy", str(exc))
+                    note(spec.kind, "co2", str(exc))
+                    continue
+                nowcasts, gaps = energy
+                for n in nowcasts:
+                    archive.energy_rows.append(dict(
+                        spec=spec.kind, entity=n.entity, year=t, week=v,
+                        prediction=n.value,
+                        benchmark=bench_energy.get(n.entity, float("nan")),
+                        realized=_realized(dataset, VAR_EC, n.entity, t),
+                    ))
+                for e in gaps:
+                    note(spec.kind, "energy",
+                         f"entity {e} dropped: insufficient history")
+            try:
+                densities, gaps = nowcast_co2_density(ds, info, spec, config, energy)
+            except DataError as exc:
+                note(spec.kind, "co2", str(exc))
+                continue
+            for n in densities:
+                realized = _realized(dataset, VAR_CO2, n.entity, t)
+                for tau, pred_q, bench_q in zip(
+                    config.taus, n.quantiles, n.benchmark
+                ):
+                    archive.co2_rows.append(dict(
+                        spec=spec.kind, entity=n.entity, year=t, week=v,
+                        tau=tau, prediction=pred_q, benchmark=bench_q,
+                        realized=realized,
+                    ))
+                if n.params is not None:
+                    archive.density_rows.append(dict(
+                        spec=spec.kind, entity=n.entity, year=t, week=v,
+                        params=n.params,
+                    ))
+            for e in gaps:
+                note(spec.kind, "co2", f"entity {e} dropped: insufficient history")
+    return archive
+
+
+def _worker_count(n_years: int) -> int:
+    """Processes for `n_years` target years: one per year up to the usable
+    CPUs, and 1 where the fork start method is missing."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(n_years, cpus))
+
+
 def run_out_of_sample(dataset: PanelDataset, config: RunConfig) -> NowcastArchive:
     """Full pseudo-out-of-sample loop: every evaluation year, every calendar
     week, every model spec, re-fitted on the week's one truncation of the
     panel. Deterministic given dataset and config; failures become
-    diagnostics rows, not crashes."""
-    rules = table2_rules()
-    specs = tuple(ModelSpec(kind=k) for k in config.specs)
+    diagnostics rows, not crashes.
+
+    The years run in forked worker processes when there is more than one
+    year and more than one usable CPU, else in this process; either way the
+    archive lists them in year order and is the same."""
+    years = config.eval_years
+    n_workers = _worker_count(len(years))
+    if n_workers == 1:
+        parts = [_run_year(dataset, config, t) for t in years]
+    else:
+        # fork, named: spawn and forkserver re-import numpy and scipy per worker
+        with ProcessPoolExecutor(
+            n_workers, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            parts = list(pool.map(_run_year, repeat(dataset), repeat(config), years))
     archive = NowcastArchive()
-    for t in config.eval_years:
-        for v in range(1, cal.N_WEEKS + 1):
-
-            def note(spec_kind, stage, detail):
-                archive.diagnostics.append(dict(
-                    spec=spec_kind, year=t, week=v, stage=stage, detail=detail,
-                ))
-
-            info = information_set(rules, t, v)
-            try:
-                ds = truncate(dataset, info)
-                bench_energy = {
-                    e: energy_hist_mean(ds, e) for e, _ in ds.series_of(VAR_EC)
-                }
-            except DataError as exc:
-                note("*", "benchmark", str(exc))
-                continue
-            for spec in specs:
-                energy = None
-                if not spec.is_direct:
-                    try:
-                        energy = nowcast_energy(ds, info, spec, config)
-                    except DataError as exc:
-                        # a bridge CO2 stage reads stage one, so it fails alike
-                        # (HistMean's stage one cannot raise)
-                        note(spec.kind, "energy", str(exc))
-                        note(spec.kind, "co2", str(exc))
-                        continue
-                    nowcasts, gaps = energy
-                    for n in nowcasts:
-                        archive.energy_rows.append(dict(
-                            spec=spec.kind, entity=n.entity, year=t, week=v,
-                            prediction=n.value,
-                            benchmark=bench_energy.get(n.entity, float("nan")),
-                            realized=_realized(dataset, VAR_EC, n.entity, t),
-                        ))
-                    for e in gaps:
-                        note(spec.kind, "energy",
-                             f"entity {e} dropped: insufficient history")
-                try:
-                    densities, gaps = nowcast_co2_density(ds, info, spec, config, energy)
-                except DataError as exc:
-                    note(spec.kind, "co2", str(exc))
-                    continue
-                for n in densities:
-                    realized = _realized(dataset, VAR_CO2, n.entity, t)
-                    for tau, pred_q, bench_q in zip(
-                        config.taus, n.quantiles, n.benchmark
-                    ):
-                        archive.co2_rows.append(dict(
-                            spec=spec.kind, entity=n.entity, year=t, week=v,
-                            tau=tau, prediction=pred_q, benchmark=bench_q,
-                            realized=realized,
-                        ))
-                    if n.params is not None:
-                        archive.density_rows.append(dict(
-                            spec=spec.kind, entity=n.entity, year=t, week=v,
-                            params=n.params,
-                        ))
-                for e in gaps:
-                    note(spec.kind, "co2", f"entity {e} dropped: insufficient history")
+    for part in parts:
+        for f in fields(NowcastArchive):
+            getattr(archive, f.name).extend(getattr(part, f.name))
     return archive

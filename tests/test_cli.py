@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from co2nowcast import pipeline
 from co2nowcast.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, main
 from co2nowcast.panel import from_ordinal, ordinal
 
@@ -114,6 +115,21 @@ class TestIngestAndRun:
             with open(os.path.join(workspace["out"], name), "rb") as fa, \
                     open(os.path.join(out2, name), "rb") as fb:
                 assert fa.read() == fb.read()
+
+    def test_workers_do_not_change_the_outputs(self, workspace, tmp_path, monkeypatch):
+        cfg = tmp_path / "years.cfg"
+        cfg.write_text(f"data_dir = {workspace['store']}\nestimation_start = 1999\n"
+                       "eval_start = 2008\neval_end = 2009\nspecs = HistMean,AR-W\n")
+
+        def run(name, n_workers):
+            monkeypatch.setattr(pipeline, "_worker_count", lambda n_years: n_workers)
+            out = tmp_path / name
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            return [(out / f).read_bytes() for f in
+                    ("archive.csv", "density_params.csv", "diagnostics.csv")]
+
+        serial = run("serial", 1)
+        assert run("pooled", 2) == run("pooled_again", 2) == serial
 
     def test_specs_flag_changes_config_hash(self, workspace, tmp_path):
         out = str(tmp_path / "out")

@@ -234,7 +234,6 @@ class TestConfig:
             "taus = 0.1,0.5,0.9\n"
             "lambda = 2.5\n"
             "specs = HistMean,AR-W\n"
-            "weci_transform = yoy_log\n"
             "fit_density = false\n"
         )
         cfg, data_dir = parse_config_text(text)
@@ -242,8 +241,12 @@ class TestConfig:
         assert cfg.taus == (0.1, 0.5, 0.9)
         assert cfg.lam == 2.5
         assert cfg.specs == ("HistMean", "AR-W")
-        assert cfg.weci_transform == "yoy_log"
         assert cfg.fit_density is False
+
+    def test_weci_transform_key_is_unknown(self):
+        # the WECI transform is set per file in the ingest manifest
+        with pytest.raises(ConfigError, match="line 1: unknown key 'weci_transform'"):
+            parse_config_text("weci_transform = yoy_log\n")
 
     def test_unknown_key_names_key(self):
         with pytest.raises(ConfigError, match="'lamda'"):

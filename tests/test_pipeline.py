@@ -1,9 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from co2nowcast import panel_ls, panel_qr, skew_t
+from co2nowcast import panel_ls, panel_qr, pipeline, skew_t
 from co2nowcast.errors import ConfigError, CoverageError, DomainError
 from co2nowcast.panel import (
     Frequency,
@@ -32,6 +33,7 @@ from co2nowcast.pipeline import (
 from co2nowcast.release_calendar import information_set, table2_rules, truncate
 
 from _dgp import make_dataset
+from test_golden_archive import _late_starter
 
 
 class TestModelSpec:
@@ -61,8 +63,6 @@ class TestRunConfig:
             RunConfig(estimation_start=2010, eval_start=2009)
         with pytest.raises(ConfigError):
             RunConfig(taus=(0.5, 0.25, 0.75))
-        with pytest.raises(ConfigError):
-            RunConfig(weci_transform="log")
 
     @pytest.mark.parametrize("taus", [(0.5,), (0.25, 0.75), (0.1, 0.25, 0.75, 0.9)])
     def test_density_needs_three_taus(self, taus):
@@ -564,6 +564,8 @@ class TestRunOutOfSample:
             return pipeline_fit_within(rows, **kwargs)
 
         pipeline_fit_within = pipeline.fit_within
+        # in-process, so that the counting functions see every call
+        monkeypatch.setattr(pipeline, "_worker_count", lambda n_years: 1)
         monkeypatch.setattr(pipeline, "truncate", counting_truncate)
         monkeypatch.setattr(pipeline, "fit_within", counting_fit_within)
         ds, _ = make_dataset(n_entities=2, seed=12)
@@ -588,6 +590,63 @@ class TestRunOutOfSample:
         assert len(archive.diagnostics) > 0
         for d in archive.diagnostics:
             assert d["stage"] in ("energy", "co2", "benchmark")
+
+
+class TestYearsInParallel:
+    @staticmethod
+    def _run(monkeypatch, n_workers, ds, config):
+        monkeypatch.setattr(pipeline, "_worker_count", lambda n_years: n_workers)
+        return run_out_of_sample(ds, config)
+
+    def test_one_and_two_workers_give_the_same_files(self, monkeypatch):
+        ds = _late_starter()
+        config = RunConfig(estimation_start=1990, eval_start=2010, eval_end=2012,
+                           specs=("HistMean", "AR", "DirectAR-W-M-Q"))
+        files = []
+        for n_workers in (1, 2):
+            archive = self._run(monkeypatch, n_workers, ds, config)
+            files.append((archive.to_csv(), archive.density_csv(),
+                          archive.diagnostics_csv()))
+            assert {d["year"] for d in archive.diagnostics} == {2010, 2011, 2012}
+            assert archive.density_rows
+        assert files[0] == files[1]
+
+    @staticmethod
+    def _fail_in_2012(monkeypatch, error):
+        """Stage two of spec AR raises error(year) in 2012."""
+        density = pipeline.nowcast_co2_density
+
+        def failing(ds, info, spec, config, energy):
+            if info.year == 2012 and spec.kind == "AR":
+                raise error(info.year)
+            return density(ds, info, spec, config, energy)
+
+        monkeypatch.setattr(pipeline, "nowcast_co2_density", failing)
+
+    def test_error_in_a_worker_reaches_the_caller(self, monkeypatch):
+        self._fail_in_2012(
+            monkeypatch, lambda t: RuntimeError(f"no fit in {t} (pid {os.getpid()})"))
+        monkeypatch.setattr(pipeline, "_worker_count", lambda n_years: 2)
+        ds, _ = make_dataset(n_entities=2, seed=12)
+        config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2012,
+                           specs=("AR",), fit_density=False)
+        with pytest.raises(RuntimeError, match=r"^no fit in 2012 \(pid \d+\)$") as err:
+            run_out_of_sample(ds, config)
+        # raised in a worker process, not in this one
+        assert f"(pid {os.getpid()})" not in str(err.value)
+
+    def test_data_error_in_a_worker_is_that_years_diagnostics(self, monkeypatch):
+        self._fail_in_2012(monkeypatch, lambda t: DomainError(f"no density in {t}"))
+        ds, _ = make_dataset(n_entities=2, seed=12)
+        config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2012,
+                           specs=("HistMean", "AR"), fit_density=False)
+        archive = self._run(monkeypatch, 2, ds, config)
+        notes = [(d["spec"], d["year"], d["stage"], d["detail"])
+                 for d in archive.diagnostics]
+        assert notes == [("AR", 2012, "co2", "no density in 2012")] * 48
+        # HistMean in both years and AR in 2011: 48 weeks, 2 entities, 3 taus
+        assert {r["year"] for r in archive.co2_rows if r["spec"] == "AR"} == {2011}
+        assert len(archive.co2_rows) == 3 * 48 * 2 * 3
 
 
 class TestDistinctDesignsFitOnce:

@@ -91,11 +91,13 @@ def cmd_run(args) -> int:
 
 
 def _read_archive(path: str):
-    rows = []
+    """The archive's text, which its score tables' header hashes, and its
+    rows, parsed from that one read."""
     with open(path) as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    for r in reader:
+        text = fh.read()
+    lines = [ln for ln in io.StringIO(text) if not ln.startswith("#")]
+    rows = []
+    for r in csv.DictReader(lines):
         rows.append(dict(
             spec=r["spec"], variable=r["variable"], entity=r["entity"],
             year=int(r["target_year"]), week=int(r["week"]),
@@ -104,11 +106,11 @@ def _read_archive(path: str):
             benchmark=float(r["benchmark"]),
             realized=float(r["realized"]),
         ))
-    return rows
+    return text, rows
 
 
 def cmd_evaluate(args) -> int:
-    rows = _read_archive(args.archive)
+    text, rows = _read_archive(args.archive)
     specs = sorted({r["spec"] for r in rows})
     if args.relative_to not in specs:
         raise DataError(
@@ -130,29 +132,25 @@ def cmd_evaluate(args) -> int:
                 f"available: {levels}"
             )
 
-    def by_week(spec):
-        out: dict = {}
-        for r in pool:
-            if r["spec"] != spec:
-                continue
-            if args.metric == "rmsfe":
-                out.setdefault(r["week"], []).append(r)
-            else:
-                tau = float(r["tau_or_point"])
-                if args.metric == "qs" and abs(tau - args.tau) > 1e-12:
-                    continue
-                if args.metric == "qs":
-                    out.setdefault(r["week"], []).append(r)
-                else:
-                    out.setdefault(r["week"], {}).setdefault(tau, []).append(r)
-        return out
+    # spec -> week -> rows (for crps: spec -> week -> tau -> rows), in
+    # archive order
+    by_spec: dict = {}
+    for r in pool:
+        weeks = by_spec.setdefault(r["spec"], {})
+        if args.metric == "rmsfe":
+            weeks.setdefault(r["week"], []).append(r)
+            continue
+        tau = float(r["tau_or_point"])
+        if args.metric == "crps":
+            weeks.setdefault(r["week"], {}).setdefault(tau, []).append(r)
+        elif abs(tau - args.tau) <= 1e-12:
+            weeks.setdefault(r["week"], []).append(r)
 
-    bench = by_week(args.relative_to)
-    with open(args.archive) as fh:
-        header = _header(fh.read())
+    bench = by_spec.get(args.relative_to, {})
+    header = _header(text)
     for spec in specs:
         try:
-            table = score_table(by_week(spec), bench, args.metric,
+            table = score_table(by_spec.get(spec, {}), bench, args.metric,
                                 tau=args.tau if args.metric == "qs" else None)
         except ScoringGapError as exc:
             raise ScoringGapError(f"spec {spec!r} against {args.relative_to!r}: {exc}")
@@ -185,7 +183,8 @@ def cmd_density(args) -> int:
     realized: dict = {}
     archive_path = os.path.join(args.archive_dir, "archive.csv")
     if os.path.exists(archive_path):
-        for r in _read_archive(archive_path):
+        _, rows = _read_archive(archive_path)
+        for r in rows:
             if r["variable"] == "CO2":
                 realized[(r["entity"], r["year"])] = r["realized"]
 

@@ -15,10 +15,20 @@ The integrand is bounded, approaches constants at u -> 0 and u -> 1 (handled
 analytically below a dyadic cutoff), has an algebraic endpoint singularity in
 its derivative, and for large |alpha| a sharp transition at u = 1/2; it is
 integrated by composite Gauss-Legendre quadrature on panels graded dyadically
-toward 0, 1/2 and 1. The breakpoints are one constant (`_BREAKS`), so the
-nodes, weights and T_nu^{-1} values of every panel between two of them are
-computed once per nu; only each z's first and last panel, which end at the
-cutoff and at T_nu(z), get new ones. T_nu, T_nu^{-1} and t_nu are the
+toward 0, 1/2 and 1. The breakpoints are one constant (`_BREAKS`), and every
+integral that is not all tail starts at the cutoff 2^-30, so the work splits
+three ways:
+
+- once per nu: the nodes, weights and factors w(T_nu^{-1}(u)) of every panel
+  between two breakpoints (`_interior_panels`);
+- once per (alpha, nu): the weighted integrand on those panels and on the
+  first panel [2^-30, 2^-29], and the integrand's limits at u -> 0 and u -> 1
+  (`_alpha_pieces`); a quantile solve holds alpha fixed through all of its
+  CDF calls;
+- once per call: T_nu(z), and each z's last panel, which ends at T_nu(z).
+
+Each value is the same elementwise expression wherever it is computed, so
+the split changes no float. T_nu, T_nu^{-1} and t_nu are the
 `scipy.special` functions that `scipy.stats.t` evaluates, called directly.
 
 The fit matches three quantiles exactly at a fixed nu = 3 (`NU`): three
@@ -48,6 +58,7 @@ from .errors import DomainError, OrderingError
 NU = 3.0  # degrees of freedom of every fitted density; see above
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _K_MAX = 30  # dyadic grading depth; tail mass below 2^-_K_MAX added analytically
+_EPS = 2.0 ** (-_K_MAX)
 # panel breakpoints in u, graded dyadically toward 0, 1/2 and 1 (the
 # integrand's transition at u = 1/2 for large |alpha|)
 _BREAKS = np.unique(np.concatenate([
@@ -109,18 +120,38 @@ def _interior_panels(nu: float):
     return w, wg
 
 
+def _weighted_integrand(a, b, alpha: float, nu: float) -> np.ndarray:
+    """Quadrature weight times 2 T_{nu+1}(alpha w(T_nu^{-1}(u))) at the nodes
+    of the panels [a_i, b_i], flattened panel by panel."""
+    u, w = _gauss_rule(a, b)
+    return w * (2.0 * stdtr(nu + 1.0, _skew_arg(stdtrit(nu, u), alpha, nu)))
+
+
+@lru_cache(maxsize=64)
+def _alpha_pieces(alpha: float, nu: float):
+    """What every CDF call at (alpha, nu) shares: the weighted integrand at
+    the nodes of every interior panel and of the first panel
+    [2^-_K_MAX, _BREAKS[0]], and the integrand's limits at u -> 0 and u -> 1
+    (the tail constants)."""
+    w_in, wg_in = _interior_panels(nu)
+    inner = w_in * (2.0 * stdtr(nu + 1.0, alpha * wg_in))
+    first = _weighted_integrand(np.array([_EPS]), _BREAKS[:1], alpha, nu)
+    inner.flags.writeable = first.flags.writeable = False
+    lim_lo = 2.0 * stdtr(nu + 1.0, -alpha * np.sqrt(nu + 1.0))
+    lim_hi = 2.0 * stdtr(nu + 1.0, alpha * np.sqrt(nu + 1.0))
+    return inner, first, lim_lo, lim_hi
+
+
 def _std_cdf_many(zs, alpha: float, nu: float) -> np.ndarray:
-    """F(z) for a batch of z. The panels between two breakpoints are shared
-    by every z and evaluated once per call; only each z's first and last
-    panel, which end at the cutoff and at T_nu(z), get new nodes."""
+    """F(z) for a batch of z. Every z whose integral does not end in the
+    analytic tail starts with the first panel, runs through the interior
+    panels below T_nu(z) and ends in its own last panel; only that last
+    panel is evaluated here, the rest comes from `_alpha_pieces`."""
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
     uppers = stdtr(nu, zs)
     out = np.zeros(zs.shape)
-    eps = 2.0 ** (-_K_MAX)
-    # integrand limits at the endpoints (constants added analytically)
-    lim_lo = 2.0 * stdtr(nu + 1.0, -alpha * np.sqrt(nu + 1.0))
-    lim_hi = 2.0 * stdtr(nu + 1.0, alpha * np.sqrt(nu + 1.0))
-    edge_a, edge_b, spans, live, tails = [], [], [], [], []
+    inner, first, lim_lo, lim_hi = _alpha_pieces(alpha, nu)
+    last_a, last_b, ends, live, tails = [], [], [], [], []
     for j, upper in enumerate(uppers):
         if zs[j] == np.inf or upper >= 1.0:
             out[j] = 1.0
@@ -128,50 +159,35 @@ def _std_cdf_many(zs, alpha: float, nu: float) -> np.ndarray:
         if upper <= 0.0:
             continue
         upper = float(upper)
-        lo_edge = min(eps, upper)
-        tail = lo_edge * lim_lo
+        tail = min(_EPS, upper) * lim_lo
         upper_eff = upper
-        hi_tail = upper - (1.0 - eps)
+        hi_tail = upper - (1.0 - _EPS)
         if hi_tail > 0.0:
             tail += hi_tail * lim_hi
-            upper_eff = 1.0 - eps
-        if upper_eff <= lo_edge:
+            upper_eff = 1.0 - _EPS
+        if upper_eff <= _EPS:  # the whole integral is the lower tail
             out[j] = min(tail, 1.0)
             continue
-        # breakpoints strictly inside (lo_edge, upper_eff) are _BREAKS[i0:i1]
-        i0 = int(np.searchsorted(_BREAKS, lo_edge, side="right"))
+        # the breakpoints inside (2^-_K_MAX, upper_eff) are _BREAKS[:i1]; a
+        # NaN z sorts past them all and its NaN last panel makes F NaN
         i1 = int(np.searchsorted(_BREAKS, upper_eff, side="left"))
-        if i0 == i1:  # one panel
-            edge_a.append(lo_edge)
-            edge_b.append(upper_eff)
-        else:
-            edge_a += [lo_edge, _BREAKS[i1 - 1]]
-            edge_b += [_BREAKS[i0], upper_eff]
-        spans.append((i0, i1))
+        last_a.append(_BREAKS[i1 - 1] if i1 else _EPS)
+        last_b.append(upper_eff)
+        ends.append(i1)
         live.append(j)
         tails.append(tail)
     if live:
         n = len(_GL_NODES)
-        u, w = _gauss_rule(np.array(edge_a), np.array(edge_b))
-        integrand = 2.0 * stdtr(nu + 1.0, _skew_arg(stdtrit(nu, u), alpha, nu))
-        edge = (w * integrand).reshape(-1, n)
-        first = min(i0 for i0, _ in spans)
-        last = max(i1 for _, i1 in spans) - 1
-        w_in, wg_in = _interior_panels(nu)
-        inner = w_in[first * n:last * n] * (
-            2.0 * stdtr(nu + 1.0, alpha * wg_in[first * n:last * n]))
+        last = _weighted_integrand(np.array(last_a), np.array(last_b), alpha,
+                                   nu).reshape(-1, n)
         # each z's panels in order, so reduceat sums the same floats in the
         # same order as a per-z rule would
-        pieces, offsets, k = [], [0], 0
-        for i0, i1 in spans:
-            if i0 == i1:
-                pieces.append(edge[k])
-                k += 1
-            else:
-                pieces += [edge[k], inner[(i0 - first) * n:(i1 - 1 - first) * n],
-                           edge[k + 1]]
-                k += 2
-            offsets.append(offsets[-1] + n * (i1 - i0 + 1))
+        pieces, offsets = [], [0]
+        for k, i1 in enumerate(ends):
+            if i1:
+                pieces += [first, inner[:(i1 - 1) * n]]
+            pieces.append(last[k])
+            offsets.append(offsets[-1] + n * (i1 + 1))
         sums = np.add.reduceat(np.concatenate(pieces), np.array(offsets[:-1]))
         out[np.array(live)] = np.clip(sums + np.array(tails), 0.0, 1.0)
     return out
@@ -195,8 +211,9 @@ def _std_quantiles(taus, alpha: float, nu: float, z0=None) -> np.ndarray:
     lo = np.full(taus.shape, _t_ppf(float(np.min(taus)) / 2.0, nu) - 1.0)
     hi = np.full(taus.shape, _t_ppf(0.5 + float(np.max(taus)) / 2.0, nu) + 1.0)
     for _ in range(200):  # expand until the brackets contain the roots
-        bad_lo = _std_cdf_many(lo, alpha, nu) > taus
-        bad_hi = _std_cdf_many(hi, alpha, nu) < taus
+        ends = _std_cdf_many(np.concatenate([lo, hi]), alpha, nu)
+        bad_lo = ends[:len(taus)] > taus
+        bad_hi = ends[len(taus):] < taus
         if not (bad_lo.any() or bad_hi.any()):
             break
         lo[bad_lo] = 2.0 * lo[bad_lo] - 1.0
@@ -300,6 +317,8 @@ def _fit(levels: tuple, values: tuple, nu: float) -> SkewTParams:
             f"a skew-t fit needs exactly three quantiles, got {len(levels)} "
             f"levels and {len(values)} values"
         )
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"quantile values must be finite, got {values.tolist()}")
     if np.any(np.diff(values) < 0):
         raise OrderingError(f"quantile values not ascending: {values.tolist()}")
     # widen exact ties so the target is strictly ascending

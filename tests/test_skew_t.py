@@ -193,6 +193,14 @@ class TestFitFromQuantiles:
         with pytest.raises(DomainError, match="three"):
             fit_from_quantiles(levels, tuple(range(n)))
 
+    @pytest.mark.parametrize("values", [
+        (0.0, np.nan, 1.0), (0.0, 0.5, np.inf), (-np.inf, 0.0, 1.0),
+    ], ids=["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, values):
+        # rejected before the search, which would warn or blame sigma
+        with pytest.raises(DomainError, match="must be finite"):
+            fit_from_quantiles(LEVELS, values)
+
 
 def _residual(fit, values):
     """Squared distance between the fitted and the target quantiles."""
@@ -254,6 +262,70 @@ def test_cdf_kernel_bit_identical_to_reference(nu):
         got = skew_t._std_cdf_many(zs, alpha, nu)
         want = np.array([_reference_cdf(z, alpha, nu) for z in zs])
         assert np.array_equal(got, want), alpha
+
+
+# (name, levels, values, (mu, sigma, alpha) as float.hex): ratios at both
+# ends of the matched range (alpha in (16, 32) and (-32, -16)), a symmetric
+# triple, a fit clamped on each side, widened ties and decile levels. Any
+# change to the CDF kernel, the root finder or the profile must leave every
+# float as it is; the golden archive checks only to 1e-9 relative.
+PINNED_FITS = [
+    ("near_lower_end", (0.25, 0.5, 0.75), (0.0, 0.3873, 1.0),
+     ("-0x1.4d007f6944927p-2", "0x1.dceff8a81ffdep-1", "0x1.27e3e07b93647p+4")),
+    ("lower_side", (0.25, 0.5, 0.75), (-1.7, -1.3, -0.68),
+     ("-0x1.022c53ba8fbeap+1", "0x1.e175fcd2255d5p-1", "0x1.393555cc6b217p+2")),
+    ("near_upper_end", (0.25, 0.5, 0.75), (0.0, 0.6127, 1.0),
+     ("0x1.53401fda51244p+0", "0x1.dceff8a81ffd7p-1", "-0x1.27e3e07b6fa62p+4")),
+    ("upper_side", (0.25, 0.5, 0.75), (2.5, 3.41, 4.0),
+     ("0x1.1d77e0edffc0bp+2", "0x1.610fdd76c7349p+0", "-0x1.2113370cf321cp+2")),
+    ("symmetric", (0.25, 0.5, 0.75), (-0.6745, 0.0, 0.6745),
+     ("-0x1.2cfee8e559002p-53", "0x1.c37e5d5805803p-1", "0x0.0p+0")),
+    ("generic", (0.25, 0.5, 0.75), (-0.8, 0.1, 1.3),
+     ("-0x1.1cbdb9d0c72c9p+0", "0x1.bcab31f708174p+0", "0x1.9e039d8fc8fdap+0")),
+    ("clamped_left_skew", (0.25, 0.5, 0.75), (0.0, 0.7, 1.0),
+     ("0x1.5d541caa88478p+0", "0x1.e321dc5fb9e81p-1", "-0x1.0000000000000p+5")),
+    ("clamped_right_skew", (0.25, 0.5, 0.75), (0.0, 0.3, 1.0),
+     ("-0x1.755072aa211e6p-2", "0x1.e321dc5fb9e85p-1", "0x1.0000000000000p+5")),
+    ("tie_low", (0.25, 0.5, 0.75), (0.2, 0.2, 1.0),
+     ("-0x1.98c7385b566eep-3", "0x1.936d89cf20322p-1", "0x1.0000000000000p+5")),
+    ("tie_all", (0.25, 0.5, 0.75), (1.5, 1.5, 1.5),
+     ("0x1.8000000671448p+0", "0x1.0d86abf773809p-29", "0x0.0p+0")),
+    ("tie_high", (0.25, 0.5, 0.75), (0.0, 1.0, 1.0),
+     ("0x1.7fdf20d531dafp+0", "0x1.f848ec4ba9d6dp-1", "-0x1.0000000000000p+5")),
+    ("deciles_left", (0.1, 0.5, 0.9), (-3.0, -0.4, 1.1),
+     ("0x1.72a9861670aaep-1", "0x1.99314a6721e02p+0", "-0x1.ace09d89dd6bbp+0")),
+    ("deciles_right", (0.1, 0.5, 0.9), (0.01, 0.025, 0.032),
+     ("0x1.06e86e7adbdb8p-5", "0x1.33fac47449f43p-7", "-0x1.9a16e8224415cp+1")),
+]
+
+
+@pytest.mark.parametrize("levels, values, want", [c[1:] for c in PINNED_FITS],
+                         ids=[c[0] for c in PINNED_FITS])
+def test_fit_pinned_bit_for_bit(levels, values, want):
+    skew_t._fit.cache_clear()
+    skew_t._alpha_pieces.cache_clear()
+    fit = fit_from_quantiles(levels, values)
+    assert (fit.mu.hex(), fit.sigma.hex(), fit.alpha.hex()) == want
+
+
+def test_alpha_pieces_cache_matches_fresh_calls():
+    # each (alpha, nu) reused from the bounded per-alpha cache, interleaved
+    # over alpha and nu, must give what a call on an empty cache gives; NaN z
+    # stays NaN
+    zs = np.r_[np.nan, -np.inf, np.inf, -1e6, -40.0, -1.5, 0.0, 0.7, 2.0, 1e6]
+    keys = [(alpha, nu) for alpha in (0.7, -3.3, 0.0, -0.0) for nu in (3.0, 5.0)]
+    fresh = []
+    for alpha, nu in keys:
+        skew_t._alpha_pieces.cache_clear()
+        fresh.append(skew_t._std_cdf_many(zs, alpha, nu))
+    assert np.isnan(fresh[0][0]) and not np.isnan(fresh[0][1:]).any()
+    skew_t._alpha_pieces.cache_clear()
+    order = list(range(len(keys)))
+    for i in order + order[::-1]:
+        got = skew_t._std_cdf_many(zs, *keys[i])
+        assert np.array_equal(got, fresh[i], equal_nan=True), keys[i]
+        assert np.isnan(got[0]), keys[i]
+    assert skew_t._alpha_pieces.cache_info().maxsize is not None
 
 
 class TestFitMemo:

@@ -1,6 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+from scipy import optimize
 from scipy.stats import t as student_t
 
 from co2nowcast import skew_t
@@ -202,9 +204,9 @@ class TestFitFromQuantiles:
             fit_from_quantiles(LEVELS, values)
 
 
-def _residual(fit, values):
+def _residual(fit, values, levels=LEVELS):
     """Squared distance between the fitted and the target quantiles."""
-    return sum((quantile(fit, t) - v) ** 2 for t, v in zip(LEVELS, values))
+    return sum((quantile(fit, t) - v) ** 2 for t, v in zip(levels, values))
 
 
 def test_density_grid_normalization():
@@ -215,87 +217,194 @@ def test_density_grid_normalization():
     assert total == pytest.approx(1.0, abs=1e-2)
 
 
-def _reference_cdf(z, alpha, nu):
-    """F(z) one z at a time: breakpoints collected in a set and
-    scipy.stats.t's cdf and ppf, summed as `_std_cdf_many` sums them."""
-    upper = float(student_t.cdf(z, nu))
-    if z == np.inf or upper >= 1.0:
-        return 1.0
-    if upper <= 0.0:
-        return 0.0
-    eps = 2.0 ** -30
-    lim = [2.0 * student_t.cdf(s * alpha * np.sqrt(nu + 1.0), nu + 1.0) for s in (-1, 1)]
-    lo = min(eps, upper)
-    tail = lo * lim[0]
-    if upper - (1.0 - eps) > 0.0:
-        tail += (upper - (1.0 - eps)) * lim[1]
-        upper = 1.0 - eps
-    if upper <= lo:
-        return min(tail, 1.0)
-    pts = {lo, upper}
-    for k in range(1, 30):
-        pts |= {p for p in (2.0 ** -k, 1.0 - 2.0 ** -k) if lo < p < upper}
-    for k in range(2, 22):
-        pts |= {p for p in (0.5 - 2.0 ** -k, 0.5 + 2.0 ** -k) if lo < p < upper}
-    bp = np.array(sorted(pts))
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    mid, half = 0.5 * (bp[1:] + bp[:-1]), 0.5 * (bp[1:] - bp[:-1])
-    u = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    g = student_t.ppf(u, nu)
-    wg = g * np.sqrt((nu + 1.0) / (nu + g * g))
-    integrand = 2.0 * student_t.cdf(alpha * wg, nu + 1.0)
-    total = np.add.reduceat(w * integrand, [0])[0] + tail
-    return float(np.clip(total, 0.0, 1.0))
+def _student_cdf(x, m):
+    """T_m(x) at integer m, in mpmath (Abramowitz & Stegun 26.7.3-4)."""
+    th = mpmath.atan(x / mpmath.sqrt(m))
+    s, c = mpmath.sin(th), mpmath.cos(th)
+    if m % 2:
+        term = total = c if m > 1 else mpmath.mpf(0)
+        for k in range(1, (m - 3) // 2 + 1):
+            term *= c * c * 2 * k / (2 * k + 1)
+            total += term
+        a = 2 / mpmath.pi * (th + s * total)
+    else:
+        term = total = mpmath.mpf(1)
+        for k in range(1, (m - 2) // 2 + 1):
+            term *= c * c * (2 * k - 1) / (2 * k)
+            total += term
+        a = s * total
+    return (1 + a) / 2
 
 
-@pytest.mark.parametrize("nu", [3.0, 5.0, 30.0])
-def test_cdf_kernel_bit_identical_to_reference(nu):
-    rng = np.random.default_rng(11)
-    # T_nu(z) below 2^-30 (tail only), in (2^-30, 2^-29) (the first and last
-    # panels fall in one gap), at 2^-29, in (1 - 2^-29, 1 - 2^-30) and above
-    # 1 - 2^-30 (upper tail added analytically)
-    edges = student_t.ppf([2.0 ** -31, 2.0 ** -29.5, 2.0 ** -29,
-                           1.0 - 2.0 ** -29.5, 1.0 - 2.0 ** -31], nu)
-    zs = np.r_[1e6, -1e6, np.inf, -np.inf, 0.0, edges, rng.normal(0.0, 3.0, 30)]
-    for alpha in (-32.0, -3.3, 0.0, 0.7, 32.0):
-        got = skew_t._std_cdf_many(zs, alpha, nu)
-        want = np.array([_reference_cdf(z, alpha, nu) for z in zs])
-        assert np.array_equal(got, want), alpha
+def _mpmath_cdf(zs, alpha, nu):
+    """F at each z as a 20-digit integral of the density, cumulated over
+    pieces split at 0, the decades +-1e-2 ... +-1e6 and the zs. Each piece
+    is integrated in theta = atan(x / sqrt(nu)), where the density is the
+    bounded 2 c cos(theta)^(nu-1) T_{nu+1}(alpha sqrt(nu+1) sin(theta))."""
+    m = int(nu) + 1
+    nu, alpha = mpmath.mpf(nu), mpmath.mpf(alpha)
+    const = 2 * mpmath.gamma((nu + 1) / 2) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(nu / 2))
+
+    def integrand(th):
+        return const * mpmath.cos(th) ** (m - 2) * _student_cdf(
+            alpha * mpmath.sqrt(nu + 1) * mpmath.sin(th), m)
+
+    decades = [mpmath.mpf(10) ** k for k in range(-2, 7)]
+    xs = sorted({mpmath.mpf(0), *decades, *(-d for d in decades),
+                 *(mpmath.mpf(z) for z in zs)})
+    thetas = [-mpmath.pi / 2] + [mpmath.atan(x / mpmath.sqrt(nu)) for x in xs]
+    total, at = mpmath.mpf(0), {}
+    for x, a, b in zip(xs, thetas[:-1], thetas[1:]):
+        total += mpmath.quad(integrand, [a, b], method="gauss-legendre")
+        at[x] = total
+    return np.array([float(at[mpmath.mpf(z)]) for z in zs])
+
+
+@pytest.mark.parametrize("nu", [1.0, 3.0, 4.0, 5.0, 6.0, 8.0, 30.0])
+def test_cdf_matches_mpmath(nu):
+    zs = [-40.0, -9.0, -2.5, -0.6, 0.0, 0.3, 1.1, 3.0, 12.0, 40.0]
+    with mpmath.workdps(20):
+        for alpha in (-32.0, -3.3, -0.5, 0.0, 0.7, 4.0, 32.0):
+            got = skew_t._std_cdf_many(zs, alpha, nu)
+            want = _mpmath_cdf(zs, alpha, nu)
+            assert np.max(np.abs(got - want)) <= 1e-14, alpha
+
+
+def test_cdf_non_finite_z():
+    # NaN stays NaN and the infinities map to 0 and 1; at z = 0, F is
+    # 1/2 - arctan(alpha) / pi whatever nu is
+    zs = np.array([np.nan, -np.inf, np.inf, 0.0])
+    for nu in (1.0, 3.0, 4.0, 30.0):
+        for alpha in (-32.0, -3.3, 0.0, -0.0, 0.7):
+            got = skew_t._std_cdf_many(zs, alpha, nu)
+            assert np.isnan(got[0]) and list(got[1:3]) == [0.0, 1.0], (nu, alpha)
+            assert got[3] == pytest.approx(0.5 - np.arctan(alpha) / np.pi, abs=1e-15)
+
+
+def test_cdf_bounded_and_monotone():
+    # F never leaves [0, 1] and rises strictly wherever it is clear of 0
+    # and 1. In the tails its value is rounding (the terms of the sum
+    # cancel), so there it may step back by at most twice the absolute
+    # error that the mpmath test sees (below 6e-16)
+    zs = np.concatenate([-np.logspace(3, -3, 200), [0.0], np.logspace(-3, 3, 200)])
+    for nu in (1.0, 2.0, 3.0, 4.0, 5.0, 8.0, 30.0):
+        for alpha in (-32.0, -3.3, -0.5, 0.7, 4.0, 32.0):
+            f = skew_t._std_cdf_many(zs, alpha, nu)
+            assert f.min() >= 0.0 and f.max() <= 1.0
+            assert np.diff(f).min() >= -1.2e-15, (nu, alpha)
+            live = (f > 1e-12) & (f < 1.0 - 1e-12)
+            assert np.all(np.diff(f[live]) > 0.0), (nu, alpha)
+
+
+def test_cdf_alpha_derivative():
+    zs = np.linspace(-8.0, 8.0, 41)
+    for nu in (1.0, 3.0, 4.0, 5.0, 30.0):
+        for alpha in (-32.0, -3.3, -0.5, 0.0, 0.7, 4.0, 32.0):
+            h = 1e-5 * max(1.0, abs(alpha))
+            central = (skew_t._std_cdf_many(zs, alpha + h, nu)
+                       - skew_t._std_cdf_many(zs, alpha - h, nu)) / (2 * h)
+            got = skew_t._std_cdf_dalpha(zs, alpha, nu)
+            assert np.max(np.abs(got - central)) <= 1e-9, (nu, alpha)
+
+
+class TestDomain:
+    def test_non_integer_nu_raises(self):
+        with pytest.raises(DomainError, match="nu=2.5"):
+            skew_t._std_cdf_many([0.3], 1.5, 2.5)
+        p = SkewTParams(mu=0.0, sigma=1.0, alpha=-0.7, nu=4.5)  # still accepted
+        assert pdf(p, 0.0) > 0
+        with pytest.raises(DomainError, match="nu=4.5"):
+            cdf(p, 0.0)
+        with pytest.raises(DomainError, match="nu=4.5"):
+            fit_from_quantiles(LEVELS, (-0.8, 0.1, 1.3), nu=4.5)
+
+    @pytest.mark.parametrize("nu", [2.5, 7.3, 1e6])
+    def test_zero_skew_is_student_t_at_any_nu(self, nu):
+        zs = np.array([-3.0, -0.4, 0.0, 1.7])
+        assert np.array_equal(skew_t._std_cdf_many(zs, 0.0, nu), student_t.cdf(zs, nu))
+
+    def test_cauchy(self):
+        # nu = 1: the recurrence has no terms beyond the arctan2
+        p = SkewTParams(mu=0.2, sigma=0.9, alpha=2.0, nu=1.0)
+        for x in (-3.0, 0.0, 0.4, 5.0):
+            oracle, _ = scipy.integrate.quad(lambda v: pdf(p, v), -np.inf, x, limit=400)
+            assert cdf(p, x) == pytest.approx(oracle, abs=1e-9)
+        for tau in (0.1, 0.5, 0.9):
+            assert cdf(p, quantile(p, tau)) == pytest.approx(tau, abs=1e-12)
+
+
+def _exact_quantiles(levels, alpha, nu=3.0):
+    """Standardized quantiles, each bracketed and solved to full precision."""
+    return np.array([optimize.brentq(
+        lambda z: skew_t._std_cdf_many([z], alpha, nu)[0] - t, -60.0, 60.0,
+        xtol=1e-300, rtol=1e-15) for t in levels])
+
+
+def _reference_alpha(levels, ratio, nu=3.0):
+    """The root of r(alpha) = ratio by bracketed search over [-32, 32]."""
+    return optimize.brentq(
+        lambda a: skew_t._spacing_ratio(_exact_quantiles(levels, a, nu)) - ratio,
+        -32.0, 32.0, xtol=1e-13, maxiter=500)
+
+
+@pytest.mark.parametrize("levels, exposed", [
+    ((0.25, 0.5, 0.75), 0.3873664310733785), ((0.1, 0.5, 0.9), 0.284028494815727),
+], ids=["quartiles", "deciles"])
+def test_alpha_solve_across_matched_range(levels, exposed):
+    # r(alpha) is flat near both ends (|alpha| near 32), where the ratio
+    # pins alpha least. At `exposed`, a bracket end moved on a residual
+    # whose sign the quantiles' error can still flip loses the root by
+    # about 1e-7
+    r_min = skew_t._spacing_ratio(_exact_quantiles(levels, 32.0))
+    r_max = skew_t._spacing_ratio(_exact_quantiles(levels, -32.0))
+    rng = np.random.default_rng(17)
+    ratios = np.r_[rng.uniform(r_min, r_max, 8), r_min + 1e-4, r_min + 3e-5,
+                   r_max - 1e-4, r_max - 3e-5]
+    cases = [(rng.normal(0.0, 2.0), float(np.exp(rng.normal())), r) for r in ratios]
+    for lo, width, r in cases + [(0.0, 1.0, exposed)]:
+        values = (lo, lo + r * width, lo + width)
+        fit = fit_from_quantiles(levels, values)
+        scale2 = max(1.0, max(abs(v) for v in values)) ** 2
+        assert _residual(fit, values, levels) <= 1e-12 * scale2, r
+        assert abs(fit.alpha - _reference_alpha(levels, r)) <= 1e-9, r
+    for r, alpha in ((r_min - 1e-6, 32.0), (r_max + 1e-6, -32.0)):
+        assert fit_from_quantiles(levels, (0.0, r, 1.0)).alpha == alpha
 
 
 # (name, levels, values, (mu, sigma, alpha) as float.hex): ratios at both
 # ends of the matched range (alpha in (16, 32) and (-32, -16)), a symmetric
-# triple, a fit clamped on each side, widened ties and decile levels. Any
-# change to the CDF kernel, the root finder or the profile must leave every
-# float as it is; the golden archive checks only to 1e-9 relative.
+# triple, a fit clamped on each side, widened ties and decile levels. The
+# closed-form CDF and the joint Newton solve are deterministic, so any change
+# to either, to the quantile polish or to the profile must leave every float
+# as it is or re-record it on purpose; the golden archive checks only to
+# 1e-9 relative.
 PINNED_FITS = [
     ("near_lower_end", (0.25, 0.5, 0.75), (0.0, 0.3873, 1.0),
-     ("-0x1.4d007f6944927p-2", "0x1.dceff8a81ffdep-1", "0x1.27e3e07b93647p+4")),
+     ("-0x1.4d007f6944665p-2", "0x1.dceff8a81fec5p-1", "0x1.27e3e07cdfcffp+4")),
     ("lower_side", (0.25, 0.5, 0.75), (-1.7, -1.3, -0.68),
-     ("-0x1.022c53ba8fbeap+1", "0x1.e175fcd2255d5p-1", "0x1.393555cc6b217p+2")),
+     ("-0x1.022c53ba8fa79p+1", "0x1.e175fcd2249f6p-1", "0x1.393555cc6b6f3p+2")),
     ("near_upper_end", (0.25, 0.5, 0.75), (0.0, 0.6127, 1.0),
-     ("0x1.53401fda51244p+0", "0x1.dceff8a81ffd7p-1", "-0x1.27e3e07b6fa62p+4")),
+     ("0x1.53401fda51197p+0", "0x1.dceff8a81fec1p-1", "-0x1.27e3e07cddf5dp+4")),
     ("upper_side", (0.25, 0.5, 0.75), (2.5, 3.41, 4.0),
-     ("0x1.1d77e0edffc0bp+2", "0x1.610fdd76c7349p+0", "-0x1.2113370cf321cp+2")),
+     ("0x1.1d77e0edffbc4p+2", "0x1.610fdd76c727bp+0", "-0x1.2113370cf1fd8p+2")),
     ("symmetric", (0.25, 0.5, 0.75), (-0.6745, 0.0, 0.6745),
-     ("-0x1.2cfee8e559002p-53", "0x1.c37e5d5805803p-1", "0x0.0p+0")),
+     ("0x0.0p+0", "0x1.c37e5d5805803p-1", "0x0.0p+0")),
     ("generic", (0.25, 0.5, 0.75), (-0.8, 0.1, 1.3),
-     ("-0x1.1cbdb9d0c72c9p+0", "0x1.bcab31f708174p+0", "0x1.9e039d8fc8fdap+0")),
+     ("-0x1.1cbdb9d0c72dbp+0", "0x1.bcab31f708180p+0", "0x1.9e039d8fc9010p+0")),
     ("clamped_left_skew", (0.25, 0.5, 0.75), (0.0, 0.7, 1.0),
-     ("0x1.5d541caa88478p+0", "0x1.e321dc5fb9e81p-1", "-0x1.0000000000000p+5")),
+     ("0x1.5d541caa8845dp+0", "0x1.e321dc5fb9e54p-1", "-0x1.0000000000000p+5")),
     ("clamped_right_skew", (0.25, 0.5, 0.75), (0.0, 0.3, 1.0),
-     ("-0x1.755072aa211e6p-2", "0x1.e321dc5fb9e85p-1", "0x1.0000000000000p+5")),
+     ("-0x1.755072aa21178p-2", "0x1.e321dc5fb9e56p-1", "0x1.0000000000000p+5")),
     ("tie_low", (0.25, 0.5, 0.75), (0.2, 0.2, 1.0),
-     ("-0x1.98c7385b566eep-3", "0x1.936d89cf20322p-1", "0x1.0000000000000p+5")),
+     ("-0x1.98c7385b56616p-3", "0x1.936d89cf202f1p-1", "0x1.0000000000000p+5")),
     ("tie_all", (0.25, 0.5, 0.75), (1.5, 1.5, 1.5),
      ("0x1.8000000671448p+0", "0x1.0d86abf773809p-29", "0x0.0p+0")),
     ("tie_high", (0.25, 0.5, 0.75), (0.0, 1.0, 1.0),
-     ("0x1.7fdf20d531dafp+0", "0x1.f848ec4ba9d6dp-1", "-0x1.0000000000000p+5")),
+     ("0x1.7fdf20d531d8ep+0", "0x1.f848ec4ba9d31p-1", "-0x1.0000000000000p+5")),
     ("deciles_left", (0.1, 0.5, 0.9), (-3.0, -0.4, 1.1),
-     ("0x1.72a9861670aaep-1", "0x1.99314a6721e02p+0", "-0x1.ace09d89dd6bbp+0")),
+     ("0x1.72a9861670abep-1", "0x1.99314a6721e07p+0", "-0x1.ace09d89dd6d7p+0")),
     ("deciles_right", (0.1, 0.5, 0.9), (0.01, 0.025, 0.032),
-     ("0x1.06e86e7adbdb8p-5", "0x1.33fac47449f43p-7", "-0x1.9a16e8224415cp+1")),
+     ("0x1.06e86e7adbe02p-5", "0x1.33fac47449fccp-7", "-0x1.9a16e822449a9p+1")),
 ]
 
 
@@ -303,29 +412,8 @@ PINNED_FITS = [
                          ids=[c[0] for c in PINNED_FITS])
 def test_fit_pinned_bit_for_bit(levels, values, want):
     skew_t._fit.cache_clear()
-    skew_t._alpha_pieces.cache_clear()
     fit = fit_from_quantiles(levels, values)
     assert (fit.mu.hex(), fit.sigma.hex(), fit.alpha.hex()) == want
-
-
-def test_alpha_pieces_cache_matches_fresh_calls():
-    # each (alpha, nu) reused from the bounded per-alpha cache, interleaved
-    # over alpha and nu, must give what a call on an empty cache gives; NaN z
-    # stays NaN
-    zs = np.r_[np.nan, -np.inf, np.inf, -1e6, -40.0, -1.5, 0.0, 0.7, 2.0, 1e6]
-    keys = [(alpha, nu) for alpha in (0.7, -3.3, 0.0, -0.0) for nu in (3.0, 5.0)]
-    fresh = []
-    for alpha, nu in keys:
-        skew_t._alpha_pieces.cache_clear()
-        fresh.append(skew_t._std_cdf_many(zs, alpha, nu))
-    assert np.isnan(fresh[0][0]) and not np.isnan(fresh[0][1:]).any()
-    skew_t._alpha_pieces.cache_clear()
-    order = list(range(len(keys)))
-    for i in order + order[::-1]:
-        got = skew_t._std_cdf_many(zs, *keys[i])
-        assert np.array_equal(got, fresh[i], equal_nan=True), keys[i]
-        assert np.isnan(got[0]), keys[i]
-    assert skew_t._alpha_pieces.cache_info().maxsize is not None
 
 
 class TestFitMemo:
@@ -335,13 +423,13 @@ class TestFitMemo:
     def roots(self, monkeypatch):
         skew_t._fit.cache_clear()
         calls = []
-        brentq = skew_t.brentq
+        solve = skew_t._solve_alpha
 
-        def counting_brentq(*args, **kwargs):
+        def counting_solve(*args, **kwargs):
             calls.append(args)
-            return brentq(*args, **kwargs)
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(skew_t, "brentq", counting_brentq)
+        monkeypatch.setattr(skew_t, "_solve_alpha", counting_solve)
         return calls
 
     def test_same_triple_fits_once(self, roots):

@@ -18,8 +18,8 @@ import sys
 
 from . import __version__
 from .config import parse_config_text, parse_specs
-from .errors import DataError, ScoringGapError
-from .evaluation import score_table, score_table_csv
+from .errors import DataError
+from .evaluation import score_table_csv, score_tables
 from .ingest import build_dataset, load_store, read_manifest, write_store
 from .pipeline import run_out_of_sample
 from .release_calendar import calendar_rows, table2_rules
@@ -111,54 +111,15 @@ def _read_archive(path: str):
 
 def cmd_evaluate(args) -> int:
     text, rows = _read_archive(args.archive)
-    specs = sorted({r["spec"] for r in rows})
-    if args.relative_to not in specs:
-        raise DataError(
-            f"benchmark spec {args.relative_to!r} not in archive; "
-            f"available: {specs}"
-        )
-    variable = "EC" if args.metric == "rmsfe" else "CO2"
-    pool = [r for r in rows if r["variable"] == variable]
-    if variable == "CO2" and not pool:
-        raise DataError(
-            "metric requires quantile rows, but the archive holds only "
-            "point nowcasts"
-        )
-    if args.metric == "qs":
-        levels = sorted({float(r["tau_or_point"]) for r in pool})
-        if all(abs(tau - args.tau) > 1e-12 for tau in levels):
-            raise DataError(
-                f"quantile level tau={args.tau} not in archive; "
-                f"available: {levels}"
-            )
-
-    # spec -> week -> rows (for crps: spec -> week -> tau -> rows), in
-    # archive order
-    by_spec: dict = {}
-    for r in pool:
-        weeks = by_spec.setdefault(r["spec"], {})
-        if args.metric == "rmsfe":
-            weeks.setdefault(r["week"], []).append(r)
-            continue
-        tau = float(r["tau_or_point"])
-        if args.metric == "crps":
-            weeks.setdefault(r["week"], {}).setdefault(tau, []).append(r)
-        elif abs(tau - args.tau) <= 1e-12:
-            weeks.setdefault(r["week"], []).append(r)
-
-    bench = by_spec.get(args.relative_to, {})
+    qs = args.metric == "qs"
+    tables = score_tables(rows, args.metric, tau=args.tau if qs else None,
+                          relative_to=args.relative_to)
     header = _header(text)
-    for spec in specs:
-        try:
-            table = score_table(by_spec.get(spec, {}), bench, args.metric,
-                                tau=args.tau if args.metric == "qs" else None)
-        except ScoringGapError as exc:
-            raise ScoringGapError(f"spec {spec!r} against {args.relative_to!r}: {exc}")
-        name = f"scores_{args.metric}" + (
-            f"_tau{args.tau}" if args.metric == "qs" else ""
-        ) + f"_{spec}.csv"
-        _write(os.path.join(args.out, name), header, score_table_csv(table))
-    print(f"wrote {len(specs)} score tables -> {args.out}")
+    kind = f"scores_{args.metric}" + (f"_tau{args.tau}" if qs else "")
+    for spec, table in tables.items():
+        _write(os.path.join(args.out, f"{kind}_{spec}.csv"), header,
+               score_table_csv(table))
+    print(f"wrote {len(tables)} score tables -> {args.out}")
     return EXIT_OK
 
 

@@ -1,5 +1,6 @@
 """Scoring of archived nowcasts: RMSFE, quantile score, discrete CRPS and
-cross-state distribution tables relative to a benchmark.
+cross-state distribution tables relative to a benchmark. `score_tables`
+scores a whole archive into one such table per spec.
 
 The quantile score uses the standard pinball loss rho_tau(u) = u(tau - 1{u<0})
 with u = realized - predicted quantile, which is nonnegative and zero only at
@@ -14,6 +15,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ScoringGapError
+from .release_calendar import BACKCAST_LAST_WEEK
 
 DIST_LEVELS = (0.10, 0.25, 0.50, 0.75, 0.90)
 
@@ -62,8 +64,8 @@ def quantile_score_per_entity(rows, tau: float) -> dict:
     _check_rows(rows, f"QS({tau})")
 
     def qs(group):
-        losses = [pinball(g["realized"] - g["prediction"], tau) for g in group]
-        return float(np.mean(losses))
+        u = np.array([g["realized"] - g["prediction"] for g in group])
+        return float(np.mean(pinball(u, tau)))
 
     return _per_entity(rows, qs)
 
@@ -116,40 +118,68 @@ def relative_and_distribution(model_per_entity: dict, bench_per_entity: dict) ->
     )
 
 
-def score_table(rows_by_week, bench_rows_by_week, metric: str, tau: float | None = None):
-    """Tables 3/4-shaped rows: per week, the cross-state ratio distribution.
+def score_tables(rows, metric: str, tau: float | None = None,
+                 relative_to: str = "HistMean") -> dict:
+    """{spec: Tables 3/4-shaped rows}, one table per spec in the archive `rows`
+    (a spec without rows of the metric gets an empty one): per week, the
+    cross-state distribution of the ratio to `relative_to`, with keys phase,
+    week, q10..q90, aggregate. rmsfe scores the EC rows, qs the CO2 rows at
+    `tau` and crps all CO2 rows. The rows are grouped once by (spec, week), in
+    archive order, and each group, the benchmark's included, is scored once."""
+    specs = sorted({r["spec"] for r in rows})
+    if relative_to not in specs:
+        raise ScoringGapError(
+            f"benchmark spec {relative_to!r} not in archive; available: {specs}")
+    if metric not in ("rmsfe", "qs", "crps"):
+        raise DomainError(f"unknown metric {metric!r}")
+    if metric == "qs" and tau is None:
+        raise DomainError("metric 'qs' requires a quantile level")
+    pool = [r for r in rows if r["variable"] == ("EC" if metric == "rmsfe" else "CO2")]
+    if metric != "rmsfe" and not pool:
+        raise ScoringGapError(
+            "metric requires quantile rows, but the archive holds only point nowcasts")
+    if metric == "qs":
+        levels = sorted({float(r["tau_or_point"]) for r in pool})
+        if all(abs(level - tau) > 1e-12 for level in levels):
+            raise ScoringGapError(
+                f"quantile level tau={tau} not in archive; available: {levels}")
+        pool = [r for r in pool if abs(float(r["tau_or_point"]) - tau) <= 1e-12]
 
-    `rows_by_week` maps week -> archive rows (for crps: week -> {tau: rows}).
-    Returns a list of dicts with keys phase, week, q10..q90, aggregate.
-    """
-    from .release_calendar import BACKCAST_LAST_WEEK
+    def gap(spec, detail):
+        return ScoringGapError(f"spec {spec!r} against {relative_to!r}: {detail}")
 
-    missing = sorted(set(rows_by_week) - set(bench_rows_by_week))
-    if missing:
-        raise ScoringGapError(f"benchmark has no rows at weeks {missing}")
-    out = []
-    for v in sorted(rows_by_week):
+    def per_entity(group):
         if metric == "rmsfe":
-            model = rmsfe_per_entity(rows_by_week[v])
-            bench = rmsfe_per_entity(bench_rows_by_week[v])
-        elif metric == "qs":
-            if tau is None:
-                raise DomainError("metric 'qs' requires a quantile level")
-            model = quantile_score_per_entity(rows_by_week[v], tau)
-            bench = quantile_score_per_entity(bench_rows_by_week[v], tau)
-        elif metric == "crps":
-            model = crps_per_entity(rows_by_week[v])
-            bench = crps_per_entity(bench_rows_by_week[v])
-        else:
-            raise DomainError(f"unknown metric {metric!r}")
-        rel = relative_and_distribution(model, bench)
-        q10, q25, q50, q75, q90 = rel["distribution"]
-        out.append(dict(
-            phase="Backcast" if v <= BACKCAST_LAST_WEEK else "Nowcast",
-            week=v, q10=q10, q25=q25, q50=q50, q75=q75, q90=q90,
-            aggregate=rel["aggregate"],
-        ))
-    return out
+            return rmsfe_per_entity(group)
+        if metric == "qs":
+            return quantile_score_per_entity(group, tau)
+        by_tau: dict = {}
+        for r in group:
+            by_tau.setdefault(float(r["tau_or_point"]), []).append(r)
+        return crps_per_entity(by_tau)
+
+    groups: dict = {}
+    for r in pool:
+        groups.setdefault((r["spec"], r["week"]), []).append(r)
+    for spec in specs:
+        missing = sorted(v for s, v in groups
+                         if s == spec and (relative_to, v) not in groups)
+        if missing:
+            raise gap(spec, f"benchmark has no rows at weeks {missing}")
+    scores, tables = {}, {spec: [] for spec in specs}
+    try:
+        for spec, v in groups:
+            scores[spec, v] = per_entity(groups[spec, v])
+        for spec, v in sorted(scores):
+            rel = relative_and_distribution(scores[spec, v], scores[relative_to, v])
+            q10, q25, q50, q75, q90 = rel["distribution"]
+            tables[spec].append(dict(
+                phase="Backcast" if v <= BACKCAST_LAST_WEEK else "Nowcast",
+                week=v, q10=q10, q25=q25, q50=q50, q75=q75, q90=q90,
+                aggregate=rel["aggregate"]))
+    except ScoringGapError as exc:  # `spec` is the spec whose rows failed
+        raise gap(spec, exc)
+    return tables
 
 
 def score_table_csv(table_rows) -> str:

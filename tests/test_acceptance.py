@@ -17,7 +17,7 @@ from co2nowcast.evaluation import (
     quantile_score,
     relative_and_distribution,
     rmsfe_per_entity,
-    score_table,
+    score_tables,
 )
 from co2nowcast.panel import MixedFreqSeries, PanelDataset, PeriodIndex, ordinal
 from co2nowcast.panel_ls import DesignRow, fit_within
@@ -196,7 +196,9 @@ def test_criterion_6_scoring_identities():
     assert crps(by_tau) == pytest.approx(float(expected), abs=1e-14)
 
     weekly = {v: rows for v in range(1, 49)}
-    table = score_table(weekly, weekly, "rmsfe")
+    table = score_tables([dict(r, spec="HistMean", variable="EC", week=v)
+                          for v, week_rows in weekly.items() for r in week_rows],
+                         "rmsfe")["HistMean"]
     assert len(table) == 48
     for row in table:
         assert row["aggregate"] == pytest.approx(1.0)

@@ -207,6 +207,46 @@ class TestEvaluate:
         assert err.startswith("error:")
         assert "'AR'" in err and "AR-W" in err and "[1]" in err
 
+    def test_scoring_error_writes_no_table(self, tmp_path, capsys):
+        # HistMean lacks week 2, which only AR-W has; AR sorts before AR-W
+        path = tmp_path / "gappy.csv"
+        path.write_text(
+            "spec,variable,entity,target_year,week,tau_or_point,"
+            "prediction,benchmark,realized\n"
+            "AR,EC,A,2009,1,point,0.1,0.1,0.2\n"
+            "AR-W,EC,A,2009,1,point,0.3,0.1,0.2\n"
+            "AR-W,EC,A,2009,2,point,0.3,0.1,0.2\n"
+            "HistMean,EC,A,2009,1,point,0.1,0.1,0.2\n"
+        )
+        out = tmp_path / "out"
+        rc = main(["evaluate", "--archive", str(path), "--metric", "rmsfe",
+                   "--out", str(out)])
+        assert rc == EXIT_FATAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: spec 'AR-W' against 'HistMean':")
+        assert "[2]" in err
+        assert not out.exists()
+
+    def test_spec_without_energy_rows_gets_header_only_table(self, tmp_path):
+        # DirectAR-W-M-Q archives CO2 quantiles only, no EC point rows
+        path = tmp_path / "direct.csv"
+        path.write_text(
+            "spec,variable,entity,target_year,week,tau_or_point,"
+            "prediction,benchmark,realized\n"
+            "HistMean,EC,A,2009,1,point,0.1,0.1,0.2\n"
+            "HistMean,EC,B,2009,1,point,0.2,0.1,0.4\n"
+            "HistMean,CO2,A,2009,1,0.5,0.1,0.1,0.2\n"
+            "DirectAR-W-M-Q,CO2,A,2009,1,0.5,0.3,0.1,0.2\n"
+        )
+        out = tmp_path / "out"
+        assert main(["evaluate", "--archive", str(path), "--metric", "rmsfe",
+                     "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [
+            "scores_rmsfe_DirectAR-W-M-Q.csv", "scores_rmsfe_HistMean.csv"]
+        assert _body(out / "scores_rmsfe_DirectAR-W-M-Q.csv") == [
+            "phase,week,q10,q25,q50,q75,q90,aggregate\n"]
+        assert len(_body(out / "scores_rmsfe_HistMean.csv")) == 2
+
     def test_crps_needs_quantile_rows(self, tmp_path, capsys):
         path = tmp_path / "points_only.csv"
         path.write_text(

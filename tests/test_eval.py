@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from co2nowcast import evaluation
 from co2nowcast.errors import DomainError, ScoringGapError
 from co2nowcast.evaluation import (
     DIST_LEVELS,
@@ -11,8 +12,8 @@ from co2nowcast.evaluation import (
     relative_and_distribution,
     rmsfe,
     rmsfe_per_entity,
-    score_table,
     score_table_csv,
+    score_tables,
 )
 
 
@@ -133,6 +134,17 @@ class TestRelativeAndDistribution:
             relative_and_distribution({"A": 1.0}, {"A": 0.0})
 
 
+def tagged(weekly, spec, variable="EC", tau="point"):
+    """Archive rows of `spec` from week -> rows (for crps: week -> tau -> rows)."""
+    out = []
+    for v, group in weekly.items():
+        by_tau = group if isinstance(group, dict) else {tau: group}
+        for t, rs in by_tau.items():
+            out += [dict(r, spec=spec, variable=variable, week=v,
+                         tau_or_point=str(t)) for r in rs]
+    return out
+
+
 class TestScoreTable:
     def _weekly(self):
         rng = np.random.default_rng(3)
@@ -144,9 +156,13 @@ class TestScoreTable:
                         + rows("B", rng.normal(size=4), rng.normal(size=4)))
         return model, bench
 
-    def test_rmsfe_table(self):
+    def _archive(self):
         model, bench = self._weekly()
-        table = score_table(model, bench, "rmsfe")
+        return tagged(model, "AR") + tagged(bench, "HistMean"), model, bench
+
+    def test_rmsfe_table(self):
+        archive, model, bench = self._archive()
+        table = score_tables(archive, "rmsfe")["AR"]
         assert [r["week"] for r in table] == [1, 5, 9]
         assert table[0]["phase"] == "Backcast"
         assert table[1]["phase"] == "Nowcast"
@@ -154,21 +170,25 @@ class TestScoreTable:
         assert table[0]["aggregate"] == pytest.approx(expected)
 
     def test_benchmark_against_itself(self):
-        model, _ = self._weekly()
-        table = score_table(model, model, "rmsfe")
-        for r in table:
-            assert r["aggregate"] == pytest.approx(1.0)
-            for key in ("q10", "q25", "q50", "q75", "q90"):
-                assert r[key] == pytest.approx(1.0)
+        archive, _, _ = self._archive()
+        for spec in ("AR", "HistMean"):
+            table = score_tables(archive, "rmsfe", relative_to=spec)[spec]
+            assert len(table) == 3
+            for r in table:
+                assert r["aggregate"] == pytest.approx(1.0)
+                for key in ("q10", "q25", "q50", "q75", "q90"):
+                    assert r[key] == pytest.approx(1.0)
 
     def test_qs_requires_tau(self):
         model, bench = self._weekly()
+        archive = (tagged(model, "AR", "CO2", 0.5)
+                   + tagged(bench, "HistMean", "CO2", 0.5))
         with pytest.raises(DomainError):
-            score_table(model, bench, "qs")
+            score_tables(archive, "qs")
 
     def test_csv_layout(self):
-        model, bench = self._weekly()
-        text = score_table_csv(score_table(model, bench, "rmsfe"))
+        archive, _, _ = self._archive()
+        text = score_table_csv(score_tables(archive, "rmsfe")["AR"])
         lines = text.strip().splitlines()
         assert lines[0] == "phase,week,q10,q25,q50,q75,q90,aggregate"
         assert len(lines) == 4
@@ -185,9 +205,44 @@ class TestScoreTable:
 
         model = {1: by_tau(), 9: by_tau()}
         bench = {1: by_tau(), 9: by_tau()}
-        table = score_table(model, bench, "crps")
+        archive = tagged(model, "AR", "CO2") + tagged(bench, "HistMean", "CO2")
+        table = score_tables(archive, "crps")["AR"]
         assert len(table) == 2
         assert all(r["aggregate"] > 0 for r in table)
+
+    def test_benchmark_scored_once(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        archive = []
+        for spec in ("AR", "AR-W", "HistMean"):
+            weekly = {v: rows("A", rng.normal(size=2), rng.normal(size=2))
+                      + rows("B", rng.normal(size=2), rng.normal(size=2))
+                      for v in range(1, 49)}
+            archive += tagged(weekly, spec)
+        calls = []
+
+        def counted(group):
+            calls.append(group)
+            return rmsfe_per_entity(group)
+
+        monkeypatch.setattr(evaluation, "rmsfe_per_entity", counted)
+        tables = score_tables(archive, "rmsfe")
+        assert len(calls) == 3 * 48
+        assert sorted(tables) == ["AR", "AR-W", "HistMean"]
+        assert all(len(t) == 48 for t in tables.values())
+
+    def test_spec_without_rows_of_the_metric_gets_an_empty_table(self):
+        archive, model, _ = self._archive()
+        archive += tagged(model, "DirectAR-W-M-Q", "CO2", 0.5)
+        tables = score_tables(archive, "rmsfe")
+        assert tables["DirectAR-W-M-Q"] == []
+        assert score_table_csv(tables["DirectAR-W-M-Q"]) == (
+            "phase,week,q10,q25,q50,q75,q90,aggregate\n")
+
+    def test_failure_in_the_benchmark_names_the_benchmark(self):
+        archive, _, _ = self._archive()
+        archive[-1] = dict(archive[-1], realized=float("nan"))
+        with pytest.raises(ScoringGapError, match="^spec 'HistMean' against 'HistMean':"):
+            score_tables(archive, "rmsfe")
 
 
 def test_rmsfe_per_entity_sorted():

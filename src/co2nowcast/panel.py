@@ -112,10 +112,6 @@ class MixedFreqSeries:
     def __len__(self) -> int:
         return self.values.size
 
-    @property
-    def last_period(self) -> PeriodIndex:
-        return advance(self.frequency, self.start, len(self) - 1)
-
     def value_at(self, period: PeriodIndex) -> float:
         k = ordinal(self.frequency, period) - ordinal(self.frequency, self.start)
         if not 0 <= k < len(self):
@@ -124,17 +120,6 @@ class MixedFreqSeries:
                 f"{period.label(self.frequency)}"
             )
         return float(self.values[k])
-
-    def truncated(self, last: PeriodIndex) -> "MixedFreqSeries":
-        """Return a copy cut at `last` (inclusive); the original is untouched."""
-        n = ordinal(self.frequency, last) - ordinal(self.frequency, self.start) + 1
-        n = min(n, len(self))
-        if n <= 0:
-            raise CoverageError(
-                f"truncation at {last.label(self.frequency)} precedes the start of "
-                f"entity {self.entity!r}"
-            )
-        return MixedFreqSeries(self.entity, self.frequency, self.start, self.values[:n])
 
 
 def yoy_log_growth(series: MixedFreqSeries) -> MixedFreqSeries:

@@ -32,7 +32,7 @@ import scipy.optimize
 
 from .errors import DomainError, LengthError, SingularDesignError, UnknownEntityError
 from .evaluation import pinball
-from .panel_ls import DesignRow, _stack  # noqa: F401  (DesignRow re-exported)
+from .panel_ls import _stack
 
 
 @dataclass(frozen=True)

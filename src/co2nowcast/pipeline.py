@@ -7,23 +7,22 @@ penalized panel quantile bridge for CO2-emissions growth (or, for the direct
 variant, conditions the quantile regression on the high-frequency blocks
 themselves), then matches a skewed Student-t density to the quantile triple.
 
-The calendar week is the unit of work. `run_out_of_sample` builds each
-week's information set and truncates the panel once, then hands the
-truncated panel and the information set to every stage; a bridge spec's CO2
-stage receives the energy nowcasts that stage one produced for that week.
-No target year reads another year's fits, so the years run in parallel, one
-forked worker process per year up to the usable CPUs, and are merged in year
-order; the archive is the same as that of one process running them in turn.
-Lag offsets are pure functions of the calendar week, applied identically to
+`run_out_of_sample` builds the panel's arrays once per run (`PanelArrays`).
+The calendar week is the unit of work: every stage reads those arrays only
+through the week's information set, which hides each period after its
+latest period of the variable; a bridge spec's CO2 stage receives the
+energy nowcasts that stage one produced for that week. No target year
+reads another year's fits, so the years run in parallel, one forked worker
+process per year up to the usable CPUs, and are merged in year order; the
+archive is the same as that of one process running them in turn. Lag
+offsets are pure functions of the calendar week, applied identically to
 training years and the target year (the "direct method" alignment), so no
-regressor can ever use information beyond the week's information set: all
-data access goes through that one calendar truncation.
+regressor can use information beyond the week's information set.
 
-A design reads each variable of the truncated panel as one (entity x period)
-array, NaN where an entity has no value, and builds every (entity, year) row
-at once: one fancy index per block gathers the AR lag, the lag windows, the
-Almon-weighted weekly lags and the cross-sectional factors of all years. A
-row with any missing value is skipped.
+A design builds every (entity, year) row at once: one fancy index per block
+gathers the AR lag, the lag windows, the Almon-weighted weekly lags and the
+cross-sectional factors of all years. A row with any missing value is
+skipped.
 """
 
 from __future__ import annotations
@@ -42,7 +41,13 @@ import numpy as np
 
 from . import release_calendar as cal
 from .almon import AlmonSpec, build_almon_map
-from .errors import ConfigError, CoverageError, DataError, DomainError
+from .errors import (
+    ConfigError,
+    CoverageError,
+    DataError,
+    DomainError,
+    UnknownVariableError,
+)
 from .panel import Frequency, PanelDataset, PeriodIndex, ordinal
 from .panel_ls import DesignRow, fit_within, predict
 from .panel_qr import QuantileSpec, fit_quantile, predict_quantile, rearrange
@@ -55,7 +60,6 @@ from .release_calendar import (
     InformationSet,
     information_set,
     table2_rules,
-    truncate,
 )
 from .skew_t import SkewTParams, fit_from_quantiles
 
@@ -151,21 +155,77 @@ class CO2DensityNowcast:
     params: SkewTParams | None
 
 
-def _panel_array(ds, var):
-    """`var` of `ds` as (first ordinal, frequency, array): the array has one
-    row per entity of `ds` and one column per period from the earliest start,
-    NaN where the entity has no value, and a last all-NaN column that every
-    period outside the array reads."""
-    series = dict(ds.series_of(var))
-    freq = ds.frequency(var) if series else Frequency.ANNUAL
-    spans = [(i, ordinal(freq, series[e].start), series[e].values)
-             for i, e in enumerate(ds.entities) if e in series]
-    first = min((k for _, k, _ in spans), default=0)
-    end = max((k + v.size for _, k, v in spans), default=first)
-    arr = np.full((len(ds.entities), end - first + 1), np.nan)
-    for i, k, v in spans:
-        arr[i, k - first : k - first + v.size] = v
-    return first, freq, arr
+class PanelArrays:
+    """Each variable of a panel as one (entity x period) array from its
+    earliest start, NaN where an entity has no value, plus a last all-NaN
+    column that every period outside the array reads; a variable the panel
+    lacks reads NaN. Every read but `realized` takes a week's information
+    set and hides each period after the set's latest period of the variable."""
+
+    def __init__(self, dataset: PanelDataset):
+        self.entities = dataset.entities
+        self._vars = {}  # variable -> (frequency, first ordinal, array, spans)
+        for var in dataset.variables:
+            freq = dataset.frequency(var)
+            series = [(e, self.entities.index(e), ordinal(freq, s.start), s.values)
+                      for e, s in dataset.series_of(var)]
+            first = min(k for _, _, k, _ in series)
+            # (entity, row, first column, end column) per entity with a series
+            spans = [(e, i, k - first, k - first + v.size) for e, i, k, v in series]
+            arr = np.full((len(self.entities), max(s[3] for s in spans) + 1), np.nan)
+            for (_, i, a, b), (*_, v) in zip(spans, series):
+                arr[i, a:b] = v
+            self._vars[var] = freq, first, arr, spans
+        self._missing = Frequency.ANNUAL, 0, np.full((len(self.entities), 1), np.nan), []
+
+    def _col(self, var, period):
+        """`var`'s frequency, array and spans, and the column of `period`."""
+        freq, first, arr, spans = self._vars.get(var, self._missing)
+        return freq, arr, spans, ordinal(freq, period) - first
+
+    def entities_of(self, var) -> list:
+        """The entities with a `var` series, sorted."""
+        return [e for e, *_ in self._vars.get(var, self._missing)[3]]
+
+    def check(self, info: InformationSet) -> None:
+        """Raise, variable by variable in sorted order, `UnknownVariableError`
+        for one without a release rule in `info` and `CoverageError` for the
+        first entity whose series starts after the variable's latest period."""
+        for var, (freq, *_) in sorted(self._vars.items()):
+            if var not in info.latest:
+                raise UnknownVariableError(f"variable {var!r} has no release rule")
+            for e, values in self.visible(info, var):
+                if not values.size:
+                    raise CoverageError(f"truncation at {info[var].label(freq)} "
+                                        f"precedes the start of entity {e!r}")
+
+    def visible(self, info: InformationSet, var) -> list:
+        """(entity, values) per entity with a `var` series: its own span as
+        `info` shows it."""
+        shown = [(e, self._read(info, var, i, np.arange(a, b)))
+                 for e, i, a, b in self._col(var, info[var])[2]]
+        return [(e, v[np.isfinite(v)]) for e, v in shown]
+
+    def read(self, info: InformationSet, var, anchor, years, n, rows):
+        """`var` at ordinal(anchor) + per_year * years[j] minus 0..n-1 for the
+        entity rows `rows`, as an (entity, year, lag) array."""
+        freq, _, _, k = self._col(var, anchor)
+        k = k + freq.per_year * years[:, None] - np.arange(n)
+        return self._read(info, var, rows[:, None, None], k)
+
+    def _read(self, info, var, rows, k):
+        """arr[rows, k] of `var`: NaN at every column k outside the array or
+        after the latest period of `var` in `info`. Every read ends here."""
+        _, arr, _, end = self._col(var, info[var])
+        k[(k < 0) | (k > end) | (k >= arr.shape[1] - 1)] = -1
+        return arr[rows, k]
+
+    def realized(self, var, t: int) -> dict:
+        """Each entity's annual `var` in year t, NaN where it has none: the
+        outcome a nowcast of t is scored on, which no information set hides."""
+        _, arr, _, k = self._col(var, PeriodIndex(t))
+        col = arr[:, k if 0 <= k < arr.shape[1] - 1 else -1]
+        return dict(zip(self.entities, col.tolist()))
 
 
 def _hf_x(read, info, spec):
@@ -205,7 +265,7 @@ def _hf_labels(spec):
     return tuple(labels)
 
 
-def _design(ds, info, y_var, t, estimation_start, x_of, name):
+def _design(panel, info, y_var, t, estimation_start, x_of, name):
     """Training rows for the years from `estimation_start` to the latest year
     of `y_var` in `info`, and a prediction row for the target year t, per
     entity with a `y_var` series, entity-major with years ascending.
@@ -213,24 +273,16 @@ def _design(ds, info, y_var, t, estimation_start, x_of, name):
     The regressors are the AR lag of `y_var` and the blocks `x_of(read,
     names)` returns, each an (entity, year, column) array over the design
     entities and the years (t last). `read(var, anchor, n)` is `var` at
-    ordinal(anchor) + per_year * (s - t) minus 0..n-1 in year s, NaN where
-    `ds` has no value; `every=True` reads every entity of `ds`. A row with
-    any missing value is skipped."""
-    entities = ds.entities
-    names = [e for e, _ in ds.series_of(y_var)]
-    own = np.array([entities.index(e) for e in names], dtype=np.intp)
+    ordinal(anchor) + per_year * (s - t) minus 0..n-1 in year s as `info`
+    shows it; `every=True` reads every entity of the panel. A row with any
+    missing value is skipped."""
+    names = panel.entities_of(y_var)
+    own = np.array([panel.entities.index(e) for e in names], dtype=np.intp)
     years = np.append(np.arange(estimation_start, info[y_var].year + 1), t)
-    arrays = {}
 
     def read(var, anchor, n=1, every=False):
-        if var not in arrays:
-            arrays[var] = _panel_array(ds, var)
-        first, freq, arr = arrays[var]
-        k = (ordinal(freq, anchor) - first + freq.per_year * (years - t)[:, None]
-             - np.arange(n))
-        k[(k < 0) | (k >= arr.shape[1] - 1)] = -1
-        rows = np.arange(len(entities)) if every else own
-        return arr[rows[:, None, None], k]
+        rows = np.arange(len(panel.entities)) if every else own
+        return panel.read(info, var, anchor, years - t, n, rows)
 
     y = read(y_var, PeriodIndex(t))[:, :, 0]
     blocks = [read(y_var, info[y_var]), *x_of(read, names)]
@@ -249,14 +301,13 @@ def _design(ds, info, y_var, t, estimation_start, x_of, name):
     return rows, pred
 
 
-def assemble_energy_design(ds, info: InformationSet, spec: ModelSpec, t: int,
+def assemble_energy_design(panel, info: InformationSet, spec: ModelSpec, t: int,
                            estimation_start: int):
-    """Training rows plus prediction rows for the MIDAS energy regression.
-
-    `ds` must already be truncated by the information set. Training years
-    with insufficient history are dropped per entity.
+    """Training rows plus prediction rows for the MIDAS energy regression,
+    read from `panel` through `info`. Training years with insufficient
+    history are dropped per entity.
     """
-    rows, pred = _design(ds, info, VAR_EC, t, estimation_start,
+    rows, pred = _design(panel, info, VAR_EC, t, estimation_start,
                          lambda read, _: _hf_x(read, info, spec), "energy")
     return rows, pred, ("ar_c",) + _hf_labels(spec)
 
@@ -274,41 +325,32 @@ def _drop_thin_entities(rows, pred, entities, min_rows=2):
     return rows, pred, dropped
 
 
-def energy_hist_mean(ds, entity: str) -> float:
-    """Historical mean of available energy growth (the benchmark nowcast)."""
-    return float(np.mean(ds.get(VAR_EC, entity).values))
+def energy_hist_mean(panel, info: InformationSet) -> dict:
+    """Historical mean of available energy growth per entity (the benchmark)."""
+    return {e: float(np.mean(v)) for e, v in panel.visible(info, VAR_EC)}
 
 
-def nowcast_energy(ds, info: InformationSet, spec: ModelSpec, config: RunConfig):
-    """Stage one for the week of `info` on `ds`, the panel truncated by
-    `info`: assemble, fit, predict. Returns (nowcasts, gap entities)."""
+def nowcast_energy(panel, info: InformationSet, spec: ModelSpec, config: RunConfig):
+    """Stage one for the week of `info`, read from `panel` through `info`:
+    assemble, fit, predict. Returns (nowcasts, gap entities)."""
     if spec.is_direct:
         raise DomainError("the direct model has no energy stage")
     t, v = info.year, info.week
     if spec.kind == "HistMean":
-        out = [
-            EnergyNowcast(entity=e, year=t, week=v, value=energy_hist_mean(ds, e))
-            for e, _ in ds.series_of(VAR_EC)
-        ]
-        return out, []
-    rows, pred, labels = assemble_energy_design(
-        ds, info, spec, t, config.estimation_start
-    )
-    rows, pred, gaps = _drop_thin_entities(
-        rows, pred, [e for e, _ in ds.series_of(VAR_EC)]
-    )
+        return [EnergyNowcast(entity=e, year=t, week=v, value=mean)
+                for e, mean in energy_hist_mean(panel, info).items()], []
+    rows, pred, labels = assemble_energy_design(panel, info, spec, t,
+                                                config.estimation_start)
+    rows, pred, gaps = _drop_thin_entities(rows, pred, panel.entities_of(VAR_EC))
     model = fit_within(rows, labels=labels)
-    out = [
-        EnergyNowcast(entity=e, year=t, week=v, value=predict(model, e, x))
-        for e, x in pred
-    ]
-    return out, gaps
+    return [EnergyNowcast(entity=e, year=t, week=v, value=predict(model, e, x))
+            for e, x in pred], gaps
 
 
 BRIDGE_LABELS = ("ar_e", "c_hat", "f_e", "f_c")
 
 
-def bridge_design(ds, info: InformationSet, energy: dict, t: int,
+def bridge_design(panel, info: InformationSet, energy: dict, t: int,
                   estimation_start: int):
     """Quantile-bridge design: AR lag of emissions growth, the energy term
     (realized in training, first-stage nowcast in prediction) and the
@@ -319,61 +361,57 @@ def bridge_design(ds, info: InformationSet, energy: dict, t: int,
         lag = info[VAR_CO2]
         return [c, _factor(read, VAR_CO2, lag), _factor(read, VAR_EC, lag)]
 
-    rows, pred = _design(ds, info, VAR_CO2, t, estimation_start, x_of, "bridge")
+    rows, pred = _design(panel, info, VAR_CO2, t, estimation_start, x_of, "bridge")
     return rows, pred, BRIDGE_LABELS
 
 
-def direct_design(ds, info: InformationSet, spec: ModelSpec, t: int,
+def direct_design(panel, info: InformationSet, spec: ModelSpec, t: int,
                   estimation_start: int):
     """Direct quantile design: emissions growth on its own AR lag, the
     high-frequency blocks, and the scalar emissions factor."""
     def x_of(read, _):
         return [*_hf_x(read, info, spec), _factor(read, VAR_CO2, info[VAR_CO2])]
 
-    rows, pred = _design(ds, info, VAR_CO2, t, estimation_start, x_of, "direct")
+    rows, pred = _design(panel, info, VAR_CO2, t, estimation_start, x_of, "direct")
     return rows, pred, ("ar_e",) + _hf_labels(spec) + ("f_e",)
 
 
-def co2_benchmark_quantiles(ds, entity: str, taus) -> tuple:
-    """Per-entity empirical quantiles of available emissions growth
-    (linear interpolation of order statistics)."""
-    values = ds.get(VAR_CO2, entity).values
-    return tuple(float(q) for q in np.quantile(values, taus))
+def co2_benchmark_quantiles(panel, info: InformationSet, taus) -> dict:
+    """Per-entity empirical quantiles of available emissions growth (linear
+    interpolation of order statistics)."""
+    return {e: tuple(float(q) for q in np.quantile(v, taus))
+            for e, v in panel.visible(info, VAR_CO2)}
 
 
-def nowcast_co2_density(ds, info: InformationSet, spec: ModelSpec,
-                        config: RunConfig, energy):
-    """Stage two for the week of `info` on `ds`, the panel truncated by
-    `info`: quantile predictions, rearrangement, density fit and benchmark
-    triple. `energy` is the spec's stage-one result (nowcasts, gap
-    entities); HistMean ignores it and direct specs pass None.
+def nowcast_co2_density(panel, info: InformationSet, spec: ModelSpec,
+                        config: RunConfig, energy, benchmarks):
+    """Stage two for the week of `info`, read from `panel` through `info`:
+    quantile predictions, rearrangement, density fit and benchmark triple.
+    `energy` is the spec's stage-one result (nowcasts, gap entities);
+    HistMean ignores it and direct specs pass None. `benchmarks` is the
+    week's `co2_benchmark_quantiles` at `config.taus`.
 
     Returns (nowcasts, gap entities), the gaps including stage one's. A
     density fit that fails raises its `DataError` to the caller."""
     t, v = info.year, info.week
     taus = config.taus
-    benchmarks = {
-        e: co2_benchmark_quantiles(ds, e, taus) for e, _ in ds.series_of(VAR_CO2)
-    }
+
+    def nowcast(e, triple):
+        q = rearrange(triple)
+        params = fit_from_quantiles(taus, q) if config.fit_density else None
+        return CO2DensityNowcast(entity=e, year=t, week=v, quantiles=q,
+                                 benchmark=benchmarks[e], params=params)
 
     if spec.kind == "HistMean":
-        out = []
-        for e in sorted(benchmarks):
-            q = rearrange(benchmarks[e])
-            params = fit_from_quantiles(taus, q) if config.fit_density else None
-            out.append(CO2DensityNowcast(
-                entity=e, year=t, week=v, quantiles=q,
-                benchmark=benchmarks[e], params=params,
-            ))
-        return out, []
-
+        return [nowcast(e, benchmarks[e]) for e in sorted(benchmarks)], []
     if spec.is_direct:
-        rows, pred, labels = direct_design(ds, info, spec, t, config.estimation_start)
+        rows, pred, labels = direct_design(panel, info, spec, t,
+                                           config.estimation_start)
         gaps_energy = []
     else:
         nowcasts, gaps_energy = energy
         rows, pred, labels = bridge_design(
-            ds, info, {n.entity: n.value for n in nowcasts}, t,
+            panel, info, {n.entity: n.value for n in nowcasts}, t,
             config.estimation_start,
         )
     rows, pred, gaps = _drop_thin_entities(rows, pred, benchmarks, min_rows=1)
@@ -381,16 +419,8 @@ def nowcast_co2_density(ds, info: InformationSet, spec: ModelSpec,
 
     models = [fit_quantile(rows, QuantileSpec(tau=tau, lam=config.lam), labels=labels)
               for tau in taus]
-    out = []
-    for e, x in pred:
-        preds = [predict_quantile(m, e, x) for m in models]
-        q = rearrange(preds)
-        params = fit_from_quantiles(taus, q) if config.fit_density else None
-        out.append(CO2DensityNowcast(
-            entity=e, year=t, week=v, quantiles=q,
-            benchmark=benchmarks.get(e, ()), params=params,
-        ))
-    return out, gaps
+    return [nowcast(e, [predict_quantile(m, e, x) for m in models])
+            for e, x in pred], gaps
 
 
 @dataclass
@@ -437,18 +467,13 @@ class NowcastArchive:
         return out.getvalue()
 
 
-def _realized(dataset, variable, entity, year):
-    try:
-        return dataset.get(variable, entity).value_at(PeriodIndex(year))
-    except CoverageError:
-        return float("nan")
-
-
-def _run_year(dataset: PanelDataset, config: RunConfig, t: int) -> NowcastArchive:
-    """Every calendar week and model spec of target year t, re-fitted on the
-    week's one truncation of the panel; failures become diagnostics rows."""
+def _run_year(panel: PanelArrays, config: RunConfig, t: int) -> NowcastArchive:
+    """Every calendar week and model spec of target year t, re-fitted on what
+    the week's information set shows of the panel; failures become
+    diagnostics rows."""
     rules = table2_rules()
     specs = tuple(ModelSpec(kind=k) for k in config.specs)
+    realized = {var: panel.realized(var, t) for var in (VAR_EC, VAR_CO2)}
     archive = NowcastArchive()
     for v in range(1, cal.N_WEEKS + 1):
 
@@ -459,10 +484,9 @@ def _run_year(dataset: PanelDataset, config: RunConfig, t: int) -> NowcastArchiv
 
         info = information_set(rules, t, v)
         try:
-            ds = truncate(dataset, info)
-            bench_energy = {
-                e: energy_hist_mean(ds, e) for e, _ in ds.series_of(VAR_EC)
-            }
+            panel.check(info)
+            bench_energy = energy_hist_mean(panel, info)
+            bench_co2 = co2_benchmark_quantiles(panel, info, config.taus)
         except DataError as exc:
             note("*", "benchmark", str(exc))
             continue
@@ -470,7 +494,7 @@ def _run_year(dataset: PanelDataset, config: RunConfig, t: int) -> NowcastArchiv
             energy = None
             if not spec.is_direct:
                 try:
-                    energy = nowcast_energy(ds, info, spec, config)
+                    energy = nowcast_energy(panel, info, spec, config)
                 except DataError as exc:
                     # a bridge CO2 stage reads stage one, so it fails alike
                     # (HistMean's stage one cannot raise)
@@ -482,26 +506,24 @@ def _run_year(dataset: PanelDataset, config: RunConfig, t: int) -> NowcastArchiv
                     archive.energy_rows.append(dict(
                         spec=spec.kind, entity=n.entity, year=t, week=v,
                         prediction=n.value,
-                        benchmark=bench_energy.get(n.entity, float("nan")),
-                        realized=_realized(dataset, VAR_EC, n.entity, t),
+                        benchmark=bench_energy[n.entity],
+                        realized=realized[VAR_EC][n.entity],
                     ))
                 for e in gaps:
                     note(spec.kind, "energy",
                          f"entity {e} dropped: insufficient history")
             try:
-                densities, gaps = nowcast_co2_density(ds, info, spec, config, energy)
+                densities, gaps = nowcast_co2_density(panel, info, spec, config,
+                                                      energy, bench_co2)
             except DataError as exc:
                 note(spec.kind, "co2", str(exc))
                 continue
             for n in densities:
-                realized = _realized(dataset, VAR_CO2, n.entity, t)
-                for tau, pred_q, bench_q in zip(
-                    config.taus, n.quantiles, n.benchmark
-                ):
+                for tau, pred_q, bench_q in zip(config.taus, n.quantiles, n.benchmark):
                     archive.co2_rows.append(dict(
                         spec=spec.kind, entity=n.entity, year=t, week=v,
                         tau=tau, prediction=pred_q, benchmark=bench_q,
-                        realized=realized,
+                        realized=realized[VAR_CO2][n.entity],
                     ))
                 if n.params is not None:
                     archive.density_rows.append(dict(
@@ -527,23 +549,24 @@ def _worker_count(n_years: int) -> int:
 
 def run_out_of_sample(dataset: PanelDataset, config: RunConfig) -> NowcastArchive:
     """Full pseudo-out-of-sample loop: every evaluation year, every calendar
-    week, every model spec, re-fitted on the week's one truncation of the
-    panel. Deterministic given dataset and config; failures become
-    diagnostics rows, not crashes.
+    week, every model spec, re-fitted on what the week's information set
+    shows of the panel's arrays, built once here. Deterministic given
+    dataset and config; failures become diagnostics rows, not crashes.
 
     The years run in forked worker processes when there is more than one
     year and more than one usable CPU, else in this process; either way the
     archive lists them in year order and is the same."""
     years = config.eval_years
+    panel = PanelArrays(dataset)
     n_workers = _worker_count(len(years))
     if n_workers == 1:
-        parts = [_run_year(dataset, config, t) for t in years]
+        parts = [_run_year(panel, config, t) for t in years]
     else:
         # fork, named: spawn and forkserver re-import numpy and scipy per worker
         with ProcessPoolExecutor(
             n_workers, mp_context=multiprocessing.get_context("fork")
         ) as pool:
-            parts = list(pool.map(_run_year, repeat(dataset), repeat(config), years))
+            parts = list(pool.map(_run_year, repeat(panel), repeat(config), years))
     archive = NowcastArchive()
     for part in parts:
         for f in fields(NowcastArchive):

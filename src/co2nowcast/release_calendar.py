@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, UnknownVariableError
-from .panel import Frequency, PanelDataset, PeriodIndex
+from .panel import Frequency, PeriodIndex
 
 N_WEEKS = 48
 BACKCAST_LAST_WEEK = 4
@@ -100,20 +100,6 @@ def information_set(rules, t: int, v: int) -> InformationSet:
     phase = "Backcast" if v <= BACKCAST_LAST_WEEK else "Nowcast"
     latest = {rule.variable: rule.latest(t, v) for rule in rules}
     return InformationSet(year=t, week=v, phase=phase, latest=latest)
-
-
-def truncate(dataset: PanelDataset, info: InformationSet) -> PanelDataset:
-    """Cut every series at its rule's latest period; the input is untouched."""
-    out = PanelDataset()
-    for variable in dataset.variables:
-        if variable not in info.latest:
-            raise UnknownVariableError(
-                f"variable {variable!r} has no release rule"
-            )
-        last = info.latest[variable]
-        for _, series in dataset.series_of(variable):
-            out.add(variable, series.truncated(last))
-    return out
 
 
 def calendar_rows(rules, t: int):

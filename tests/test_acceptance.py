@@ -25,6 +25,7 @@ from co2nowcast.panel_qr import QuantileSpec, fit_quantile
 from co2nowcast.pipeline import (
     MODEL_KINDS,
     ModelSpec,
+    PanelArrays,
     RunConfig,
     assemble_energy_design,
     bridge_design,
@@ -34,7 +35,7 @@ from co2nowcast.pipeline import (
     nowcast_co2_density,
     nowcast_energy,
 )
-from co2nowcast.release_calendar import information_set, table2_rules, truncate
+from co2nowcast.release_calendar import information_set, table2_rules
 from co2nowcast.skew_t import SkewTParams, cdf, fit_from_quantiles, quantile
 
 from _dgp import make_dataset
@@ -235,7 +236,8 @@ def _assert_clean(rows, pred):
 
 def test_criterion_7_information_discipline_sentinel_audit():
     """Poison every period after the information set with 1e9 and assemble
-    every design, benchmark and factor of a full toy run: the sentinel must
+    every design, benchmark and factor of a full toy run from the poisoned
+    panel's arrays, read through the information set: the sentinel must
     never appear."""
     t0 = time.monotonic()
     dataset, _ = make_dataset(n_entities=2, first_year=1990, last_year=2012, seed=5)
@@ -245,12 +247,13 @@ def test_criterion_7_information_discipline_sentinel_audit():
     for t in (2011, 2012):
         for v in range(1, 49):
             info = information_set(rules, t, v)
-            ds = truncate(_poison_after(dataset, info), info)
+            ds = PanelArrays(_poison_after(dataset, info))
+            energy = energy_hist_mean(ds, info)
+            benchmarks = co2_benchmark_quantiles(ds, info, (0.25, 0.5, 0.75))
             for e in ds.entities:
-                assert abs(energy_hist_mean(ds, e)) < LEAK_LIMIT
-                for q in co2_benchmark_quantiles(ds, e, (0.25, 0.5, 0.75)):
+                assert abs(energy[e]) < LEAK_LIMIT
+                for q in benchmarks[e]:
                     assert abs(q) < LEAK_LIMIT
-            energy = {e: energy_hist_mean(ds, e) for e in ds.entities}
             rows, pred, _ = bridge_design(ds, info, energy, t, est_start)
             _assert_clean(rows, pred)
             for spec in specs:
@@ -277,10 +280,10 @@ def _relative_scores_one_seed(seed):
 
     model_rows, bench_rows = {}, {}
     co2_model, co2_bench = {}, {}
+    ds = PanelArrays(dataset)
     for t in config.eval_years:
         for v in range(9, 49):
             info = information_set(rules, t, v)
-            ds = truncate(dataset, info)
             for m_spec, store in ((spec, model_rows), (hist, bench_rows)):
                 out, _ = nowcast_energy(ds, info, m_spec, config)
                 store.setdefault(v, []).extend(
@@ -289,9 +292,9 @@ def _relative_scores_one_seed(seed):
                     for n in out
                 )
         info = information_set(rules, t, 48)
-        ds = truncate(dataset, info)
         energy = nowcast_energy(ds, info, spec, config)
-        out, _ = nowcast_co2_density(ds, info, spec, config, energy)
+        out, _ = nowcast_co2_density(ds, info, spec, config, energy,
+                                     co2_benchmark_quantiles(ds, info, config.taus))
         for n in out:
             y = realized("CO2", n.entity, t)
             for tau, q_m, q_b in zip(config.taus, n.quantiles, n.benchmark):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from co2nowcast.errors import DomainError, UnknownVariableError
@@ -8,8 +9,8 @@ from co2nowcast.release_calendar import (
     calendar_rows,
     information_set,
     table2_rules,
-    truncate,
 )
+from co2nowcast.pipeline import PanelArrays
 
 # Published weekly availability pattern for prediction year 2021, hardcoded
 # row by row as the golden reference. Columns: CO2, EC, PI, ELEC, WECI.
@@ -139,39 +140,48 @@ def _toy_dataset():
 
 
 class TestTruncate:
+    """A week's truncation as `PanelArrays` shows it: every read through the
+    week's information set ends at the set's latest period of the variable."""
+
+    @staticmethod
+    def _shown(panel, info, var):
+        return list(dict(panel.visible(info, var))["A"])
+
     def test_cuts_at_latest(self):
         ds = _toy_dataset()
-        rules = table2_rules()
-        info = information_set(rules, 2021, 20)
-        cut = truncate(ds, info)
-        assert cut.get("EC", "A").last_period == PeriodIndex(2018)
-        assert cut.get("PI", "A").last_period == PeriodIndex(2020, 4)
-        # the original is untouched
-        assert ds.get("EC", "A").last_period == PeriodIndex(2020)
+        info = information_set(table2_rules(), 2021, 20)
+        panel = PanelArrays(ds)
+        assert self._shown(panel, info, "EC") == list(range(1, 20))  # to 2018
+        assert self._shown(panel, info, "PI") == list(range(4 * 21))  # to 2020:Q4
+        # a design read of 2021:Q1 and 2020:Q4 sees only 2020:Q4
+        lags = panel.read(info, "PI", PeriodIndex(2021, 1), np.array([0]), 2,
+                          np.array([0]))
+        assert np.isnan(lags[0, 0, 0]) and lags[0, 0, 1] == 4 * 21 - 1
 
-    def test_idempotent(self):
+    def test_input_untouched(self):
         ds = _toy_dataset()
+        before = {var: list(ds.get(var, "A").values) for var in ds.variables}
+        panel = PanelArrays(ds)
         info = information_set(table2_rules(), 2021, 9)
-        once = truncate(ds, info)
-        twice = truncate(once, info)
         for var in ds.variables:
-            assert len(twice.get(var, "A")) == len(once.get(var, "A"))
+            assert len(self._shown(panel, info, var)) < len(before[var])
+        for var in ds.variables:
+            assert list(ds.get(var, "A").values) == before[var]
 
     def test_w1_then_w48_differ_only_by_appended_periods(self):
         ds = _toy_dataset()
         rules = table2_rules()
-        w1 = truncate(ds, information_set(rules, 2020, 1))
-        w48 = truncate(ds, information_set(rules, 2020, 48))
+        panel = PanelArrays(ds)
+        w1, w48 = information_set(rules, 2020, 1), information_set(rules, 2020, 48)
         for var in ds.variables:
-            a, b = w1.get(var, "A"), w48.get(var, "A")
-            assert a.start == b.start
+            a, b = self._shown(panel, w1, var), self._shown(panel, w48, var)
             assert len(b) >= len(a)
-            assert list(b.values[: len(a)]) == list(a.values)
+            assert b[: len(a)] == a
 
     def test_unknown_variable_rejected(self):
         ds = _toy_dataset()
         ds.add("EXTRA", MixedFreqSeries("A", Frequency.ANNUAL,
                                         PeriodIndex(2000), [1.0, 2.0]))
         info = information_set(table2_rules(), 2021, 9)
-        with pytest.raises(UnknownVariableError):
-            truncate(ds, info)
+        with pytest.raises(UnknownVariableError, match="'EXTRA' has no release rule"):
+            PanelArrays(ds).check(info)

@@ -20,17 +20,19 @@ from co2nowcast.pipeline import (
     BRIDGE_LABELS,
     MODEL_KINDS,
     ModelSpec,
+    PanelArrays,
     RunConfig,
     assemble_energy_design,
     bridge_design,
     co2_benchmark_quantiles,
     direct_design,
+    energy_hist_mean,
     nowcast_co2_density,
     nowcast_energy,
     _drop_thin_entities,
     run_out_of_sample,
 )
-from co2nowcast.release_calendar import information_set, table2_rules, truncate
+from co2nowcast.release_calendar import information_set, table2_rules
 
 from _dgp import make_dataset
 from test_golden_archive import _late_starter
@@ -72,9 +74,12 @@ class TestRunConfig:
 
 
 def _week(ds, t, v):
-    """The panel truncated by the information set of (t, v), and that set."""
-    info = information_set(table2_rules(), t, v)
-    return truncate(ds, info), info
+    """The panel's arrays and the information set of (t, v)."""
+    return PanelArrays(ds), information_set(table2_rules(), t, v)
+
+
+def _benchmarks(panel, info, config):
+    return co2_benchmark_quantiles(panel, info, config.taus)
 
 
 def _coded_dataset():
@@ -103,10 +108,9 @@ class TestEnergyDesign:
     @pytest.mark.parametrize("kind", ENERGY_KINDS)
     def test_regressor_count_and_labels(self, kind):
         ds, _ = make_dataset(n_entities=3, seed=1)
-        info = information_set(table2_rules(), 2011, 24)
-        cut = truncate(ds, info)
+        panel, info = _week(ds, 2011, 24)
         spec = ModelSpec(kind)
-        rows, pred, labels = assemble_energy_design(cut, info, spec, 2011, 1990)
+        rows, pred, labels = assemble_energy_design(panel, info, spec, 2011, 1990)
         width = 1 + 4 * spec.has_q + 12 * spec.has_m + 2 * spec.has_w
         assert len(labels) == width
         assert labels[0] == "ar_c"
@@ -152,10 +156,9 @@ class TestEnergyDesign:
         # training year s reads the same within-year offsets as target year t
         ds = _coded_dataset()
         t, v = 2011, 24
-        info = information_set(table2_rules(), t, v)
-        cut = truncate(ds, info)
+        panel, info = _week(ds, t, v)
         rows, pred, labels = assemble_energy_design(
-            cut, info, ModelSpec("AR-M"), t, 2005
+            panel, info, ModelSpec("AR-M"), t, 2005
         )
         m1 = labels.index("m1")
         # at week 24 the latest monthly period is (t, M4)
@@ -178,7 +181,7 @@ class TestEnergyDesign:
         for t in (2010, 2011):
             info = information_set(rules, t, v)
             rows, _, _ = assemble_energy_design(
-                truncate(ds, info), info, spec, t, 1990
+                PanelArrays(ds), info, spec, t, 1990
             )
             designs[t] = {(r.entity, r.year): r for r in rows}
         assert set(designs[2010]) < set(designs[2011])
@@ -231,15 +234,15 @@ class TestNowcastEnergy:
         t, v = 2011, 10
         config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2011)
         info = information_set(rules, t, v)
-        cut = truncate(ds, info)
-        out, _ = nowcast_energy(cut, info, ModelSpec("AR"), config)
-        # oracle: plain within regression of c_s on c_{s-d_v}
+        out, _ = nowcast_energy(PanelArrays(ds), info, ModelSpec("AR"), config)
+        # oracle: plain within regression of c_s on c_{s-d_v}, which reads
+        # nothing after the latest EC year of the information set
         from co2nowcast.panel_ls import DesignRow, fit_within, predict
 
         d_v = t - info["EC"].year
         rows = []
-        for e in cut.entities:
-            s_ec = cut.get("EC", e)
+        for e in ds.entities:
+            s_ec = ds.get("EC", e)
             for s in range(1990, info["EC"].year + 1):
                 rows.append(DesignRow(
                     entity=e, year=s, y=s_ec.value_at(PeriodIndex(s)),
@@ -247,7 +250,7 @@ class TestNowcastEnergy:
                 ))
         model = fit_within(rows)
         for n in out:
-            x = np.array([cut.get("EC", n.entity).value_at(PeriodIndex(t - d_v))])
+            x = np.array([ds.get("EC", n.entity).value_at(PeriodIndex(t - d_v))])
             assert n.value == pytest.approx(predict(model, n.entity, x), abs=1e-10)
 
 
@@ -255,11 +258,10 @@ class TestBridgeDesign:
     def test_lag_offset_and_factors(self):
         ds = _coded_dataset()
         t, v = 2021 - 10, 9  # use 2011 to stay inside the coded span
-        info = information_set(table2_rules(), t, v)
+        panel, info = _week(ds, t, v)
         assert t - info["CO2"].year == 3  # annual emissions lag at week 9
-        cut = truncate(ds, info)
-        energy = {e: 123.0 for e in cut.entities}
-        rows, pred, labels = bridge_design(cut, info, energy, t, 2000)
+        energy = {e: 123.0 for e in ds.entities}
+        rows, pred, labels = bridge_design(panel, info, energy, t, 2000)
         assert labels == BRIDGE_LABELS
         for r in rows:
             assert r.x[0] == (r.year - 3) * 100.0 + 1  # AR lag of emissions
@@ -283,10 +285,11 @@ class TestBridgeDesign:
         config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2011,
                            fit_density=False)
         spec = ModelSpec("AR-W-M-Q")
-        cut, info = _week(ds, 2011, 48)
-        energy = nowcast_energy(cut, info, spec, config)
+        panel, info = _week(ds, 2011, 48)
+        energy = nowcast_energy(panel, info, spec, config)
         chat = {n.entity: n.value for n in energy[0]}
-        out, _ = nowcast_co2_density(cut, info, spec, config, energy)
+        out, _ = nowcast_co2_density(panel, info, spec, config, energy,
+                                     _benchmarks(panel, info, config))
         for n in out:
             assert n.quantiles[1] == pytest.approx(chat[n.entity], abs=1e-4)
 
@@ -295,30 +298,28 @@ class TestDirectDesign:
     def test_shares_energy_blocks_and_reads_emissions_factor(self):
         ds, _ = make_dataset(n_entities=3, seed=7)
         t, v = 2011, 24
-        info = information_set(table2_rules(), t, v)
-        cut = truncate(ds, info)
+        panel, info = _week(ds, t, v)
         e_rows, e_pred, _ = assemble_energy_design(
-            cut, info, ModelSpec("AR-W-M-Q"), t, 1990)
+            panel, info, ModelSpec("AR-W-M-Q"), t, 1990)
         d_rows, d_pred, _ = direct_design(
-            cut, info, ModelSpec("DirectAR-W-M-Q"), t, 1990)
+            panel, info, ModelSpec("DirectAR-W-M-Q"), t, 1990)
         energy_x = {(r.entity, r.year): r.x for r in e_rows}
         energy_x.update({(e, t): x for e, x in e_pred})
         direct_x = {(r.entity, r.year): r.x for r in d_rows}
         direct_x.update({(e, t): x for e, x in d_pred})
         shared = set(energy_x) & set(direct_x)
-        assert len(shared) > 3 and {(e, t) for e in cut.entities} <= shared
+        assert len(shared) > 3 and {(e, t) for e in ds.entities} <= shared
         g_v = t - info["CO2"].year
         for (entity, year) in shared:
             assert np.array_equal(energy_x[entity, year][1:], direct_x[entity, year][1:-1])
-            co2 = [cut.get("CO2", e).value_at(PeriodIndex(year - g_v))
-                   for e in cut.entities]
+            co2 = [ds.get("CO2", e).value_at(PeriodIndex(year - g_v))
+                   for e in ds.entities]
             assert direct_x[entity, year][-1] == math.fsum(co2) / len(co2)
 
     def test_labels_and_counts(self):
         ds, _ = make_dataset(n_entities=3, seed=7)
-        info = information_set(table2_rules(), 2011, 24)
-        cut = truncate(ds, info)
-        rows, pred, labels = direct_design(cut, info, ModelSpec("DirectAR-W-M-Q"),
+        panel, info = _week(ds, 2011, 24)
+        rows, pred, labels = direct_design(panel, info, ModelSpec("DirectAR-W-M-Q"),
                                            2011, 1990)
         assert labels[0] == "ar_e" and labels[-1] == "f_e"
         assert len(labels) == 1 + 4 + 12 + 2 + 1
@@ -345,6 +346,19 @@ def _reference_panel():
                 ds.add(var, MixedFreqSeries(e, s.frequency,
                                             advance(s.frequency, s.start, skip), values))
     return ds
+
+
+def _truncated(ds, info):
+    """Every series of `ds` cut at the latest period of its variable in
+    `info`: the reference's own truncation, independent of `PanelArrays`."""
+    out = PanelDataset()
+    for var in ds.variables:
+        freq = ds.frequency(var)
+        for entity, series in ds.series_of(var):
+            keep = ordinal(freq, info[var]) - ordinal(freq, series.start) + 1
+            out.add(var, MixedFreqSeries(entity, freq, series.start,
+                                         series.values[:keep]))
+    return out
 
 
 def _ref_value(ds, var, entity, period):
@@ -415,6 +429,7 @@ def _ref_design(ds, info, t, start, spec=None, energy=None):
 class TestDesignEqualsReference:
     def test_every_design_of_two_years(self):
         ds = _reference_panel()
+        taus = (0.25, 0.5, 0.75)
         skipped = set()  # (design, entity, year) with y and its AR lag present
 
         def check(name, build, min_rows, spec=None, energy=None):
@@ -441,19 +456,26 @@ class TestDesignEqualsReference:
         gaps = set()
         for t in (2011, 2012):
             for v in range(1, 49):
-                cut, info = _week(ds, t, v)
+                panel, info = _week(ds, t, v)
+                cut = _truncated(ds, info)
+                # the benchmarks are those of the cut series, bit for bit
+                assert energy_hist_mean(panel, info) == {
+                    e: float(np.mean(s.values)) for e, s in cut.series_of("EC")}
+                assert co2_benchmark_quantiles(panel, info, taus) == {
+                    e: tuple(float(q) for q in np.quantile(s.values, taus))
+                    for e, s in cut.series_of("CO2")}
                 # S00 has no first-stage nowcast: it keeps its training rows only
                 energy = {"S01": 0.5, "S02": -0.25, "S03": 1.0}
                 gaps.update(check("bridge", lambda: bridge_design(
-                    cut, info, energy, t, 1990), 1, energy=energy))
+                    panel, info, energy, t, 1990), 1, energy=energy))
                 for kind in MODEL_KINDS[1:]:
                     spec = ModelSpec(kind)
                     if spec.is_direct:
                         build, min_rows = lambda: direct_design(
-                            cut, info, spec, t, 1990), 1
+                            panel, info, spec, t, 1990), 1
                     else:
                         build, min_rows = lambda: assemble_energy_design(
-                            cut, info, spec, t, 1990), 2
+                            panel, info, spec, t, 1990), 2
                     gaps.update(check(kind, build, min_rows, spec))
         # the panel reaches every case: a missing nowcast, a weekly series cut
         # short, a lag window before the series start, and a factor year
@@ -463,16 +485,18 @@ class TestDesignEqualsReference:
         assert ("bridge", "S00", 1990) in skipped
 
     def test_empty_design_raises(self):
-        cut, info = _week(_reference_panel(), 2011, 30)
+        ds = _reference_panel()
+        panel, info = _week(ds, 2011, 30)
         with pytest.raises(CoverageError, match="empty energy design"):
-            assemble_energy_design(cut, info, ModelSpec("AR"), 2011, 2012)
+            assemble_energy_design(panel, info, ModelSpec("AR"), 2011, 2012)
         # a panel without weekly data has no row for a weekly block
         no_weci = PanelDataset()
         for var in ("CO2", "EC"):
-            for _, series in cut.series_of(var):
+            for _, series in ds.series_of(var):
                 no_weci.add(var, series)
         with pytest.raises(CoverageError, match="empty energy design"):
-            assemble_energy_design(no_weci, info, ModelSpec("AR-W"), 2011, 1990)
+            assemble_energy_design(PanelArrays(no_weci), info, ModelSpec("AR-W"),
+                                   2011, 1990)
 
 
 class TestDensityNowcast:
@@ -480,14 +504,17 @@ class TestDensityNowcast:
         ds = PanelDataset()
         ds.add("CO2", MixedFreqSeries("A", Frequency.ANNUAL, PeriodIndex(2000),
                                       [-2.0, -1.0, 0.0, 1.0, 2.0]))
-        assert co2_benchmark_quantiles(ds, "A", (0.25, 0.5, 0.75)) == (-1.0, 0.0, 1.0)
+        panel, info = _week(ds, 2010, 9)  # emissions known through 2007
+        assert co2_benchmark_quantiles(panel, info, (0.25, 0.5, 0.75)) == {
+            "A": (-1.0, 0.0, 1.0)}
 
     def test_hist_mean_returns_benchmark(self):
         ds, _ = make_dataset(n_entities=2, seed=8)
         config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2011,
                            fit_density=False)
-        out, gaps = nowcast_co2_density(*_week(ds, 2011, 20), ModelSpec("HistMean"),
-                                        config, None)
+        panel, info = _week(ds, 2011, 20)
+        out, gaps = nowcast_co2_density(panel, info, ModelSpec("HistMean"), config,
+                                        None, _benchmarks(panel, info, config))
         assert gaps == []
         for n in out:
             assert n.quantiles == n.benchmark
@@ -497,10 +524,11 @@ class TestDensityNowcast:
         ds, _ = make_dataset(n_entities=3, seed=9)
         config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2011,
                            fit_density=True)
-        cut, info = _week(ds, 2011, 30)
+        panel, info = _week(ds, 2011, 30)
         spec = ModelSpec("AR-W")
-        energy = nowcast_energy(cut, info, spec, config)
-        out, _ = nowcast_co2_density(cut, info, spec, config, energy)
+        energy = nowcast_energy(panel, info, spec, config)
+        out, _ = nowcast_co2_density(panel, info, spec, config, energy,
+                                     _benchmarks(panel, info, config))
         assert len(out) == 3
         for n in out:
             assert n.quantiles[0] <= n.quantiles[1] <= n.quantiles[2]
@@ -550,14 +578,15 @@ class TestRunOutOfSample:
             expected = ds.get("EC", r["entity"]).value_at(PeriodIndex(r["year"]))
             assert r["realized"] == expected
 
-    def test_one_truncation_and_one_energy_fit_per_week(self, monkeypatch):
+    def test_one_panel_arrays_per_run_and_one_energy_fit_per_week(self, monkeypatch):
         import co2nowcast.pipeline as pipeline
 
-        weeks, fits = [], []
+        built, fits = [], []
 
-        def counting_truncate(dataset, info):
-            weeks.append((info.year, info.week))
-            return truncate(dataset, info)
+        class CountingArrays(PanelArrays):
+            def __init__(self, dataset):
+                built.append(dataset)
+                super().__init__(dataset)
 
         def counting_fit_within(rows, **kwargs):
             fits.append(len(rows))
@@ -566,7 +595,7 @@ class TestRunOutOfSample:
         pipeline_fit_within = pipeline.fit_within
         # in-process, so that the counting functions see every call
         monkeypatch.setattr(pipeline, "_worker_count", lambda n_years: 1)
-        monkeypatch.setattr(pipeline, "truncate", counting_truncate)
+        monkeypatch.setattr(pipeline, "PanelArrays", CountingArrays)
         monkeypatch.setattr(pipeline, "fit_within", counting_fit_within)
         ds, _ = make_dataset(n_entities=2, seed=12)
         specs = ("HistMean", "AR", "AR-W-M-Q", "DirectAR-W-M-Q")
@@ -574,10 +603,43 @@ class TestRunOutOfSample:
                            taus=(0.5,), specs=specs, fit_density=False)
         archive = run_out_of_sample(ds, config)
         assert archive.diagnostics == []
+        assert built == [ds]
         n_weeks = 2 * 48
-        assert len(weeks) == len(set(weeks)) == n_weeks
         # only AR and AR-W-M-Q fit a within-LS energy stage
         assert len(fits) == 2 * n_weeks
+
+    def test_co2_benchmark_quantiles_once_per_week(self, monkeypatch):
+        weeks = []
+
+        def counting(panel, info, taus):
+            weeks.append((info.year, info.week))
+            return benchmarks(panel, info, taus)
+
+        benchmarks = pipeline.co2_benchmark_quantiles
+        monkeypatch.setattr(pipeline, "_worker_count", lambda n_years: 1)
+        monkeypatch.setattr(pipeline, "co2_benchmark_quantiles", counting)
+        ds, _ = make_dataset(n_entities=2, seed=12)
+        config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2012,
+                           specs=("HistMean", "AR", "DirectAR-W-M-Q"),
+                           fit_density=False)
+        archive = run_out_of_sample(ds, config)
+        assert archive.diagnostics == []
+        assert weeks == [(t, v) for t in (2011, 2012) for v in range(1, 49)]
+
+    def test_week_before_an_entity_starts_is_a_benchmark_diagnostic(self):
+        # every series starts in 2006, and until week 9 the latest CO2 year
+        # of 2009 is 2005: those weeks fail as a whole, the rest have no
+        # training row for the AR lag
+        ds, _ = make_dataset(n_entities=2, first_year=2006, last_year=2012, seed=11)
+        config = RunConfig(estimation_start=2006, eval_start=2009, eval_end=2009,
+                           specs=("HistMean", "AR"), fit_density=False)
+        archive = run_out_of_sample(ds, config)
+        expected = ["spec,target_year,week,stage,detail"]
+        expected += [f"*,2009,{v},benchmark,truncation at 2005 precedes the start "
+                     f"of entity 'S00'" for v in range(1, 9)]
+        expected += [f'AR,2009,{v},{stage},"empty energy design at (2009, week {v})"'
+                     for v in range(9, 49) for stage in ("energy", "co2")]
+        assert archive.diagnostics_csv() == "\n".join(expected) + "\n"
 
     def test_failures_become_diagnostics(self):
         # too little history: the annual lags predate the panel, so every
@@ -616,10 +678,10 @@ class TestYearsInParallel:
         """Stage two of spec AR raises error(year) in 2012."""
         density = pipeline.nowcast_co2_density
 
-        def failing(ds, info, spec, config, energy):
+        def failing(panel, info, spec, config, energy, benchmarks):
             if info.year == 2012 and spec.kind == "AR":
                 raise error(info.year)
-            return density(ds, info, spec, config, energy)
+            return density(panel, info, spec, config, energy, benchmarks)
 
         monkeypatch.setattr(pipeline, "nowcast_co2_density", failing)
 
@@ -665,11 +727,12 @@ class TestDistinctDesignsFitOnce:
                            fit_density=False)
 
         def bridge_week(v):
-            cut, info = _week(ds, 2011, v)
+            panel, info = _week(ds, 2011, v)
             for kind in ENERGY_KINDS:
                 spec = ModelSpec(kind)
-                energy = nowcast_energy(cut, info, spec, config)
-                out, _ = nowcast_co2_density(cut, info, spec, config, energy)
+                energy = nowcast_energy(panel, info, spec, config)
+                out, _ = nowcast_co2_density(panel, info, spec, config, energy,
+                                             _benchmarks(panel, info, config))
                 assert len(out) == 3
 
         bridge_week(5)

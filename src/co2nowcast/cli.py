@@ -109,6 +109,20 @@ def _read_archive(path: str):
     return text, rows
 
 
+def _realized_co2(path: str) -> dict:
+    """(entity, target year) -> realized CO2 growth, read from the CO2 rows
+    of the archive at `path` and three of their fields only."""
+    with open(path) as fh:
+        reader = csv.reader(ln for ln in fh if not ln.startswith("#"))
+        header = next(reader, None)
+        if header is None:
+            return {}
+        var, entity, year, value = (header.index(c) for c in
+                                    ("variable", "entity", "target_year", "realized"))
+        return {(r[entity], int(r[year])): float(r[value])
+                for r in reader if r[var] == "CO2"}
+
+
 def cmd_evaluate(args) -> int:
     text, rows = _read_archive(args.archive)
     qs = args.metric == "qs"
@@ -141,13 +155,8 @@ def cmd_density(args) -> int:
     if spec is None:
         raise DataError(f"multiple specs in archive; pass --spec (one of {specs})")
 
-    realized: dict = {}
     archive_path = os.path.join(args.archive_dir, "archive.csv")
-    if os.path.exists(archive_path):
-        _, rows = _read_archive(archive_path)
-        for r in rows:
-            if r["variable"] == "CO2":
-                realized[(r["entity"], r["year"])] = r["realized"]
+    realized = _realized_co2(archive_path) if os.path.exists(archive_path) else {}
 
     weeks = []
     for token in args.weeks.split(","):

@@ -22,7 +22,12 @@ regressor can use information beyond the week's information set.
 A design builds every (entity, year) row at once: one fancy index per block
 gathers the AR lag, the lag windows, the Almon-weighted weekly lags and the
 cross-sectional factors of all years. A row with any missing value is
-skipped.
+skipped. What the specs of a week share, the week builds once (`Week`):
+each of those blocks, read once, and the bridge's training set, which
+reads realized energy and so is the same for every bridge spec, with one
+quantile fit per level. An energy or direct spec adds only the
+concatenation of the blocks it names and its own fit; a bridge spec adds
+only its nowcasts in the prediction rows.
 """
 
 from __future__ import annotations
@@ -228,32 +233,6 @@ class PanelArrays:
         return dict(zip(self.entities, col.tolist()))
 
 
-def _hf_x(read, info, spec):
-    """The high-frequency blocks `spec` reads: quarterly and monthly lags,
-    and the Almon-weighted weekly lags."""
-    blocks = []
-    for has, var, n_lags in ((spec.has_q, VAR_PI, N_QUARTER_LAGS),
-                             (spec.has_m, VAR_ELEC, N_MONTH_LAGS),
-                             (spec.has_w, VAR_WECI, N_WEEK_LAGS)):
-        if has:
-            lags = read(var, info[var], n_lags)
-            if var == VAR_WECI:  # one Q @ lags per row, bit for bit
-                w = np.matmul(ALMON_MAP.Q, lags.reshape(-1, n_lags, 1))
-                lags = w.reshape(*lags.shape[:2], -1)
-            blocks.append(lags)
-    return blocks
-
-
-def _factor(read, var, anchor):
-    """The cross-sectional mean of `var` at `anchor` per year, over every
-    entity of the panel with a value there; NaN where none has one."""
-    means = []
-    for col in read(var, anchor, every=True)[:, :, 0].T:
-        have = col[np.isfinite(col)]
-        means.append(math.fsum(have) / have.size if have.size else np.nan)
-    return np.array(means)[None, :, None]
-
-
 def _hf_labels(spec):
     labels = []
     if spec.has_q:
@@ -265,51 +244,151 @@ def _hf_labels(spec):
     return tuple(labels)
 
 
-def _design(panel, info, y_var, t, estimation_start, x_of, name):
-    """Training rows for the years from `estimation_start` to the latest year
-    of `y_var` in `info`, and a prediction row for the target year t, per
-    entity with a `y_var` series, entity-major with years ascending.
+BRIDGE_LABELS = ("ar_e", "c_hat", "f_e", "f_c")
 
-    The regressors are the AR lag of `y_var` and the blocks `x_of(read,
-    names)` returns, each an (entity, year, column) array over the design
-    entities and the years (t last). `read(var, anchor, n)` is `var` at
-    ordinal(anchor) + per_year * (s - t) minus 0..n-1 in year s as `info`
-    shows it; `every=True` reads every entity of the panel. A row with any
-    missing value is skipped."""
-    names = panel.entities_of(y_var)
-    own = np.array([panel.entities.index(e) for e in names], dtype=np.intp)
-    years = np.append(np.arange(estimation_start, info[y_var].year + 1), t)
 
-    def read(var, anchor, n=1, every=False):
-        rows = np.arange(len(panel.entities)) if every else own
-        return panel.read(info, var, anchor, years - t, n, rows)
+class Week:
+    """The design blocks that the specs of one calendar week share, each
+    built on first use and kept for the week only.
 
-    y = read(y_var, PeriodIndex(t))[:, :, 0]
-    blocks = [read(y_var, info[y_var]), *x_of(read, names)]
-    X = np.concatenate([np.broadcast_to(b, y.shape + b.shape[2:]) for b in blocks],
-                       axis=2)
-    ok = np.isfinite(X).all(axis=2)
-    train = ok[:, :-1] & np.isfinite(y[:, :-1])
-    year_of, y_of = years.tolist(), y.tolist()
-    rows = [DesignRow(entity=names[i], year=year_of[j], y=y_of[i][j], x=X[i, j])
-            for i, j in zip(*np.nonzero(train))]
-    if not rows:
-        raise CoverageError(f"empty {name} design at ({t}, week {info.week})")
-    # copies: a view into X can be less aligned than a fresh array, and the
-    # dot product in `predict` may then round differently
-    pred = [(names[i], X[i, -1].copy()) for i in np.flatnonzero(ok[:, -1])]
-    return rows, pred
+    A design on EC (energy) or CO2 (bridge, direct) has rows for its
+    regressand's entities and for the years from `estimation_start` to the
+    regressand's latest year in `info`, then the target year t. Each block
+    over those rows is read from `panel` through `info` once: y, the AR lag,
+    each high-frequency block (the weekly one Almon-weighted) and the
+    cross-sectional factors. An energy or direct design concatenates the
+    blocks its spec names, so a row's validity is judged on its own columns
+    only. The bridge's training rows read realized energy, not a nowcast, so
+    one training set and one quantile fit per level serve every bridge
+    spec; a spec only fills its own nowcasts into the prediction rows."""
+
+    def __init__(self, panel: PanelArrays, info: InformationSet, t: int,
+                 estimation_start: int):
+        self.panel, self.info, self.t = panel, info, t
+        self.estimation_start = estimation_start
+        self._kept = {}
+
+    def _keep(self, key, build):
+        """build(), called once per week for `key`."""
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
+
+    def frame(self, y_var):
+        """The entity names, their panel rows, and the years (t last) of a
+        design on `y_var`."""
+        def build():
+            names = self.panel.entities_of(y_var)
+            own = np.array([self.panel.entities.index(e) for e in names], dtype=np.intp)
+            latest = self.info[y_var].year
+            return names, own, np.append(np.arange(self.estimation_start, latest + 1),
+                                         self.t)
+        return self._keep(("frame", y_var), build)
+
+    def read(self, y_var, var, anchor, n=1, every=False):
+        """`var` at ordinal(anchor) + per_year * (s - t) minus 0..n-1 in each
+        year s of the `y_var` design, for its entities (every entity of the
+        panel if `every`), as a read-only (entity, year, lag) array."""
+        def build():
+            _, own, years = self.frame(y_var)
+            rows = np.arange(len(self.panel.entities)) if every else own
+            block = self.panel.read(self.info, var, anchor, years - self.t, n, rows)
+            block.flags.writeable = False
+            return block
+        return self._keep(("read", y_var, var, anchor, n, every), build)
+
+    def hf(self, y_var, spec):
+        """The high-frequency blocks `spec` reads: quarterly and monthly lags,
+        and the Almon-weighted weekly lags."""
+        blocks = []
+        for has, var, n_lags in ((spec.has_q, VAR_PI, N_QUARTER_LAGS),
+                                 (spec.has_m, VAR_ELEC, N_MONTH_LAGS),
+                                 (spec.has_w, VAR_WECI, N_WEEK_LAGS)):
+            if has:
+                lags = self.read(y_var, var, self.info[var], n_lags)
+                if var == VAR_WECI:  # one Q @ lags per row, bit for bit
+                    lags = self._keep(("almon", y_var), lambda: np.matmul(
+                        ALMON_MAP.Q, lags.reshape(-1, n_lags, 1)
+                    ).reshape(*lags.shape[:2], -1))
+                blocks.append(lags)
+        return blocks
+
+    def factor(self, var):
+        """The cross-sectional mean of `var` at the latest CO2 lag in each
+        year of the CO2 design, over every entity of the panel with a value
+        there; NaN where none has one."""
+        def build():
+            means = []
+            block = self.read(VAR_CO2, var, self.info[VAR_CO2], every=True)
+            for col in block[:, :, 0].T:
+                have = col[np.isfinite(col)]
+                means.append(math.fsum(have) / have.size if have.size else np.nan)
+            return np.array(means)[None, :, None]
+        return self._keep(("factor", var), build)
+
+    def design(self, y_var, blocks, name):
+        """Training rows of the `y_var` design on its AR lag and `blocks`,
+        entity-major with years ascending, skipping any row with a missing
+        value, and the target year's (entity, regressor) array."""
+        names, _, years = self.frame(y_var)
+        y = self.read(y_var, y_var, PeriodIndex(self.t))[:, :, 0]
+        blocks = [self.read(y_var, y_var, self.info[y_var]), *blocks]
+        X = np.concatenate([np.broadcast_to(b, y.shape + b.shape[2:]) for b in blocks],
+                           axis=2)
+        train = np.isfinite(X[:, :-1]).all(axis=2) & np.isfinite(y[:, :-1])
+        year_of, y_of = years.tolist(), y.tolist()
+        rows = [DesignRow(entity=names[i], year=year_of[j], y=y_of[i][j], x=X[i, j])
+                for i, j in zip(*np.nonzero(train))]
+        if not rows:
+            raise CoverageError(
+                f"empty {name} design at ({self.t}, week {self.info.week})")
+        return rows, X[:, -1]
+
+    def pred(self, y_var, last):
+        """(entity, regressors) per entity whose target-year row `last` is
+        complete; copies: a view into X can be less aligned than a fresh
+        array, and the dot product in `predict` may then round differently."""
+        names = self.frame(y_var)[0]
+        return [(names[i], last[i].copy())
+                for i in np.flatnonzero(np.isfinite(last).all(axis=1))]
+
+    def bridge(self):
+        """The bridge design on realized energy: its training rows, shared by
+        every bridge spec, and a target-year array without c_hat."""
+        def build():
+            c = self.read(VAR_CO2, VAR_EC, PeriodIndex(self.t))
+            blocks = [c, self.factor(VAR_CO2), self.factor(VAR_EC)]
+            return self.design(VAR_CO2, blocks, "bridge")
+        return self._keep("bridge", build)
+
+    def bridge_models(self, taus, lam):
+        """One quantile fit of the shared bridge training rows per level."""
+        rows = self.bridge()[0]
+        return self._keep(("bridge fits", taus, lam), lambda: [
+            fit_quantile(rows, QuantileSpec(tau=tau, lam=lam), labels=BRIDGE_LABELS)
+            for tau in taus])
+
+
+def _week_of(panel, info: InformationSet, t: int, estimation_start: int) -> Week:
+    """`panel` itself if it is the `Week` of these arguments, else a new
+    `Week` of its arrays."""
+    if isinstance(panel, Week):
+        if (panel.info, panel.t, panel.estimation_start) == (info, t, estimation_start):
+            return panel
+        panel = panel.panel
+    return Week(panel, info, t, estimation_start)
 
 
 def assemble_energy_design(panel, info: InformationSet, spec: ModelSpec, t: int,
                            estimation_start: int):
     """Training rows plus prediction rows for the MIDAS energy regression,
     read from `panel` through `info`. Training years with insufficient
-    history are dropped per entity.
+    history are dropped per entity. `panel` is the run's `PanelArrays` or a
+    `Week` of them, whose blocks the call then shares.
     """
-    rows, pred = _design(panel, info, VAR_EC, t, estimation_start,
-                         lambda read, _: _hf_x(read, info, spec), "energy")
-    return rows, pred, ("ar_c",) + _hf_labels(spec)
+    week = _week_of(panel, info, t, estimation_start)
+    rows, last = week.design(VAR_EC, week.hf(VAR_EC, spec), "energy")
+    return rows, week.pred(VAR_EC, last), ("ar_c",) + _hf_labels(spec)
 
 
 def _drop_thin_entities(rows, pred, entities, min_rows=2):
@@ -331,49 +410,46 @@ def energy_hist_mean(panel, info: InformationSet) -> dict:
 
 
 def nowcast_energy(panel, info: InformationSet, spec: ModelSpec, config: RunConfig):
-    """Stage one for the week of `info`, read from `panel` through `info`:
-    assemble, fit, predict. Returns (nowcasts, gap entities)."""
+    """Stage one for the week of `info`, read from `panel` (as in
+    `assemble_energy_design`) through `info`: assemble, fit, predict.
+    Returns (nowcasts, gap entities)."""
     if spec.is_direct:
         raise DomainError("the direct model has no energy stage")
     t, v = info.year, info.week
+    week = _week_of(panel, info, t, config.estimation_start)
     if spec.kind == "HistMean":
         return [EnergyNowcast(entity=e, year=t, week=v, value=mean)
-                for e, mean in energy_hist_mean(panel, info).items()], []
-    rows, pred, labels = assemble_energy_design(panel, info, spec, t,
+                for e, mean in energy_hist_mean(week.panel, info).items()], []
+    rows, pred, labels = assemble_energy_design(week, info, spec, t,
                                                 config.estimation_start)
-    rows, pred, gaps = _drop_thin_entities(rows, pred, panel.entities_of(VAR_EC))
+    rows, pred, gaps = _drop_thin_entities(rows, pred, week.panel.entities_of(VAR_EC))
     model = fit_within(rows, labels=labels)
     return [EnergyNowcast(entity=e, year=t, week=v, value=predict(model, e, x))
             for e, x in pred], gaps
-
-
-BRIDGE_LABELS = ("ar_e", "c_hat", "f_e", "f_c")
 
 
 def bridge_design(panel, info: InformationSet, energy: dict, t: int,
                   estimation_start: int):
     """Quantile-bridge design: AR lag of emissions growth, the energy term
     (realized in training, first-stage nowcast in prediction) and the
-    cross-sectional-average factors at the latest available lag."""
-    def x_of(read, entities):
-        c = read(VAR_EC, PeriodIndex(t))  # realized energy in training years
-        c[:, -1, 0] = [energy.get(e, np.nan) for e in entities]
-        lag = info[VAR_CO2]
-        return [c, _factor(read, VAR_CO2, lag), _factor(read, VAR_EC, lag)]
-
-    rows, pred = _design(panel, info, VAR_CO2, t, estimation_start, x_of, "bridge")
-    return rows, pred, BRIDGE_LABELS
+    cross-sectional-average factors at the latest available lag. `panel` as
+    in `assemble_energy_design`."""
+    week = _week_of(panel, info, t, estimation_start)
+    rows, last = week.bridge()
+    last = last.copy()
+    last[:, 1] = [energy.get(e, np.nan) for e in week.frame(VAR_CO2)[0]]
+    return rows, week.pred(VAR_CO2, last), BRIDGE_LABELS
 
 
 def direct_design(panel, info: InformationSet, spec: ModelSpec, t: int,
                   estimation_start: int):
     """Direct quantile design: emissions growth on its own AR lag, the
-    high-frequency blocks, and the scalar emissions factor."""
-    def x_of(read, _):
-        return [*_hf_x(read, info, spec), _factor(read, VAR_CO2, info[VAR_CO2])]
-
-    rows, pred = _design(panel, info, VAR_CO2, t, estimation_start, x_of, "direct")
-    return rows, pred, ("ar_e",) + _hf_labels(spec) + ("f_e",)
+    high-frequency blocks, and the scalar emissions factor. `panel` as in
+    `assemble_energy_design`."""
+    week = _week_of(panel, info, t, estimation_start)
+    blocks = [*week.hf(VAR_CO2, spec), week.factor(VAR_CO2)]
+    rows, last = week.design(VAR_CO2, blocks, "direct")
+    return rows, week.pred(VAR_CO2, last), ("ar_e",) + _hf_labels(spec) + ("f_e",)
 
 
 def co2_benchmark_quantiles(panel, info: InformationSet, taus) -> dict:
@@ -385,11 +461,12 @@ def co2_benchmark_quantiles(panel, info: InformationSet, taus) -> dict:
 
 def nowcast_co2_density(panel, info: InformationSet, spec: ModelSpec,
                         config: RunConfig, energy, benchmarks):
-    """Stage two for the week of `info`, read from `panel` through `info`:
-    quantile predictions, rearrangement, density fit and benchmark triple.
-    `energy` is the spec's stage-one result (nowcasts, gap entities);
-    HistMean ignores it and direct specs pass None. `benchmarks` is the
-    week's `co2_benchmark_quantiles` at `config.taus`.
+    """Stage two for the week of `info`, read from `panel` (as in
+    `assemble_energy_design`) through `info`: quantile predictions,
+    rearrangement, density fit and benchmark triple. `energy` is the spec's
+    stage-one result (nowcasts, gap entities); HistMean ignores it and
+    direct specs pass None. `benchmarks` is the week's
+    `co2_benchmark_quantiles` at `config.taus`.
 
     Returns (nowcasts, gap entities), the gaps including stage one's. A
     density fit that fails raises its `DataError` to the caller."""
@@ -404,21 +481,21 @@ def nowcast_co2_density(panel, info: InformationSet, spec: ModelSpec,
 
     if spec.kind == "HistMean":
         return [nowcast(e, benchmarks[e]) for e in sorted(benchmarks)], []
+    week = _week_of(panel, info, t, config.estimation_start)
     if spec.is_direct:
-        rows, pred, labels = direct_design(panel, info, spec, t,
+        rows, pred, labels = direct_design(week, info, spec, t,
                                            config.estimation_start)
+        models = [fit_quantile(rows, QuantileSpec(tau=tau, lam=config.lam),
+                               labels=labels) for tau in taus]
         gaps_energy = []
     else:
         nowcasts, gaps_energy = energy
-        rows, pred, labels = bridge_design(
-            panel, info, {n.entity: n.value for n in nowcasts}, t,
-            config.estimation_start,
-        )
-    rows, pred, gaps = _drop_thin_entities(rows, pred, benchmarks, min_rows=1)
+        rows, pred, _ = bridge_design(week, info, {n.entity: n.value for n in nowcasts},
+                                      t, config.estimation_start)
+        models = week.bridge_models(taus, config.lam)
+    # every entity with a training row keeps them: only prediction rows drop
+    _, pred, gaps = _drop_thin_entities(rows, pred, benchmarks, min_rows=1)
     gaps = sorted(set(gaps) | set(gaps_energy))
-
-    models = [fit_quantile(rows, QuantileSpec(tau=tau, lam=config.lam), labels=labels)
-              for tau in taus]
     return [nowcast(e, [predict_quantile(m, e, x) for m in models])
             for e, x in pred], gaps
 
@@ -469,8 +546,8 @@ class NowcastArchive:
 
 def _run_year(panel: PanelArrays, config: RunConfig, t: int) -> NowcastArchive:
     """Every calendar week and model spec of target year t, re-fitted on what
-    the week's information set shows of the panel; failures become
-    diagnostics rows."""
+    the week's information set shows of the panel; the specs of a week share
+    its `Week` of design blocks. Failures become diagnostics rows."""
     rules = table2_rules()
     specs = tuple(ModelSpec(kind=k) for k in config.specs)
     realized = {var: panel.realized(var, t) for var in (VAR_EC, VAR_CO2)}
@@ -490,11 +567,12 @@ def _run_year(panel: PanelArrays, config: RunConfig, t: int) -> NowcastArchive:
         except DataError as exc:
             note("*", "benchmark", str(exc))
             continue
+        week = Week(panel, info, t, config.estimation_start)
         for spec in specs:
             energy = None
             if not spec.is_direct:
                 try:
-                    energy = nowcast_energy(panel, info, spec, config)
+                    energy = nowcast_energy(week, info, spec, config)
                 except DataError as exc:
                     # a bridge CO2 stage reads stage one, so it fails alike
                     # (HistMean's stage one cannot raise)
@@ -513,7 +591,7 @@ def _run_year(panel: PanelArrays, config: RunConfig, t: int) -> NowcastArchive:
                     note(spec.kind, "energy",
                          f"entity {e} dropped: insufficient history")
             try:
-                densities, gaps = nowcast_co2_density(panel, info, spec, config,
+                densities, gaps = nowcast_co2_density(week, info, spec, config,
                                                       energy, bench_co2)
             except DataError as exc:
                 note(spec.kind, "co2", str(exc))

@@ -27,6 +27,7 @@ from co2nowcast.pipeline import (
     ModelSpec,
     PanelArrays,
     RunConfig,
+    Week,
     assemble_energy_design,
     bridge_design,
     co2_benchmark_quantiles,
@@ -237,13 +238,15 @@ def _assert_clean(rows, pred):
 def test_criterion_7_information_discipline_sentinel_audit():
     """Poison every period after the information set with 1e9 and assemble
     every design, benchmark and factor of a full toy run from the poisoned
-    panel's arrays, read through the information set: the sentinel must
-    never appear."""
+    panel's arrays, read through the information set, alone and through
+    each week's shared blocks: the sentinel must never appear."""
     t0 = time.monotonic()
     dataset, _ = make_dataset(n_entities=2, first_year=1990, last_year=2012, seed=5)
     rules = table2_rules()
     est_start = 1995
     specs = [ModelSpec(kind=k) for k in MODEL_KINDS if k != "HistMean"]
+    config = RunConfig(estimation_start=est_start, eval_start=2011, eval_end=2012,
+                       fit_density=False)
     for t in (2011, 2012):
         for v in range(1, 49):
             info = information_set(rules, t, v)
@@ -262,6 +265,17 @@ def test_criterion_7_information_discipline_sentinel_audit():
                 else:
                     rows, pred, _ = assemble_energy_design(ds, info, spec, t, est_start)
                 _assert_clean(rows, pred)
+            # again through one week's shared blocks, in run order, with each
+            # bridge spec's own nowcasts: a kept block is where a leak would hide
+            week = Week(ds, info, t, est_start)
+            for spec in specs:
+                if spec.is_direct:
+                    _assert_clean(*direct_design(week, info, spec, t, est_start)[:2])
+                    continue
+                _assert_clean(*assemble_energy_design(week, info, spec, t, est_start)[:2])
+                nowcasts, _ = nowcast_energy(week, info, spec, config)
+                own = {n.entity: n.value for n in nowcasts}
+                _assert_clean(*bridge_design(week, info, own, t, est_start)[:2])
     assert time.monotonic() - t0 < 30.0
 
 

@@ -278,6 +278,21 @@ class TestDensityCommand:
             # realized value joined from the archive
             assert np.isfinite(float(rows[0]["realized"]))
 
+    def test_realized_is_the_co2_value(self, workspace):
+        # the archive lists its EC rows first, and their realized energy
+        # differs from the realized emissions the grid must carry
+        rows = list(csv.DictReader(_body(os.path.join(workspace["out"], "archive.csv"))))
+        assert rows[0]["variable"] == "EC"
+        realized = {r["variable"]: r["realized"] for r in rows
+                    if (r["entity"], r["target_year"]) == ("S00", "2009")}
+        assert realized["CO2"] != realized["EC"]
+        out = str(workspace["root"] / "d5")
+        assert main(["density", "--archive-dir", workspace["out"],
+                     "--entity", "S00", "--year", "2009", "--weeks", "48",
+                     "--spec", "AR-W", "--out", out]) == EXIT_OK
+        grid = csv.DictReader(_body(os.path.join(out, "density_AR-W_S00_2009_W48.csv")))
+        assert {r["realized"] for r in grid} == {realized["CO2"]}
+
     def test_spec_required_when_ambiguous(self, workspace, capsys):
         rc = main(["density", "--archive-dir", workspace["out"],
                    "--entity", "S00", "--year", "2009", "--weeks", "9",

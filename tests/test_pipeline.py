@@ -1,5 +1,6 @@
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -760,3 +761,81 @@ class TestDistinctDesignsFitOnce:
         outputs(15)
         interleaved = outputs(14)
         assert cold == warm == interleaved
+
+
+def _design_bytes(rows, pred, labels):
+    """A design's rows, prediction rows and labels as comparable bytes."""
+    return ([(r.entity, r.year, r.y, r.x.tobytes()) for r in rows],
+            [(e, x.tobytes()) for e, x in pred], labels)
+
+
+class TestWeekSharesBlocks:
+    @pytest.mark.parametrize("make", [
+        lambda: make_dataset(n_entities=3, seed=16)[0], _late_starter, _reference_panel])
+    def test_shared_week_equals_designs_built_alone(self, make):
+        ds = make()
+        panel = PanelArrays(ds)
+        config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2012,
+                           fit_density=False)
+        for t in (2011, 2012):
+            for v in range(1, 49):
+                info = information_set(table2_rules(), t, v)
+                # in run order, each spec's design read through one `Week`
+                # must equal the same design built alone from the panel
+                week = pipeline.Week(panel, info, t, config.estimation_start)
+                for kind in MODEL_KINDS[1:]:
+                    spec = ModelSpec(kind)
+                    design = direct_design if spec.is_direct else assemble_energy_design
+                    shared, alone = (
+                        _design_bytes(*design(p, info, spec, t, config.estimation_start))
+                        for p in (week, panel))
+                    assert shared == alone
+                    if spec.is_direct:
+                        continue
+                    # the bridge rows with this spec's own nowcasts as c_hat
+                    nowcasts, _ = nowcast_energy(week, info, spec, config)
+                    energy = {n.entity: n.value for n in nowcasts}
+                    shared, alone = (
+                        _design_bytes(*bridge_design(p, info, energy, t,
+                                                     config.estimation_start))
+                        for p in (week, panel))
+                    assert shared == alone
+
+    def test_one_bridge_training_set_and_one_energy_block_per_week(self, monkeypatch):
+        designs, fits, reads = [], [], Counter()
+
+        class CountingArrays(PanelArrays):
+            def read(self, info, var, *args):
+                reads[info.week, var] += 1
+                return super().read(info, var, *args)
+
+        def counting_design(self, y_var, blocks, name):
+            designs.append(name)
+            return week_design(self, y_var, blocks, name)
+
+        def counting_fit_quantile(rows, spec, labels=None):
+            fits.append(labels)
+            return pipeline_fit_quantile(rows, spec, labels=labels)
+
+        week_design, pipeline_fit_quantile = pipeline.Week.design, pipeline.fit_quantile
+        monkeypatch.setattr(pipeline, "_worker_count", lambda n_years: 1)
+        monkeypatch.setattr(pipeline, "PanelArrays", CountingArrays)
+        monkeypatch.setattr(pipeline.Week, "design", counting_design)
+        monkeypatch.setattr(pipeline, "fit_quantile", counting_fit_quantile)
+        ds, _ = make_dataset(n_entities=2, seed=12)
+        config = RunConfig(estimation_start=1990, eval_start=2012, eval_end=2012,
+                           fit_density=False)
+        archive = run_out_of_sample(ds, config)
+        assert archive.diagnostics == []
+        n_weeks, n_taus = 48, len(config.taus)
+        assert designs.count("bridge") == n_weeks
+        # the six energy specs and the direct spec build their own designs
+        assert designs.count("energy") == 6 * n_weeks
+        assert designs.count("direct") == n_weeks
+        # one fit per level for the six bridge specs, one for the direct spec
+        assert fits.count(BRIDGE_LABELS) == n_taus * n_weeks
+        assert len(fits) == 2 * n_taus * n_weeks
+        # each high-frequency variable is read once for the energy block that
+        # the six energy specs share and once for the direct design
+        for var in ("PI", "ELEC", "WECI"):
+            assert [reads[v, var] for v in range(1, 49)] == [2] * n_weeks

@@ -15,11 +15,14 @@ import hashlib
 import io
 import os
 import sys
+from itertools import repeat
+
+import numpy as np
 
 from . import __version__
 from .config import parse_config_text, parse_specs
 from .errors import DataError
-from .evaluation import score_table_csv, score_tables
+from .evaluation import level, score_columns, score_table_csv
 from .ingest import build_dataset, load_store, read_manifest, write_store
 from .pipeline import run_out_of_sample
 from .release_calendar import calendar_rows, table2_rules
@@ -90,44 +93,67 @@ def cmd_run(args) -> int:
     return EXIT_PARTIAL if archive.diagnostics else EXIT_OK
 
 
-def _read_archive(path: str):
-    """The archive's text, which its score tables' header hashes, and its
-    rows, parsed from that one read."""
+def _read_archive(path: str, columns: dict):
+    """The text of the archive at `path`, which its score tables' header
+    hashes, and from that one read the body's `columns`, {name: type}: a str
+    column as the list of its fields, a float column as an array, and any
+    other column as an array of its fields converted once per distinct
+    field. A missing column, a line whose number of fields differs from the
+    header's, or a field that does not convert is a DataError naming its
+    line."""
     with open(path) as fh:
         text = fh.read()
-    lines = [ln for ln in io.StringIO(text) if not ln.startswith("#")]
-    rows = []
-    for r in csv.DictReader(lines):
-        rows.append(dict(
-            spec=r["spec"], variable=r["variable"], entity=r["entity"],
-            year=int(r["target_year"]), week=int(r["week"]),
-            tau_or_point=r["tau_or_point"],
-            prediction=float(r["prediction"]),
-            benchmark=float(r["benchmark"]),
-            realized=float(r["realized"]),
-        ))
-    return text, rows
+    lines = text.splitlines()
+    while lines and not lines[-1]:
+        lines.pop()
+    top = next((k for k, line in enumerate(lines) if not line.startswith("#")), None)
+    if top is None:
+        raise DataError(f"{path}: no header line")
+    header, body = lines[top].split(","), lines[top + 1:]
+    for name in columns:
+        if name not in header:
+            raise DataError(f"{path}:{top + 1}: no column {name!r} in the header")
+    width = len(header)
+    if set(map(str.count, body, repeat(","))) - {width - 1}:
+        k = next(k for k, line in enumerate(body) if line.count(",") != width - 1)
+        raise DataError(f"{path}:{top + 2 + k}: {body[k].count(',') + 1} fields, "
+                        f"expected {width}")
+    fields = ",".join(body).split(",") if body else []
+    out = {}
+    for name, kind in columns.items():
+        col = fields[header.index(name)::width]
+        try:
+            if kind is str:
+                out[name] = col
+            elif kind is float:
+                out[name] = np.fromiter(map(float, col), float, len(col))
+            else:
+                value = {field: kind(field) for field in set(col)}
+                out[name] = np.array([value[field] for field in col])
+        except ValueError:
+            k = next(k for k, field in enumerate(col) if not _converts(kind, field))
+            raise DataError(f"{path}:{top + 2 + k}: {name} {col[k]!r} is not a number"
+                            ) from None
+    return text, out
 
 
-def _realized_co2(path: str) -> dict:
-    """(entity, target year) -> realized CO2 growth, read from the CO2 rows
-    of the archive at `path` and three of their fields only."""
-    with open(path) as fh:
-        reader = csv.reader(ln for ln in fh if not ln.startswith("#"))
-        header = next(reader, None)
-        if header is None:
-            return {}
-        var, entity, year, value = (header.index(c) for c in
-                                    ("variable", "entity", "target_year", "realized"))
-        return {(r[entity], int(r[year])): float(r[value])
-                for r in reader if r[var] == "CO2"}
+def _converts(kind, field) -> bool:
+    try:
+        kind(field)
+    except ValueError:
+        return False
+    return True
 
 
 def cmd_evaluate(args) -> int:
-    text, rows = _read_archive(args.archive)
     qs = args.metric == "qs"
-    tables = score_tables(rows, args.metric, tau=args.tau if qs else None,
-                          relative_to=args.relative_to)
+    columns = dict(spec=str, variable=str, entity=str, target_year=str, week=int,
+                   prediction=float, realized=float)
+    if args.metric != "rmsfe":
+        columns["tau_or_point"] = level
+    text, columns = _read_archive(args.archive, columns)
+    tables = score_columns(columns, args.metric, tau=args.tau if qs else None,
+                           relative_to=args.relative_to)
     header = _header(text)
     kind = f"scores_{args.metric}" + (f"_tau{args.tau}" if qs else "")
     for spec, table in tables.items():
@@ -156,7 +182,13 @@ def cmd_density(args) -> int:
         raise DataError(f"multiple specs in archive; pass --spec (one of {specs})")
 
     archive_path = os.path.join(args.archive_dir, "archive.csv")
-    realized = _realized_co2(archive_path) if os.path.exists(archive_path) else {}
+    realized = {}
+    if os.path.exists(archive_path):
+        _, cols = _read_archive(archive_path, dict(
+            variable=str, entity=str, target_year=int, realized=float))
+        realized = {(e, t): r for v, e, t, r in zip(
+            cols["variable"], cols["entity"], cols["target_year"].tolist(),
+            cols["realized"].tolist()) if v == "CO2"}
 
     weeks = []
     for token in args.weeks.split(","):

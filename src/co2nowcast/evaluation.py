@@ -1,11 +1,18 @@
 """Scoring of archived nowcasts: RMSFE, quantile score, discrete CRPS and
-cross-state distribution tables relative to a benchmark. `score_tables`
-scores a whole archive into one such table per spec.
+cross-state distribution tables relative to a benchmark. `score_columns`
+scores a whole archive, held as columns, into one such table per spec;
+`score_tables` and the per-entity functions adapt row dicts to the same
+column kernel.
 
 The quantile score uses the standard pinball loss rho_tau(u) = u(tau - 1{u<0})
 with u = realized - predicted quantile, which is nonnegative and zero only at
 a perfect quantile forecast. Cross-state quantiles use linear interpolation
 of order statistics (type 7).
+
+Every mean and quantile over a group of rows is a last-axis reduction of a
+dense block stacking the groups of one length, each in archive order: row
+for row the same floats as a 1-D `np.mean` or `np.quantile` call on the
+group (`np.add.reduceat` sums in another order, and its floats differ).
 """
 
 from __future__ import annotations
@@ -20,6 +27,97 @@ from .release_calendar import BACKCAST_LAST_WEEK
 DIST_LEVELS = (0.10, 0.25, 0.50, 0.75, 0.90)
 
 
+def level(field) -> float:
+    """The quantile level of an archive's tau_or_point field, NaN for a
+    point nowcast's."""
+    return math.nan if field == "point" else float(field)
+
+
+def pinball(u, tau):
+    u = np.asarray(u, dtype=float)
+    return u * (tau - (u < 0.0))
+
+
+def _losses(metric, prediction, realized, tau):
+    """Each row's loss: the squared error for rmsfe, else the pinball loss at
+    `tau` (one level, or one per row)."""
+    if metric == "rmsfe":
+        return (prediction - realized) ** 2
+    return pinball(realized - prediction, tau)
+
+
+def _codes(values):
+    """Each value's index among the distinct values in sorted order, and
+    those values."""
+    names = sorted(set(values))
+    index = {v: i for i, v in enumerate(names)}
+    return np.fromiter(map(index.__getitem__, values), np.intp, len(values)), names
+
+
+def _changes(keys, n):
+    """True where one of the sorted `keys` (n values each) changes, and at 0."""
+    new = np.zeros(n, bool)
+    new[:1] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    return new
+
+
+def _runs(keys):
+    """The stable order that sorts rows by `keys` (most significant first),
+    the length of each run of equal keys in that order, and each run's keys."""
+    order = np.lexsort(keys[::-1])
+    keys = [k[order] for k in keys]
+    starts = np.flatnonzero(_changes(keys, len(order)))
+    return order, np.diff(np.append(starts, len(order))), [k[starts] for k in keys]
+
+
+def _stacked(values, lengths, out, reduce):
+    """out[i] = reduce(block) of run i of `values` (consecutive runs of the
+    given lengths); the runs of one length form one dense block."""
+    lengths = np.asarray(lengths)
+    starts = np.cumsum(lengths) - lengths
+    for n in np.unique(lengths):
+        sel = np.flatnonzero(lengths == n)
+        out[sel] = reduce(values[starts[sel, None] + np.arange(n)])
+    return out
+
+
+def _means(values, lengths):
+    return _stacked(values, lengths, np.empty(len(lengths)),
+                    lambda block: block.mean(axis=-1))
+
+
+def _quantiles(values, lengths):
+    return _stacked(values, lengths, np.empty((len(lengths), len(DIST_LEVELS))),
+                    lambda block: np.quantile(block, DIST_LEVELS, axis=-1).T)
+
+
+def _entity_scores(metric, keys, losses):
+    """Score per distinct row key, in key order: the mean loss over the key's
+    rows in row order, square-rooted for rmsfe. The last key is the entity;
+    for crps the one before it is the quantile level, and an entity's score
+    is the mean over its levels, in ascending order, of those means.
+
+    Returns the distinct keys (without the level), their scores, and for
+    crps whether each group (the keys before the level) has entities whose
+    levels differ."""
+    order, lengths, heads = _runs(keys)
+    scores = _means(losses[order], lengths)
+    if metric == "rmsfe":
+        scores = np.sqrt(scores)
+    mixed = None
+    if metric == "crps":
+        *group, lev, entity = heads
+        gid = np.cumsum(_changes(group, len(entity))) - 1
+        n_levels = np.bincount(gid[_changes([*group, lev], len(entity))])
+        order, lengths, heads = _runs([*group, entity])
+        scores = _means(scores[order], lengths)
+        run_gid = gid[order][np.cumsum(lengths) - lengths]
+        mixed = np.bincount(run_gid, weights=lengths != n_levels[run_gid]) > 0
+    return heads, scores, mixed
+
+
 def _check_rows(rows, what):
     if not rows:
         raise ScoringGapError(f"no rows to score for {what}")
@@ -31,21 +129,23 @@ def _check_rows(rows, what):
             )
 
 
-def _per_entity(rows, reducer):
-    groups: dict = {}
-    for r in rows:
-        groups.setdefault(r["entity"], []).append(r)
-    return {e: reducer(g) for e, g in sorted(groups.items())}
+def _row_scores(metric, rows, tau=None):
+    """{entity: score} of checked rows, in entity order; for crps `tau`
+    holds each row's level."""
+    entity, names = _codes([r["entity"] for r in rows])
+    prediction, realized = (np.array([r[k] for r in rows], dtype=float)
+                            for k in ("prediction", "realized"))
+    keys = [entity] if metric != "crps" else [tau, entity]
+    heads, scores, mixed = _entity_scores(
+        metric, keys, _losses(metric, prediction, realized, tau))
+    if mixed is not None and mixed.any():
+        raise ScoringGapError("entity sets differ across quantile levels")
+    return {names[e]: s for e, s in zip(heads[-1].tolist(), scores.tolist())}
 
 
 def rmsfe_per_entity(rows) -> dict:
     _check_rows(rows, "RMSFE")
-
-    def rmse(group):
-        errs = np.array([g["prediction"] - g["realized"] for g in group])
-        return float(np.sqrt(np.mean(errs**2)))
-
-    return _per_entity(rows, rmse)
+    return _row_scores("rmsfe", rows)
 
 
 def rmsfe(rows) -> float:
@@ -55,19 +155,9 @@ def rmsfe(rows) -> float:
     return float(np.mean(list(per.values())))
 
 
-def pinball(u, tau: float):
-    u = np.asarray(u, dtype=float)
-    return u * (tau - (u < 0.0))
-
-
 def quantile_score_per_entity(rows, tau: float) -> dict:
     _check_rows(rows, f"QS({tau})")
-
-    def qs(group):
-        u = np.array([g["realized"] - g["prediction"] for g in group])
-        return float(np.mean(pinball(u, tau)))
-
-    return _per_entity(rows, qs)
+    return _row_scores("qs", rows, tau)
 
 
 def quantile_score(rows, tau: float) -> float:
@@ -85,12 +175,10 @@ def crps(rows_by_tau: dict) -> float:
 
 def crps_per_entity(rows_by_tau: dict) -> dict:
     taus = sorted(rows_by_tau)
-    per = [quantile_score_per_entity(rows_by_tau[tau], tau) for tau in taus]
-    entities = set(per[0])
-    for p in per[1:]:
-        if set(p) != entities:
-            raise ScoringGapError("entity sets differ across quantile levels")
-    return {e: float(np.mean([p[e] for p in per])) for e in sorted(entities)}
+    for tau in taus:
+        _check_rows(rows_by_tau[tau], f"QS({tau})")
+    return _row_scores("crps", [r for tau in taus for r in rows_by_tau[tau]],
+                       np.array([tau for tau in taus for _ in rows_by_tau[tau]]))
 
 
 def relative_and_distribution(model_per_entity: dict, bench_per_entity: dict) -> dict:
@@ -100,33 +188,56 @@ def relative_and_distribution(model_per_entity: dict, bench_per_entity: dict) ->
             "model and benchmark cover different entities: "
             f"{sorted(set(model_per_entity) ^ set(bench_per_entity))}"
         )
-    bench_agg = float(np.mean(list(bench_per_entity.values())))
-    model_agg = float(np.mean(list(model_per_entity.values())))
+    bench_agg, model_agg = (
+        float(_means(np.array(list(per.values()), dtype=float), [len(per)])[0])
+        for per in (bench_per_entity, model_per_entity))
     if bench_agg == 0.0:
         raise DomainError("benchmark aggregate score is zero; ratio undefined")
-    ratios = []
-    for e in sorted(model_per_entity):
+    entities = sorted(model_per_entity)
+    for e in entities:
         if bench_per_entity[e] == 0.0:
             raise DomainError(f"benchmark score for entity {e!r} is zero")
-        ratios.append(model_per_entity[e] / bench_per_entity[e])
-    dist = tuple(float(q) for q in np.quantile(ratios, DIST_LEVELS))
+    ratios = np.array([model_per_entity[e] / bench_per_entity[e] for e in entities])
     return dict(
         aggregate=model_agg / bench_agg,
-        distribution=dist,
+        distribution=tuple(_quantiles(ratios, [len(ratios)])[0].tolist()),
         model_aggregate=model_agg,
         benchmark_aggregate=bench_agg,
     )
 
 
-def score_tables(rows, metric: str, tau: float | None = None,
-                 relative_to: str = "HistMean") -> dict:
-    """{spec: Tables 3/4-shaped rows}, one table per spec in the archive `rows`
-    (a spec without rows of the metric gets an empty one): per week, the
-    cross-state distribution of the ratio to `relative_to`, with keys phase,
-    week, q10..q90, aggregate. rmsfe scores the EC rows, qs the CO2 rows at
-    `tau` and crps all CO2 rows. The rows are grouped once by (spec, week), in
-    archive order, and each group, the benchmark's included, is scored once."""
-    specs = sorted({r["spec"] for r in rows})
+def _first_failure(spec, week, bad, flagged, lev):
+    """The (spec, week) that a group-by-group scorer fails on first, and its
+    first non-finite row (None if it fails on its levels). Groups are met in
+    order of first appearance, the rows of one in archive order (for crps,
+    level by level); `flagged` holds the groups whose entities' levels
+    differ."""
+    keys = list(zip(spec.tolist(), week.tolist()))
+    first: dict = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    rows = np.flatnonzero(bad).tolist()
+    key = min({keys[i] for i in rows} | flagged, key=first.__getitem__)
+    rows = [i for i in rows if keys[i] == key]
+    if lev is not None:
+        rows.sort(key=lev.__getitem__)
+    return key, (rows[0] if rows else None)
+
+
+def score_columns(columns: dict, metric: str, tau: float | None = None,
+                  relative_to: str = "HistMean") -> dict:
+    """{spec: Tables 3/4-shaped rows}, one table per spec of the archive
+    `columns` (a spec without rows of the metric gets an empty one): per
+    week, the cross-state distribution of the ratio to `relative_to`, with
+    keys phase, week, q10..q90, aggregate. rmsfe scores the EC rows, qs the
+    CO2 rows at `tau` and crps all CO2 rows.
+
+    `columns` holds the archive's columns spec, variable, entity,
+    target_year (read for error messages only) and week, prediction and
+    realized, and for qs and crps tau_or_point as levels (see `level`). An
+    entity's score in a (spec, week) is the mean loss over its rows; each
+    (spec, week), the benchmark's included, is scored once."""
+    spec, specs = _codes(columns["spec"])
     if relative_to not in specs:
         raise ScoringGapError(
             f"benchmark spec {relative_to!r} not in archive; available: {specs}")
@@ -134,52 +245,112 @@ def score_tables(rows, metric: str, tau: float | None = None,
         raise DomainError(f"unknown metric {metric!r}")
     if metric == "qs" and tau is None:
         raise DomainError("metric 'qs' requires a quantile level")
-    pool = [r for r in rows if r["variable"] == ("EC" if metric == "rmsfe" else "CO2")]
-    if metric != "rmsfe" and not pool:
-        raise ScoringGapError(
-            "metric requires quantile rows, but the archive holds only point nowcasts")
-    if metric == "qs":
-        levels = sorted({float(r["tau_or_point"]) for r in pool})
-        if all(abs(level - tau) > 1e-12 for level in levels):
+    variable, names = _codes(columns["variable"])
+    want = "EC" if metric == "rmsfe" else "CO2"
+    pool = variable == (names.index(want) if want in names else -1)
+    levels = None
+    if metric != "rmsfe":
+        if not pool.any():
             raise ScoringGapError(
-                f"quantile level tau={tau} not in archive; available: {levels}")
-        pool = [r for r in pool if abs(float(r["tau_or_point"]) - tau) <= 1e-12]
-
-    def gap(spec, detail):
-        return ScoringGapError(f"spec {spec!r} against {relative_to!r}: {detail}")
-
-    def per_entity(group):
-        if metric == "rmsfe":
-            return rmsfe_per_entity(group)
+                "metric requires quantile rows, but the archive holds only point nowcasts")
+        levels = np.asarray(columns["tau_or_point"], dtype=float)
+        if np.isnan(levels[pool]).any():
+            raise ScoringGapError("CO2 rows without a quantile level")
         if metric == "qs":
-            return quantile_score_per_entity(group, tau)
-        by_tau: dict = {}
-        for r in group:
-            by_tau.setdefault(float(r["tau_or_point"]), []).append(r)
-        return crps_per_entity(by_tau)
+            available = sorted(set(levels[pool].tolist()))
+            if all(abs(lv - tau) > 1e-12 for lv in available):
+                raise ScoringGapError(
+                    f"quantile level tau={tau} not in archive; available: {available}")
+            pool &= np.abs(levels - tau) <= 1e-12
+    idx = np.flatnonzero(pool)
+    tables = {name: [] for name in specs}
+    if not idx.size:
+        return tables
 
-    groups: dict = {}
-    for r in pool:
-        groups.setdefault((r["spec"], r["week"]), []).append(r)
-    for spec in specs:
-        missing = sorted(v for s, v in groups
-                         if s == spec and (relative_to, v) not in groups)
-        if missing:
-            raise gap(spec, f"benchmark has no rows at weeks {missing}")
-    scores, tables = {}, {spec: [] for spec in specs}
-    try:
-        for spec, v in groups:
-            scores[spec, v] = per_entity(groups[spec, v])
-        for spec, v in sorted(scores):
-            rel = relative_and_distribution(scores[spec, v], scores[relative_to, v])
-            q10, q25, q50, q75, q90 = rel["distribution"]
-            tables[spec].append(dict(
-                phase="Backcast" if v <= BACKCAST_LAST_WEEK else "Nowcast",
-                week=v, q10=q10, q25=q25, q50=q50, q75=q75, q90=q90,
-                aggregate=rel["aggregate"]))
-    except ScoringGapError as exc:  # `spec` is the spec whose rows failed
-        raise gap(spec, exc)
+    def gap(code, detail):
+        return ScoringGapError(f"spec {specs[code]!r} against {relative_to!r}: {detail}")
+
+    spec, week = spec[idx], np.asarray(columns["week"])[idx]
+    entity, entities = _codes(columns["entity"])
+    entity = entity[idx]
+    prediction, realized = (np.asarray(columns[k], dtype=float)[idx]
+                            for k in ("prediction", "realized"))
+    bad = ~(np.isfinite(prediction) & np.isfinite(realized))
+    if bad.any():  # reported below, once the groups are known
+        prediction, realized = np.where(bad, 0.0, prediction), np.where(bad, 0.0, realized)
+    lev = levels[idx] if metric == "crps" else None
+    keys = [spec, week, entity] if lev is None else [spec, week, lev, entity]
+    losses = _losses(metric, prediction, realized, tau if metric == "qs" else lev)
+    (gs, gw, ge), scores, mixed = _entity_scores(metric, keys, losses)
+
+    # groups (spec, week), in sorted order; gid numbers each score's group
+    n = len(ge)
+    starts = np.flatnonzero(_changes([gs, gw], n))
+    n_ent = np.diff(np.append(starts, n))
+    gspec, gweek = gs[starts], gw[starts]
+    gid = np.repeat(np.arange(len(starts)), n_ent)
+    bench = specs.index(relative_to)
+    bench_weeks = gweek[gspec == bench]
+    missing = ~np.isin(gweek, bench_weeks)
+    if missing.any():
+        code = gspec[missing].min()
+        raise gap(code, "benchmark has no rows at weeks "
+                        f"{gweek[missing & (gspec == code)].tolist()}")
+    if bad.any() or (mixed is not None and mixed.any()):
+        flagged = set() if mixed is None else set(zip(gspec[mixed].tolist(),
+                                                      gweek[mixed].tolist()))
+        (code, _), i = _first_failure(spec, week, bad, flagged, lev)
+        if i is None:
+            raise gap(code, "entity sets differ across quantile levels")
+        raise gap(code, "missing prediction or realized value for entity "
+                        f"{columns['entity'][idx[i]]!r}, "
+                        f"year {columns['target_year'][idx[i]]}")
+
+    # each score's benchmark partner: same week and entity, in the bench group
+    bench_group = np.flatnonzero(gspec == bench)[np.searchsorted(bench_weeks, gweek)]
+    key, wanted = (g * len(entities) + ge for g in (gid, bench_group[gid]))
+    partner = np.minimum(np.searchsorted(key, wanted), n - 1)
+    differ = ((np.bincount(gid, weights=key[partner] != wanted) > 0)
+              | (n_ent != n_ent[bench_group]))
+    model_agg = _means(scores, n_ent)
+    zero = np.bincount(gid, weights=scores == 0.0) > 0
+    fails = differ | (model_agg[bench_group] == 0.0) | zero[bench_group]
+    if fails.any():
+        g = np.flatnonzero(fails)[0]
+        b = bench_group[g]
+        if differ[g]:
+            own, other = ({entities[e] for e in ge[gid == h].tolist()} for h in (g, b))
+            raise gap(gspec[g], "model and benchmark cover different entities: "
+                                f"{sorted(own ^ other)}")
+        if model_agg[b] == 0.0:
+            raise DomainError("benchmark aggregate score is zero; ratio undefined")
+        e = ge[(gid == b) & (scores == 0.0)][0]
+        raise DomainError(f"benchmark score for entity {entities[e]!r} is zero")
+
+    dist = _quantiles(scores / scores[partner], n_ent)
+    aggregate = model_agg / model_agg[bench_group]
+    for code, v, q, agg in zip(gspec.tolist(), gweek.tolist(), dist.tolist(),
+                               aggregate.tolist()):
+        q10, q25, q50, q75, q90 = q
+        tables[specs[code]].append(dict(
+            phase="Backcast" if v <= BACKCAST_LAST_WEEK else "Nowcast",
+            week=v, q10=q10, q25=q25, q50=q50, q75=q75, q90=q90, aggregate=agg))
     return tables
+
+
+def score_tables(rows, metric: str, tau: float | None = None,
+                 relative_to: str = "HistMean") -> dict:
+    """`score_columns` of archive rows, dicts with keys spec, variable,
+    entity, year, week, prediction and realized, and for qs and crps
+    tau_or_point (an archive field)."""
+    names = ["spec", "variable", "entity", "year", "week", "prediction", "realized"]
+    if metric in ("qs", "crps"):
+        names.append("tau_or_point")
+    columns = {name: [r[name] for r in rows] for name in names}
+    columns["target_year"] = columns.pop("year")
+    if "tau_or_point" in columns:
+        columns["tau_or_point"] = list(map(level, columns["tau_or_point"]))
+    return score_columns(columns, metric, tau, relative_to)
 
 
 def score_table_csv(table_rows) -> str:

@@ -313,6 +313,11 @@ class Week:
                 blocks.append(lags)
         return blocks
 
+    def hist_mean(self):
+        """The week's `energy_hist_mean`: the archive's energy benchmark and
+        the HistMean spec's nowcasts."""
+        return self._keep("hist_mean", lambda: energy_hist_mean(self.panel, self.info))
+
     def factor(self, var):
         """The cross-sectional mean of `var` at the latest CO2 lag in each
         year of the CO2 design, over every entity of the panel with a value
@@ -419,7 +424,7 @@ def nowcast_energy(panel, info: InformationSet, spec: ModelSpec, config: RunConf
     week = _week_of(panel, info, t, config.estimation_start)
     if spec.kind == "HistMean":
         return [EnergyNowcast(entity=e, year=t, week=v, value=mean)
-                for e, mean in energy_hist_mean(week.panel, info).items()], []
+                for e, mean in week.hist_mean().items()], []
     rows, pred, labels = assemble_energy_design(week, info, spec, t,
                                                 config.estimation_start)
     rows, pred, gaps = _drop_thin_entities(rows, pred, week.panel.entities_of(VAR_EC))
@@ -560,14 +565,14 @@ def _run_year(panel: PanelArrays, config: RunConfig, t: int) -> NowcastArchive:
             ))
 
         info = information_set(rules, t, v)
+        week = Week(panel, info, t, config.estimation_start)
         try:
             panel.check(info)
-            bench_energy = energy_hist_mean(panel, info)
+            bench_energy = week.hist_mean()
             bench_co2 = co2_benchmark_quantiles(panel, info, config.taus)
         except DataError as exc:
             note("*", "benchmark", str(exc))
             continue
-        week = Week(panel, info, t, config.estimation_start)
         for spec in specs:
             energy = None
             if not spec.is_direct:

@@ -22,6 +22,9 @@ specs = HistMean,AR-W
 fit_density = true
 """
 
+ARCHIVE_HEADER = ("spec,variable,entity,target_year,week,tau_or_point,"
+                  "prediction,benchmark,realized\n")
+
 
 def _dump_raw_csvs(dataset, data_dir):
     os.makedirs(data_dir, exist_ok=True)
@@ -246,6 +249,26 @@ class TestEvaluate:
         assert _body(out / "scores_rmsfe_DirectAR-W-M-Q.csv") == [
             "phase,week,q10,q25,q50,q75,q90,aggregate\n"]
         assert len(_body(out / "scores_rmsfe_HistMean.csv")) == 2
+
+    @pytest.mark.parametrize("header, bad, message", [
+        (ARCHIVE_HEADER, "AR,EC,A,2009,1", ":4: 5 fields, expected 9"),
+        (ARCHIVE_HEADER, "AR,EC,A,2009,1,point,abc,0.1,0.2",
+         ":4: prediction 'abc' is not a number"),
+        (ARCHIVE_HEADER, "AR,EC,A,2009,x1,point,0.3,0.1,0.2", ":4: week 'x1' is not a number"),
+        (ARCHIVE_HEADER.replace(",prediction", ",pred"), "AR,EC,A,2009,1,point,0.3,0.1,0.2",
+         ":2: no column 'prediction' in the header"),
+    ], ids=["short_line", "non_numeric_prediction", "non_numeric_week", "missing_column"])
+    def test_malformed_archive_is_an_error(self, tmp_path, capsys, header, bad, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("# config_hash=x version=0\n" + header
+                        + "HistMean,EC,A,2009,1,point,0.1,0.1,0.2\n" + bad + "\n"
+                        + "AR,EC,B,2009,1,point,0.3,0.1,0.2\n")
+        out = tmp_path / "out"
+        rc = main(["evaluate", "--archive", str(path), "--metric", "rmsfe",
+                   "--out", str(out)])
+        assert rc == EXIT_FATAL
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
+        assert not out.exists()
 
     def test_crps_needs_quantile_rows(self, tmp_path, capsys):
         path = tmp_path / "points_only.csv"

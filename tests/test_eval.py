@@ -210,25 +210,21 @@ class TestScoreTable:
         assert len(table) == 2
         assert all(r["aggregate"] > 0 for r in table)
 
-    def test_benchmark_scored_once(self, monkeypatch):
+    def test_benchmark_table_is_one_in_every_cell(self):
+        # three specs over 48 weeks, one entity with a year fewer in some
+        # weeks; the benchmark against itself is exactly 1
         rng = np.random.default_rng(6)
         archive = []
         for spec in ("AR", "AR-W", "HistMean"):
             weekly = {v: rows("A", rng.normal(size=2), rng.normal(size=2))
-                      + rows("B", rng.normal(size=2), rng.normal(size=2))
+                      + rows("B", rng.normal(size=1 + v % 2), rng.normal(size=1 + v % 2))
                       for v in range(1, 49)}
             archive += tagged(weekly, spec)
-        calls = []
-
-        def counted(group):
-            calls.append(group)
-            return rmsfe_per_entity(group)
-
-        monkeypatch.setattr(evaluation, "rmsfe_per_entity", counted)
         tables = score_tables(archive, "rmsfe")
-        assert len(calls) == 3 * 48
         assert sorted(tables) == ["AR", "AR-W", "HistMean"]
         assert all(len(t) == 48 for t in tables.values())
+        for r in tables["HistMean"]:
+            assert [r[k] for k in ("q10", "q25", "q50", "q75", "q90", "aggregate")] == [1.0] * 6
 
     def test_spec_without_rows_of_the_metric_gets_an_empty_table(self):
         archive, model, _ = self._archive()
@@ -250,3 +246,78 @@ def test_rmsfe_per_entity_sorted():
     per = rmsfe_per_entity(r)
     assert list(per) == ["A", "B"]
     assert per["A"] == pytest.approx(2.0)
+
+
+def _reference_tables(rows, metric, tau=None, relative_to="HistMean"):
+    """Group by group: one np.mean per (spec, week, entity[, level]) and one
+    np.quantile per (spec, week); {spec: [(week, q10..q90, aggregate)]}."""
+    groups: dict = {}
+    for r in rows:
+        if r["variable"] != ("EC" if metric == "rmsfe" else "CO2"):
+            continue
+        lv = None if metric == "rmsfe" else float(r["tau_or_point"])
+        if metric == "qs" and lv != tau:
+            continue
+        by_entity = groups.setdefault((r["spec"], r["week"]), {})
+        by_entity.setdefault(r["entity"], {}).setdefault(lv, []).append(r)
+
+    def score(by_level):
+        per = []
+        for lv, rs in sorted(by_level.items()):
+            u = np.array([r["realized"] - r["prediction"] for r in rs])
+            if metric == "rmsfe":
+                per.append(float(np.sqrt(np.mean(u**2))))
+            else:
+                per.append(float(np.mean(pinball(u, tau if metric == "qs" else lv))))
+        return float(np.mean(per))
+
+    scores = {k: {e: score(g[e]) for e in sorted(g)} for k, g in groups.items()}
+    tables: dict = {}
+    for spec, v in sorted(scores):
+        model, bench = scores[spec, v], scores[relative_to, v]
+        ratios = [model[e] / bench[e] for e in model]
+        agg = float(np.mean(list(model.values()))) / float(np.mean(list(bench.values())))
+        tables.setdefault(spec, []).append(
+            (v, *np.quantile(ratios, DIST_LEVELS).tolist(), agg))
+    return tables
+
+
+class TestColumnKernel:
+    def test_tables_match_a_group_by_group_reference(self):
+        # ragged: each entity has its own number of years, some entities miss
+        # a spec's week in a year; a benchmark entity always has every year
+        rng = np.random.default_rng(8)
+        archive = []
+        for e in [f"S{i:02d}" for i in range(11)]:
+            for year in range(2000, 2000 + int(rng.integers(1, 5))):
+                for spec in ("AR", "AR-W", "HistMean"):
+                    for v in range(1, 13):
+                        if spec != "HistMean" and year > 2000 and rng.random() < 0.3:
+                            continue
+                        real = float(rng.normal())
+                        archive.append(dict(
+                            spec=spec, variable="EC", entity=e, year=year, week=v,
+                            tau_or_point="point", prediction=float(rng.normal()),
+                            realized=real))
+                        archive += [dict(spec=spec, variable="CO2", entity=e, year=year,
+                                         week=v, tau_or_point=repr(tau),
+                                         prediction=float(rng.normal()), realized=real)
+                                    for tau in (0.25, 0.5, 0.75)]
+        keys = ("week", "q10", "q25", "q50", "q75", "q90", "aggregate")
+        for metric, tau in (("rmsfe", None), ("qs", 0.25), ("qs", 0.75), ("crps", None)):
+            got = score_tables(archive, metric, tau=tau)
+            want = _reference_tables(archive, metric, tau=tau)
+            assert {s: [tuple(r[k] for k in keys) for r in t]
+                    for s, t in got.items()} == want, metric
+
+    def test_stacked_reductions_match_one_call_per_run(self):
+        # runs of one length are reduced as one dense block: the floats of a
+        # 1-D np.mean or np.quantile call on each run, bit for bit
+        rng = np.random.default_rng(11)
+        lengths = rng.integers(1, 60, size=400)
+        values = rng.lognormal(size=int(lengths.sum()))
+        runs = np.split(values, np.cumsum(lengths)[:-1])
+        means = evaluation._means(values, lengths)
+        quantiles = evaluation._quantiles(values, lengths)
+        assert means.tolist() == [float(np.mean(r)) for r in runs]
+        assert quantiles.tolist() == [np.quantile(r, DIST_LEVELS).tolist() for r in runs]

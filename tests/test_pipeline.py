@@ -627,6 +627,29 @@ class TestRunOutOfSample:
         assert archive.diagnostics == []
         assert weeks == [(t, v) for t in (2011, 2012) for v in range(1, 49)]
 
+    def test_energy_hist_mean_once_per_week(self, monkeypatch):
+        # the archive's energy benchmark and the HistMean spec's nowcasts
+        # are the same per-entity means
+        weeks = []
+
+        def counting(panel, info):
+            weeks.append((info.year, info.week))
+            return hist_mean(panel, info)
+
+        hist_mean = pipeline.energy_hist_mean
+        monkeypatch.setattr(pipeline, "_worker_count", lambda n_years: 1)
+        monkeypatch.setattr(pipeline, "energy_hist_mean", counting)
+        ds, _ = make_dataset(n_entities=2, seed=12)
+        config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2012,
+                           specs=("HistMean", "AR", "DirectAR-W-M-Q"),
+                           fit_density=False)
+        archive = run_out_of_sample(ds, config)
+        assert archive.diagnostics == []
+        assert weeks == [(t, v) for t in (2011, 2012) for v in range(1, 49)]
+        hist = [r for r in archive.energy_rows if r["spec"] == "HistMean"]
+        assert len(hist) == 2 * 2 * 48
+        assert all(r["prediction"] == r["benchmark"] for r in hist)
+
     def test_week_before_an_entity_starts_is_a_benchmark_diagnostic(self):
         # every series starts in 2006, and until week 9 the latest CO2 year
         # of 2009 is 2005: those weeks fail as a whole, the rest have no

@@ -1,8 +1,10 @@
 """Scoring of archived nowcasts: RMSFE, quantile score, discrete CRPS and
 cross-state distribution tables relative to a benchmark. `score_columns`
-scores a whole archive, held as columns, into one such table per spec;
-`score_tables` and the per-entity functions adapt row dicts to the same
-column kernel.
+scores a whole archive, held as columns, into one table per spec: per week,
+the phase, the week, the cross-state quantiles q10..q90 of the per-entity
+ratios to the benchmark, their aggregate ratio, and the two means that
+ratio divides, model_aggregate and benchmark_aggregate. `score_table_csv`
+writes a table without the two means.
 
 The quantile score uses the standard pinball loss rho_tau(u) = u(tau - 1{u<0})
 with u = realized - predicted quantile, which is nonnegative and zero only at
@@ -118,100 +120,12 @@ def _entity_scores(metric, keys, losses):
     return heads, scores, mixed
 
 
-def _check_rows(rows, what):
-    if not rows:
-        raise ScoringGapError(f"no rows to score for {what}")
-    for r in rows:
-        if not (math.isfinite(r["prediction"]) and math.isfinite(r["realized"])):
-            raise ScoringGapError(
-                f"missing prediction or realized value for entity "
-                f"{r['entity']!r}, year {r['year']}"
-            )
-
-
-def _row_scores(metric, rows, tau=None):
-    """{entity: score} of checked rows, in entity order; for crps `tau`
-    holds each row's level."""
-    entity, names = _codes([r["entity"] for r in rows])
-    prediction, realized = (np.array([r[k] for r in rows], dtype=float)
-                            for k in ("prediction", "realized"))
-    keys = [entity] if metric != "crps" else [tau, entity]
-    heads, scores, mixed = _entity_scores(
-        metric, keys, _losses(metric, prediction, realized, tau))
-    if mixed is not None and mixed.any():
-        raise ScoringGapError("entity sets differ across quantile levels")
-    return {names[e]: s for e, s in zip(heads[-1].tolist(), scores.tolist())}
-
-
-def rmsfe_per_entity(rows) -> dict:
-    _check_rows(rows, "RMSFE")
-    return _row_scores("rmsfe", rows)
-
-
-def rmsfe(rows) -> float:
-    """Per-entity root mean squared error over the evaluation years, then
-    averaged across entities (mean of roots, not root of means)."""
-    per = rmsfe_per_entity(rows)
-    return float(np.mean(list(per.values())))
-
-
-def quantile_score_per_entity(rows, tau: float) -> dict:
-    _check_rows(rows, f"QS({tau})")
-    return _row_scores("qs", rows, tau)
-
-
-def quantile_score(rows, tau: float) -> float:
-    per = quantile_score_per_entity(rows, tau)
-    return float(np.mean(list(per.values())))
-
-
-def crps(rows_by_tau: dict) -> float:
-    """Equal-weight mean over quantile levels of the quantile scores."""
-    taus = sorted(rows_by_tau)
-    if not taus:
-        raise ScoringGapError("no quantile levels to aggregate")
-    return float(np.mean([quantile_score(rows_by_tau[tau], tau) for tau in taus]))
-
-
-def crps_per_entity(rows_by_tau: dict) -> dict:
-    taus = sorted(rows_by_tau)
-    for tau in taus:
-        _check_rows(rows_by_tau[tau], f"QS({tau})")
-    return _row_scores("crps", [r for tau in taus for r in rows_by_tau[tau]],
-                       np.array([tau for tau in taus for _ in rows_by_tau[tau]]))
-
-
-def relative_and_distribution(model_per_entity: dict, bench_per_entity: dict) -> dict:
-    """Aggregate ratio plus cross-state quantiles of per-entity ratios."""
-    if set(model_per_entity) != set(bench_per_entity):
-        raise ScoringGapError(
-            "model and benchmark cover different entities: "
-            f"{sorted(set(model_per_entity) ^ set(bench_per_entity))}"
-        )
-    bench_agg, model_agg = (
-        float(_means(np.array(list(per.values()), dtype=float), [len(per)])[0])
-        for per in (bench_per_entity, model_per_entity))
-    if bench_agg == 0.0:
-        raise DomainError("benchmark aggregate score is zero; ratio undefined")
-    entities = sorted(model_per_entity)
-    for e in entities:
-        if bench_per_entity[e] == 0.0:
-            raise DomainError(f"benchmark score for entity {e!r} is zero")
-    ratios = np.array([model_per_entity[e] / bench_per_entity[e] for e in entities])
-    return dict(
-        aggregate=model_agg / bench_agg,
-        distribution=tuple(_quantiles(ratios, [len(ratios)])[0].tolist()),
-        model_aggregate=model_agg,
-        benchmark_aggregate=bench_agg,
-    )
-
-
 def _first_failure(spec, week, bad, flagged, lev):
-    """The (spec, week) that a group-by-group scorer fails on first, and its
-    first non-finite row (None if it fails on its levels). Groups are met in
-    order of first appearance, the rows of one in archive order (for crps,
-    level by level); `flagged` holds the groups whose entities' levels
-    differ."""
+    """The (spec, week) an error names, and the row it names (None for a
+    level mismatch). Of the failing groups, those with a non-finite row and
+    the `flagged` ones, whose entities' levels differ, it is the group whose
+    first row comes first in the archive; its row is the group's first
+    non-finite row in archive order (for crps, at its lowest such level)."""
     keys = list(zip(spec.tolist(), week.tolist()))
     first: dict = {}
     for i, key in enumerate(keys):
@@ -227,10 +141,13 @@ def _first_failure(spec, week, bad, flagged, lev):
 def score_columns(columns: dict, metric: str, tau: float | None = None,
                   relative_to: str = "HistMean") -> dict:
     """{spec: Tables 3/4-shaped rows}, one table per spec of the archive
-    `columns` (a spec without rows of the metric gets an empty one): per
-    week, the cross-state distribution of the ratio to `relative_to`, with
-    keys phase, week, q10..q90, aggregate. rmsfe scores the EC rows, qs the
-    CO2 rows at `tau` and crps all CO2 rows.
+    `columns` (a spec without rows of the metric gets an empty one), one row
+    per week in week order, with keys phase, week, q10..q90 (the cross-state
+    distribution of the per-entity ratios to `relative_to`), aggregate
+    (model_aggregate / benchmark_aggregate), model_aggregate and
+    benchmark_aggregate (the spec's and the benchmark's mean over entities
+    of the per-entity scores). rmsfe scores the EC rows, qs the CO2 rows at
+    `tau` and crps all CO2 rows.
 
     `columns` holds the archive's columns spec, variable, entity,
     target_year (read for error messages only) and week, prediction and
@@ -328,39 +245,20 @@ def score_columns(columns: dict, metric: str, tau: float | None = None,
         raise DomainError(f"benchmark score for entity {entities[e]!r} is zero")
 
     dist = _quantiles(scores / scores[partner], n_ent)
-    aggregate = model_agg / model_agg[bench_group]
-    for code, v, q, agg in zip(gspec.tolist(), gweek.tolist(), dist.tolist(),
-                               aggregate.tolist()):
+    bench_agg = model_agg[bench_group]
+    for code, v, q, agg, m, b in zip(gspec.tolist(), gweek.tolist(), dist.tolist(),
+                                     (model_agg / bench_agg).tolist(),
+                                     model_agg.tolist(), bench_agg.tolist()):
         q10, q25, q50, q75, q90 = q
         tables[specs[code]].append(dict(
             phase="Backcast" if v <= BACKCAST_LAST_WEEK else "Nowcast",
-            week=v, q10=q10, q25=q25, q50=q50, q75=q75, q90=q90, aggregate=agg))
+            week=v, q10=q10, q25=q25, q50=q50, q75=q75, q90=q90, aggregate=agg,
+            model_aggregate=m, benchmark_aggregate=b))
     return tables
 
 
-def score_tables(rows, metric: str, tau: float | None = None,
-                 relative_to: str = "HistMean") -> dict:
-    """`score_columns` of archive rows, dicts with keys spec, variable,
-    entity, year, week, prediction and realized, and for qs and crps
-    tau_or_point (an archive field)."""
-    names = ["spec", "variable", "entity", "year", "week", "prediction", "realized"]
-    if metric in ("qs", "crps"):
-        names.append("tau_or_point")
-    columns = {name: [r[name] for r in rows] for name in names}
-    columns["target_year"] = columns.pop("year")
-    if "tau_or_point" in columns:
-        columns["tau_or_point"] = list(map(level, columns["tau_or_point"]))
-    return score_columns(columns, metric, tau, relative_to)
-
-
 def score_table_csv(table_rows) -> str:
-    def fmt(x):
-        return f"{x:.6g}"
-
     lines = ["phase,week,q10,q25,q50,q75,q90,aggregate"]
-    for r in table_rows:
-        lines.append(
-            f"{r['phase']},{r['week']},{fmt(r['q10'])},{fmt(r['q25'])},"
-            f"{fmt(r['q50'])},{fmt(r['q75'])},{fmt(r['q90'])},{fmt(r['aggregate'])}"
-        )
+    lines += [f"{r['phase']},{r['week']},{r['q10']:.6g},{r['q25']:.6g},{r['q50']:.6g},"
+              f"{r['q75']:.6g},{r['q90']:.6g},{r['aggregate']:.6g}" for r in table_rows]
     return "\n".join(lines) + "\n"

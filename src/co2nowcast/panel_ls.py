@@ -36,7 +36,6 @@ class FixedEffectsModel:
     alpha: dict  # entity -> intercept
     beta: np.ndarray
     labels: tuple
-    resid_var: float
 
 
 def _stack(rows):
@@ -86,22 +85,17 @@ def fit_within(rows, labels=None) -> FixedEffectsModel:
     labels = tuple(labels)
     if len(labels) != k:
         raise LengthError(f"{len(labels)} labels for {k} regressors")
-    alpha, beta, resid_var = _fit(y.tobytes(), X.tobytes(), X.shape,
-                                  tuple(entities), labels)
-    return FixedEffectsModel(
-        alpha=dict(alpha), beta=beta, labels=labels, resid_var=resid_var
-    )
+    alpha, beta = _fit(y.tobytes(), X.tobytes(), X.shape, tuple(entities), labels)
+    return FixedEffectsModel(alpha=dict(alpha), beta=beta, labels=labels)
 
 
 @functools.lru_cache(maxsize=32)
 def _fit(y_bytes, X_bytes, shape, entities, labels):
     """The within fit on arrays rebuilt from the key alone: (alpha items,
-    read-only beta, residual variance). At paper shape a key holds at most
-    231 KB (a 1,377 x 19 energy design), so the 32 entries hold at most
-    about 7.5 MB."""
+    read-only beta). At paper shape a key holds at most 231 KB (a 1,377 x 19
+    energy design), so the 32 entries hold at most about 7.5 MB."""
     y = np.frombuffer(y_bytes, dtype=float)
     X = np.frombuffer(X_bytes, dtype=float).reshape(shape)
-    k = shape[1]
     groups: dict = {}
     for i, e in enumerate(entities):
         groups.setdefault(e, []).append(i)
@@ -125,9 +119,7 @@ def _fit(y_bytes, X_bytes, shape, entities, labels):
     beta = _solve_pivoted(Xd, yd, labels)
     beta.flags.writeable = False
     alpha = tuple((e, float(ybar - xbar @ beta)) for e, (ybar, xbar) in means.items())
-    resid = yd - Xd @ beta
-    dof = max(len(y) - k - len(groups), 1)
-    return alpha, beta, float(resid @ resid / dof)
+    return alpha, beta
 
 
 def predict(model: FixedEffectsModel, entity: str, x) -> float:

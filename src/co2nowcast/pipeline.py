@@ -132,6 +132,11 @@ class RunConfig:
             raise ConfigError("estimation_start must precede the evaluation years")
         if len(self.taus) != len(set(self.taus)) or list(self.taus) != sorted(self.taus):
             raise ConfigError("taus must be strictly ascending")
+        if not self.specs:
+            raise ConfigError("specs must name at least one model")
+        repeated = sorted({s for s in self.specs if self.specs.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"specs name a model more than once: {repeated}")
         if self.fit_density and len(self.taus) != 3:
             raise ConfigError(
                 f"fit_density needs exactly three taus, got {len(self.taus)}"

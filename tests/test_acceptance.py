@@ -3,6 +3,7 @@ verbose pytest report reads as a pass/fail checklist. Tolerances and runtime
 budgets are part of the criteria and asserted here."""
 
 import io
+import math
 import time
 from contextlib import redirect_stdout
 
@@ -11,14 +12,7 @@ import pytest
 
 from co2nowcast.almon import AlmonSpec, build_almon_map, implied_weights, restriction_matrix
 from co2nowcast.cli import EXIT_OK, main
-from co2nowcast.evaluation import (
-    crps,
-    crps_per_entity,
-    quantile_score,
-    relative_and_distribution,
-    rmsfe_per_entity,
-    score_tables,
-)
+from co2nowcast.evaluation import score_columns
 from co2nowcast.panel import MixedFreqSeries, PanelDataset, PeriodIndex, ordinal
 from co2nowcast.panel_ls import DesignRow, fit_within
 from co2nowcast.panel_qr import QuantileSpec, fit_quantile
@@ -169,23 +163,47 @@ def test_criterion_5_skew_t_self_consistency():
     assert quantile(limit, 0.975) == pytest.approx(1.959964, abs=1e-3)
 
 
+def _score(rows, metric, tau=None):
+    """`score_columns` of archive rows given as dicts."""
+    names = ("spec", "variable", "entity", "target_year", "week", "tau_or_point",
+             "prediction", "realized")
+    return score_columns({k: [r[k] for r in rows] for k in names}, metric, tau=tau)
+
+
 def test_criterion_6_scoring_identities():
     """QS(0.5) = MAE/2 exactly; CRPS is the mean of the quantile scores;
     the benchmark scored against itself is 1 in every cell."""
     rng = np.random.default_rng(3)
     rows = [
-        dict(entity=f"S{i % 4}", year=2000 + i // 4,
+        dict(entity=f"S{i % 4}", target_year=2000 + i // 4, week=48,
              prediction=float(rng.normal()), realized=float(rng.normal()))
         for i in range(40)
     ]
+
+    def model_score(by_tau, variable, metric, tau=None):
+        # mean over entities of the per-entity scores of AR, against a
+        # HistMean benchmark that misses every realized value by 1
+        bench = {t: [dict(r, prediction=r["realized"] + 1.0) for r in rs]
+                 for t, rs in by_tau.items()}
+        archive = [dict(r, spec=spec, variable=variable, tau_or_point=t)
+                   for spec, levels in (("AR", by_tau), ("HistMean", bench))
+                   for t, rs in levels.items() for r in rs]
+        (row,) = _score(archive, metric, tau)["AR"]
+        return row["model_aggregate"]
+
     mae = float(np.mean([abs(r["realized"] - r["prediction"]) for r in rows]))
-    per = rmsfe_per_entity(rows)  # grouping sanity: 4 entities present
+    per = {e: float(np.sqrt(np.mean([(r["prediction"] - r["realized"]) ** 2
+                                     for r in rows if r["entity"] == e])))
+           for e in {r["entity"] for r in rows}}
     assert len(per) == 4
+    # grouping sanity: the scorer averages the roots of the 4 entities
+    assert model_score({math.nan: rows}, "EC", "rmsfe") == pytest.approx(
+        float(np.mean(list(per.values()))), abs=1e-12)
     total = sum(
         abs(r["realized"] - r["prediction"]) for r in rows
     ) / len(rows)
     assert mae == total
-    qs_by_entity_mean = quantile_score(rows, 0.5)
+    qs_by_entity_mean = model_score({0.5: rows}, "CO2", "qs", 0.5)
     flat = [abs(r["realized"] - r["prediction"]) for r in rows]
     # balanced panel: per-entity averaging equals the pooled mean
     assert qs_by_entity_mean == pytest.approx(0.5 * float(np.mean(flat)), abs=1e-12)
@@ -194,13 +212,13 @@ def test_criterion_6_scoring_identities():
         tau: [dict(r, prediction=r["prediction"] + tau) for r in rows]
         for tau in (0.25, 0.5, 0.75)
     }
-    expected = np.mean([quantile_score(by_tau[t], t) for t in by_tau])
-    assert crps(by_tau) == pytest.approx(float(expected), abs=1e-14)
+    expected = np.mean([model_score(by_tau, "CO2", "qs", t) for t in by_tau])
+    assert model_score(by_tau, "CO2", "crps") == pytest.approx(float(expected), abs=1e-14)
 
     weekly = {v: rows for v in range(1, 49)}
-    table = score_tables([dict(r, spec="HistMean", variable="EC", week=v)
-                          for v, week_rows in weekly.items() for r in week_rows],
-                         "rmsfe")["HistMean"]
+    table = _score([dict(r, spec="HistMean", variable="EC", week=v, tau_or_point=math.nan)
+                    for v, week_rows in weekly.items() for r in week_rows],
+                   "rmsfe")["HistMean"]
     assert len(table) == 48
     for row in table:
         assert row["aggregate"] == pytest.approx(1.0)
@@ -292,16 +310,16 @@ def _relative_scores_one_seed(seed):
     def realized(var, entity, year):
         return dataset.get(var, entity).value_at(PeriodIndex(year))
 
-    model_rows, bench_rows = {}, {}
-    co2_model, co2_bench = {}, {}
+    archive = []
     ds = PanelArrays(dataset)
     for t in config.eval_years:
         for v in range(9, 49):
             info = information_set(rules, t, v)
-            for m_spec, store in ((spec, model_rows), (hist, bench_rows)):
+            for m_spec in (spec, hist):
                 out, _ = nowcast_energy(ds, info, m_spec, config)
-                store.setdefault(v, []).extend(
-                    dict(entity=n.entity, year=t, prediction=n.value,
+                archive.extend(
+                    dict(spec=m_spec.kind, variable="EC", entity=n.entity, target_year=t,
+                         week=v, tau_or_point=math.nan, prediction=n.value,
                          realized=realized("EC", n.entity, t))
                     for n in out
                 )
@@ -312,21 +330,13 @@ def _relative_scores_one_seed(seed):
         for n in out:
             y = realized("CO2", n.entity, t)
             for tau, q_m, q_b in zip(config.taus, n.quantiles, n.benchmark):
-                co2_model.setdefault(tau, []).append(
-                    dict(entity=n.entity, year=t, prediction=q_m, realized=y))
-                co2_bench.setdefault(tau, []).append(
-                    dict(entity=n.entity, year=t, prediction=q_b, realized=y))
+                archive += [dict(spec=kind, variable="CO2", entity=n.entity, target_year=t,
+                                 week=48, tau_or_point=tau, prediction=q, realized=y)
+                            for kind, q in ((spec.kind, q_m), (hist.kind, q_b))]
 
-    rel_rmsfe = {
-        v: relative_and_distribution(
-            rmsfe_per_entity(model_rows[v]), rmsfe_per_entity(bench_rows[v])
-        )["aggregate"]
-        for v in model_rows
-    }
-    rel_crps = relative_and_distribution(
-        crps_per_entity(co2_model), crps_per_entity(co2_bench)
-    )["aggregate"]
-    return rel_rmsfe, rel_crps
+    rel_rmsfe = {r["week"]: r["aggregate"] for r in _score(archive, "rmsfe")[spec.kind]}
+    (crps_row,) = _score(archive, "crps")[spec.kind]
+    return rel_rmsfe, crps_row["aggregate"]
 
 
 def test_criterion_8_synthetic_accuracy_properties():

@@ -111,6 +111,13 @@ class TestIngestAndRun:
         rows = list(csv.DictReader(_body(os.path.join(out, "archive.csv"))))
         assert rows and {r["spec"] for r in rows} == {"AR"}
 
+    @pytest.mark.parametrize("specs", [",", "AR,AR"])
+    def test_empty_or_repeated_specs_flag_is_fatal(self, workspace, tmp_path, specs):
+        out = tmp_path / "out"
+        assert main(["run", "--config", workspace["config"], "--specs", specs,
+                     "--out", str(out)]) == EXIT_FATAL
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, workspace):
         out2 = str(workspace["root"] / "out2")
         assert main(["run", "--config", workspace["config"], "--out", out2]) == EXIT_OK

@@ -278,6 +278,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown model 'ARX'"):
             parse_config_text("specs = ARX\n")
 
+    @pytest.mark.parametrize("value", ["", ",", " , "])
+    def test_empty_specs(self, value):
+        with pytest.raises(ConfigError, match="at least one model"):
+            parse_config_text(f"specs = {value}\n")
+
+    def test_repeated_spec(self):
+        with pytest.raises(ConfigError, match="more than once"):
+            parse_config_text("specs = AR,AR\n")
+
     def test_bad_fit_density(self):
         with pytest.raises(ConfigError, match="fit_density"):
             parse_config_text("fit_density = maybe\n")

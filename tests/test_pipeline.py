@@ -67,6 +67,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(taus=(0.5, 0.25, 0.75))
 
+    def test_specs_must_be_nonempty_and_distinct(self):
+        with pytest.raises(ConfigError, match="at least one model"):
+            RunConfig(specs=())
+        with pytest.raises(ConfigError, match=r"more than once: \['AR'\]"):
+            RunConfig(specs=("AR", "HistMean", "AR"))
+
     @pytest.mark.parametrize("taus", [(0.5,), (0.25, 0.75), (0.1, 0.25, 0.75, 0.9)])
     def test_density_needs_three_taus(self, taus):
         with pytest.raises(ConfigError, match="three taus"):

@@ -9,7 +9,6 @@ identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import io
@@ -94,11 +93,11 @@ def cmd_run(args) -> int:
 
 
 def _read_archive(path: str, columns: dict):
-    """The text of the archive at `path`, which its score tables' header
-    hashes, and from that one read the body's `columns`, {name: type}: a str
-    column as the list of its fields, a float column as an array, and any
-    other column as an array of its fields converted once per distinct
-    field. A missing column, a line whose number of fields differs from the
+    """The text of the archive file at `path`, which the header of each file
+    made from it hashes, and from that one read the body's `columns`,
+    {name: type}: a str column as the list of its fields, a float column as
+    an array, and any other column as an array of its fields converted once
+    per distinct field. A missing column, a line whose number of fields differs from the
     header's, or a field that does not convert is a DataError naming its
     line."""
     with open(path) as fh:
@@ -165,15 +164,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_density(args) -> int:
     path = os.path.join(args.archive_dir, "density_params.csv")
-    with open(path) as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    params: dict = {}
-    for r in csv.DictReader(lines):
-        key = (r["spec"], r["entity"], int(r["target_year"]), int(r["week"]))
-        params[key] = SkewTParams(
-            mu=float(r["mu"]), sigma=float(r["sigma"]),
-            alpha=float(r["alpha"]), nu=float(r["nu"]),
-        )
+    text, cols = _read_archive(path, dict(spec=str, entity=str, target_year=int, week=int,
+                                          mu=float, sigma=float, alpha=float, nu=float))
+    keys = zip(cols["spec"], cols["entity"], cols["target_year"].tolist(),
+               cols["week"].tolist())
+    values = zip(*(cols[name].tolist() for name in ("mu", "sigma", "alpha", "nu")))
+    params = {key: SkewTParams(*v) for key, v in zip(keys, values)}
     if not params:
         raise DataError(f"{path}: no fitted densities")
     specs = sorted({k[0] for k in params})
@@ -196,8 +192,7 @@ def cmd_density(args) -> int:
             weeks.append(int(token))
         except ValueError:
             raise DataError(f"--weeks: {token!r} is not a week number") from None
-    with open(path) as fh:
-        header = _header(fh.read())
+    header = _header(text)
     written = []
     for week in weeks:
         key = (spec, args.entity, args.year, week)

@@ -194,18 +194,30 @@ def write_store(dataset: PanelDataset, store_dir: str) -> None:
 
 
 def load_store(store_dir: str) -> PanelDataset:
-    """Load a store written by write_store, verifying checksums."""
+    """Load a store written by write_store, verifying checksums. A manifest
+    line that is malformed or names a file that cannot be read is an
+    `IngestError` naming the line."""
     manifest_path = os.path.join(store_dir, STORE_MANIFEST)
     if not os.path.exists(manifest_path):
         raise IngestError(f"no store manifest at {manifest_path}")
     dataset = PanelDataset()
     with open(manifest_path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        for variable, freq, fname, digest in reader:
+        if next(reader, None) is None:
+            raise IngestError(f"{manifest_path}: empty store manifest")
+        for lineno, row in enumerate(reader, start=2):
+            where = f"{manifest_path}:{lineno}"
+            if len(row) != 4:
+                raise IngestError(f"{where}: {len(row)} fields, expected 4")
+            variable, freq, fname, digest = row
+            if freq not in FREQUENCIES:
+                raise IngestError(f"{where}: unknown frequency {freq!r}")
             path = os.path.join(store_dir, fname)
-            with open(path) as sf:
-                text = sf.read()
+            try:
+                with open(path) as sf:
+                    text = sf.read()
+            except OSError as exc:
+                raise IngestError(f"{where}: cannot read {path}: {exc.strerror}") from None
             actual = hashlib.sha256(text.encode()).hexdigest()
             if actual != digest:
                 raise IngestError(f"{path}: checksum mismatch; store corrupted")

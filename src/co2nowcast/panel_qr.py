@@ -43,8 +43,8 @@ class QuantileSpec:
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
             raise DomainError(f"quantile level tau={self.tau} outside (0, 1)")
-        if self.lam < 0.0:
-            raise DomainError("shrinkage weight lambda must be >= 0")
+        if not self.lam >= 0.0:
+            raise DomainError(f"shrinkage weight lambda={self.lam} must be >= 0")
 
 
 @dataclass(frozen=True)

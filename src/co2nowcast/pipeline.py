@@ -22,12 +22,12 @@ regressor can use information beyond the week's information set.
 A design builds every (entity, year) row at once: one fancy index per block
 gathers the AR lag, the lag windows, the Almon-weighted weekly lags and the
 cross-sectional factors of all years. A row with any missing value is
-skipped. What the specs of a week share, the week builds once (`Week`):
-each of those blocks, read once, and the bridge's training set, which
-reads realized energy and so is the same for every bridge spec, with one
-quantile fit per level. An energy or direct spec adds only the
-concatenation of the blocks it names and its own fit; a bridge spec adds
-only its nowcasts in the prediction rows.
+skipped. Every stage takes its calendar week as a `Week`, which builds
+once what the week's specs share: both benchmarks, each of those blocks,
+and the bridge's training set, which reads realized energy and so is the
+same for every bridge spec, with one quantile fit per level. An energy or
+direct spec adds only the concatenation of the blocks it names and its
+own fit; a bridge spec adds only its nowcasts in the prediction rows.
 """
 
 from __future__ import annotations
@@ -130,6 +130,10 @@ class RunConfig:
             raise ConfigError("eval_start must be <= eval_end")
         if self.estimation_start >= self.eval_start:
             raise ConfigError("estimation_start must precede the evaluation years")
+        if not all(0.0 < tau < 1.0 for tau in self.taus):
+            raise ConfigError(f"taus must lie inside (0, 1), got {self.taus}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         if len(self.taus) != len(set(self.taus)) or list(self.taus) != sorted(self.taus):
             raise ConfigError("taus must be strictly ascending")
         if not self.specs:
@@ -253,25 +257,24 @@ BRIDGE_LABELS = ("ar_e", "c_hat", "f_e", "f_c")
 
 
 class Week:
-    """The design blocks that the specs of one calendar week share, each
-    built on first use and kept for the week only.
+    """One calendar week: the panel's arrays, its information set `info`
+    and the first training year, with the benchmarks and design blocks that
+    the week's specs share, each built on first use and kept for the week.
 
     A design on EC (energy) or CO2 (bridge, direct) has rows for its
     regressand's entities and for the years from `estimation_start` to the
-    regressand's latest year in `info`, then the target year t. Each block
-    over those rows is read from `panel` through `info` once: y, the AR lag,
-    each high-frequency block (the weekly one Almon-weighted) and the
-    cross-sectional factors. An energy or direct design concatenates the
-    blocks its spec names, so a row's validity is judged on its own columns
-    only. The bridge's training rows read realized energy, not a nowcast, so
-    one training set and one quantile fit per level serve every bridge
-    spec; a spec only fills its own nowcasts into the prediction rows."""
+    regressand's latest year in `info`, then the target year t, `info.year`.
+    Each block over those rows is read from `panel` through `info` once: y,
+    the AR lag, each high-frequency block (the weekly one Almon-weighted)
+    and the cross-sectional factors. An energy or direct design concatenates
+    the blocks its spec names, so a row's validity is judged on its own
+    columns only. The bridge's training rows read realized energy, not a
+    nowcast, so one training set and one quantile fit per level serve every
+    bridge spec; a spec only fills its own nowcasts into the prediction rows."""
 
-    def __init__(self, panel: PanelArrays, info: InformationSet, t: int,
-                 estimation_start: int):
-        self.panel, self.info, self.t = panel, info, t
-        self.estimation_start = estimation_start
-        self._kept = {}
+    def __init__(self, panel: PanelArrays, info: InformationSet, estimation_start: int):
+        self.panel, self.info, self.t = panel, info, info.year
+        self.estimation_start, self._kept = estimation_start, {}
 
     def _keep(self, key, build):
         """build(), called once per week for `key`."""
@@ -322,6 +325,12 @@ class Week:
         """The week's `energy_hist_mean`: the archive's energy benchmark and
         the HistMean spec's nowcasts."""
         return self._keep("hist_mean", lambda: energy_hist_mean(self.panel, self.info))
+
+    def co2_benchmarks(self, taus):
+        """The week's `co2_benchmark_quantiles` at `taus`: the archive's CO2
+        benchmark and the HistMean spec's quantiles."""
+        return self._keep(("co2 benchmarks", taus),
+                          lambda: co2_benchmark_quantiles(self.panel, self.info, taus))
 
     def factor(self, var):
         """The cross-sectional mean of `var` at the latest CO2 lag in each
@@ -379,24 +388,9 @@ class Week:
             for tau in taus])
 
 
-def _week_of(panel, info: InformationSet, t: int, estimation_start: int) -> Week:
-    """`panel` itself if it is the `Week` of these arguments, else a new
-    `Week` of its arrays."""
-    if isinstance(panel, Week):
-        if (panel.info, panel.t, panel.estimation_start) == (info, t, estimation_start):
-            return panel
-        panel = panel.panel
-    return Week(panel, info, t, estimation_start)
-
-
-def assemble_energy_design(panel, info: InformationSet, spec: ModelSpec, t: int,
-                           estimation_start: int):
-    """Training rows plus prediction rows for the MIDAS energy regression,
-    read from `panel` through `info`. Training years with insufficient
-    history are dropped per entity. `panel` is the run's `PanelArrays` or a
-    `Week` of them, whose blocks the call then shares.
-    """
-    week = _week_of(panel, info, t, estimation_start)
+def assemble_energy_design(week: Week, spec: ModelSpec):
+    """Training rows plus prediction rows for the MIDAS energy regression of
+    `week`. Training years with insufficient history are dropped per entity."""
     rows, last = week.design(VAR_EC, week.hf(VAR_EC, spec), "energy")
     return rows, week.pred(VAR_EC, last), ("ar_c",) + _hf_labels(spec)
 
@@ -419,44 +413,36 @@ def energy_hist_mean(panel, info: InformationSet) -> dict:
     return {e: float(np.mean(v)) for e, v in panel.visible(info, VAR_EC)}
 
 
-def nowcast_energy(panel, info: InformationSet, spec: ModelSpec, config: RunConfig):
-    """Stage one for the week of `info`, read from `panel` (as in
-    `assemble_energy_design`) through `info`: assemble, fit, predict.
-    Returns (nowcasts, gap entities)."""
+def nowcast_energy(week: Week, info: InformationSet, spec: ModelSpec):
+    """Stage one for `week`, whose information set is `info`: assemble, fit,
+    predict. Returns (nowcasts, gap entities)."""
     if spec.is_direct:
         raise DomainError("the direct model has no energy stage")
     t, v = info.year, info.week
-    week = _week_of(panel, info, t, config.estimation_start)
     if spec.kind == "HistMean":
         return [EnergyNowcast(entity=e, year=t, week=v, value=mean)
                 for e, mean in week.hist_mean().items()], []
-    rows, pred, labels = assemble_energy_design(week, info, spec, t,
-                                                config.estimation_start)
+    rows, pred, labels = assemble_energy_design(week, spec)
     rows, pred, gaps = _drop_thin_entities(rows, pred, week.panel.entities_of(VAR_EC))
     model = fit_within(rows, labels=labels)
     return [EnergyNowcast(entity=e, year=t, week=v, value=predict(model, e, x))
             for e, x in pred], gaps
 
 
-def bridge_design(panel, info: InformationSet, energy: dict, t: int,
-                  estimation_start: int):
-    """Quantile-bridge design: AR lag of emissions growth, the energy term
-    (realized in training, first-stage nowcast in prediction) and the
-    cross-sectional-average factors at the latest available lag. `panel` as
-    in `assemble_energy_design`."""
-    week = _week_of(panel, info, t, estimation_start)
+def bridge_design(week: Week, energy: dict):
+    """Quantile-bridge design of `week`: AR lag of emissions growth, the
+    energy term (realized in training, the first-stage nowcast `energy` in
+    prediction) and the cross-sectional-average factors at the latest
+    available lag."""
     rows, last = week.bridge()
     last = last.copy()
     last[:, 1] = [energy.get(e, np.nan) for e in week.frame(VAR_CO2)[0]]
     return rows, week.pred(VAR_CO2, last), BRIDGE_LABELS
 
 
-def direct_design(panel, info: InformationSet, spec: ModelSpec, t: int,
-                  estimation_start: int):
-    """Direct quantile design: emissions growth on its own AR lag, the
-    high-frequency blocks, and the scalar emissions factor. `panel` as in
-    `assemble_energy_design`."""
-    week = _week_of(panel, info, t, estimation_start)
+def direct_design(week: Week, spec: ModelSpec):
+    """Direct quantile design of `week`: emissions growth on its own AR lag,
+    the high-frequency blocks, and the scalar emissions factor."""
     blocks = [*week.hf(VAR_CO2, spec), week.factor(VAR_CO2)]
     rows, last = week.design(VAR_CO2, blocks, "direct")
     return rows, week.pred(VAR_CO2, last), ("ar_e",) + _hf_labels(spec) + ("f_e",)
@@ -469,19 +455,17 @@ def co2_benchmark_quantiles(panel, info: InformationSet, taus) -> dict:
             for e, v in panel.visible(info, VAR_CO2)}
 
 
-def nowcast_co2_density(panel, info: InformationSet, spec: ModelSpec,
-                        config: RunConfig, energy, benchmarks):
-    """Stage two for the week of `info`, read from `panel` (as in
-    `assemble_energy_design`) through `info`: quantile predictions,
-    rearrangement, density fit and benchmark triple. `energy` is the spec's
-    stage-one result (nowcasts, gap entities); HistMean ignores it and
-    direct specs pass None. `benchmarks` is the week's
-    `co2_benchmark_quantiles` at `config.taus`.
+def nowcast_co2_density(week: Week, info: InformationSet, spec: ModelSpec,
+                        config: RunConfig, energy):
+    """Stage two for `week`, whose information set is `info`: quantile
+    predictions, rearrangement, density fit and the week's benchmark triple
+    at `config.taus`. `energy` is the spec's stage-one result (nowcasts, gap
+    entities); HistMean ignores it and direct specs pass None.
 
     Returns (nowcasts, gap entities), the gaps including stage one's. A
     density fit that fails raises its `DataError` to the caller."""
-    t, v = info.year, info.week
-    taus = config.taus
+    t, v, taus = info.year, info.week, config.taus
+    benchmarks = week.co2_benchmarks(taus)
 
     def nowcast(e, triple):
         q = rearrange(triple)
@@ -491,17 +475,14 @@ def nowcast_co2_density(panel, info: InformationSet, spec: ModelSpec,
 
     if spec.kind == "HistMean":
         return [nowcast(e, benchmarks[e]) for e in sorted(benchmarks)], []
-    week = _week_of(panel, info, t, config.estimation_start)
     if spec.is_direct:
-        rows, pred, labels = direct_design(week, info, spec, t,
-                                           config.estimation_start)
+        rows, pred, labels = direct_design(week, spec)
         models = [fit_quantile(rows, QuantileSpec(tau=tau, lam=config.lam),
                                labels=labels) for tau in taus]
         gaps_energy = []
     else:
         nowcasts, gaps_energy = energy
-        rows, pred, _ = bridge_design(week, info, {n.entity: n.value for n in nowcasts},
-                                      t, config.estimation_start)
+        rows, pred, _ = bridge_design(week, {n.entity: n.value for n in nowcasts})
         models = week.bridge_models(taus, config.lam)
     # every entity with a training row keeps them: only prediction rows drop
     _, pred, gaps = _drop_thin_entities(rows, pred, benchmarks, min_rows=1)
@@ -570,11 +551,11 @@ def _run_year(panel: PanelArrays, config: RunConfig, t: int) -> NowcastArchive:
             ))
 
         info = information_set(rules, t, v)
-        week = Week(panel, info, t, config.estimation_start)
+        week = Week(panel, info, config.estimation_start)
         try:
             panel.check(info)
             bench_energy = week.hist_mean()
-            bench_co2 = co2_benchmark_quantiles(panel, info, config.taus)
+            week.co2_benchmarks(config.taus)  # kept for stage two; fails the week here
         except DataError as exc:
             note("*", "benchmark", str(exc))
             continue
@@ -582,7 +563,7 @@ def _run_year(panel: PanelArrays, config: RunConfig, t: int) -> NowcastArchive:
             energy = None
             if not spec.is_direct:
                 try:
-                    energy = nowcast_energy(week, info, spec, config)
+                    energy = nowcast_energy(week, info, spec)
                 except DataError as exc:
                     # a bridge CO2 stage reads stage one, so it fails alike
                     # (HistMean's stage one cannot raise)
@@ -601,8 +582,7 @@ def _run_year(panel: PanelArrays, config: RunConfig, t: int) -> NowcastArchive:
                     note(spec.kind, "energy",
                          f"entity {e} dropped: insufficient history")
             try:
-                densities, gaps = nowcast_co2_density(week, info, spec, config,
-                                                      energy, bench_co2)
+                densities, gaps = nowcast_co2_density(week, info, spec, config, energy)
             except DataError as exc:
                 note(spec.kind, "co2", str(exc))
                 continue

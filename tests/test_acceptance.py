@@ -263,8 +263,6 @@ def test_criterion_7_information_discipline_sentinel_audit():
     rules = table2_rules()
     est_start = 1995
     specs = [ModelSpec(kind=k) for k in MODEL_KINDS if k != "HistMean"]
-    config = RunConfig(estimation_start=est_start, eval_start=2011, eval_end=2012,
-                       fit_density=False)
     for t in (2011, 2012):
         for v in range(1, 49):
             info = information_set(rules, t, v)
@@ -275,25 +273,24 @@ def test_criterion_7_information_discipline_sentinel_audit():
                 assert abs(energy[e]) < LEAK_LIMIT
                 for q in benchmarks[e]:
                     assert abs(q) < LEAK_LIMIT
-            rows, pred, _ = bridge_design(ds, info, energy, t, est_start)
+            # each design alone, from a fresh `Week`
+            rows, pred, _ = bridge_design(Week(ds, info, est_start), energy)
             _assert_clean(rows, pred)
             for spec in specs:
-                if spec.is_direct:
-                    rows, pred, _ = direct_design(ds, info, spec, t, est_start)
-                else:
-                    rows, pred, _ = assemble_energy_design(ds, info, spec, t, est_start)
+                design = direct_design if spec.is_direct else assemble_energy_design
+                rows, pred, _ = design(Week(ds, info, est_start), spec)
                 _assert_clean(rows, pred)
             # again through one week's shared blocks, in run order, with each
             # bridge spec's own nowcasts: a kept block is where a leak would hide
-            week = Week(ds, info, t, est_start)
+            week = Week(ds, info, est_start)
             for spec in specs:
                 if spec.is_direct:
-                    _assert_clean(*direct_design(week, info, spec, t, est_start)[:2])
+                    _assert_clean(*direct_design(week, spec)[:2])
                     continue
-                _assert_clean(*assemble_energy_design(week, info, spec, t, est_start)[:2])
-                nowcasts, _ = nowcast_energy(week, info, spec, config)
+                _assert_clean(*assemble_energy_design(week, spec)[:2])
+                nowcasts, _ = nowcast_energy(week, info, spec)
                 own = {n.entity: n.value for n in nowcasts}
-                _assert_clean(*bridge_design(week, info, own, t, est_start)[:2])
+                _assert_clean(*bridge_design(week, own)[:2])
     assert time.monotonic() - t0 < 30.0
 
 
@@ -315,8 +312,9 @@ def _relative_scores_one_seed(seed):
     for t in config.eval_years:
         for v in range(9, 49):
             info = information_set(rules, t, v)
+            week = Week(ds, info, config.estimation_start)
             for m_spec in (spec, hist):
-                out, _ = nowcast_energy(ds, info, m_spec, config)
+                out, _ = nowcast_energy(week, info, m_spec)
                 archive.extend(
                     dict(spec=m_spec.kind, variable="EC", entity=n.entity, target_year=t,
                          week=v, tau_or_point=math.nan, prediction=n.value,
@@ -324,9 +322,9 @@ def _relative_scores_one_seed(seed):
                     for n in out
                 )
         info = information_set(rules, t, 48)
-        energy = nowcast_energy(ds, info, spec, config)
-        out, _ = nowcast_co2_density(ds, info, spec, config, energy,
-                                     co2_benchmark_quantiles(ds, info, config.taus))
+        week = Week(ds, info, config.estimation_start)
+        energy = nowcast_energy(week, info, spec)
+        out, _ = nowcast_co2_density(week, info, spec, config, energy)
         for n in out:
             y = realized("CO2", n.entity, t)
             for tau, q_m, q_b in zip(config.taus, n.quantiles, n.benchmark):

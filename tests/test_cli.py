@@ -338,6 +338,23 @@ class TestDensityCommand:
         assert "no density" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("bad, message", [
+        ("AR-W,S00,2009,9,0.1,0.2", ":4: 6 fields, expected 8"),
+        ("AR-W,S00,2009,9,abc,0.2,0.5,5.0", ":4: mu 'abc' is not a number"),
+        ("AR-W,S00,2009,w9,0.1,0.2,0.5,5.0", ":4: week 'w9' is not a number"),
+    ], ids=["short_line", "non_numeric_mu", "non_numeric_week"])
+    def test_malformed_density_params_is_an_error(self, tmp_path, capsys, bad, message):
+        path = tmp_path / "density_params.csv"
+        path.write_text("# config_hash=x version=0\n"
+                        "spec,entity,target_year,week,mu,sigma,alpha,nu\n"
+                        "AR-W,S00,2009,8,0.1,0.2,0.5,5.0\n" + bad + "\n")
+        out = tmp_path / "out"
+        rc = main(["density", "--archive-dir", str(tmp_path), "--entity", "S00",
+                   "--year", "2009", "--weeks", "8", "--out", str(out)])
+        assert rc == EXIT_FATAL
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
+        assert not out.exists()
+
     def test_bad_week_token(self, workspace, capsys):
         rc = main(["density", "--archive-dir", workspace["out"],
                    "--entity", "S00", "--year", "2009", "--weeks", "9,x",
@@ -372,6 +389,18 @@ class TestErrorPaths:
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == EXIT_FATAL
         assert "lamda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", [
+        "lambda = -1", "lambda = nan", "taus = 0,0.5,1.5", "taus = 0.25,0.5,nan"])
+    def test_unusable_lambda_or_taus_is_fatal(self, workspace, tmp_path, capsys, setting):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"data_dir = {workspace['store']}\n{setting}\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == EXIT_FATAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_data_dir(self, tmp_path, capsys):
         cfg = tmp_path / "nodata.cfg"

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from co2nowcast.ingest import (
     write_store,
 )
 from co2nowcast.panel import Frequency, PeriodIndex
+from co2nowcast.pipeline import RunConfig
 
 
 def _write(tmp_path, name, text):
@@ -198,6 +200,27 @@ class TestStoreRoundTrip:
         with pytest.raises(IngestError, match="checksum"):
             load_store(str(store))
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda line: line.rsplit(",", 1)[0], ":2: 3 fields, expected 4"),
+        (lambda line: line.replace(".csv", "_gone.csv"), ":2: cannot read .*_gone.csv"),
+        (lambda line: line.replace(",annual,", ",daily,"), ":2: unknown frequency 'daily'"),
+    ], ids=["three_fields", "missing_file", "unknown_frequency"])
+    def test_malformed_store_manifest(self, tmp_path, corrupt, message):
+        store = tmp_path / "store"
+        write_store(self._dataset(tmp_path), str(store))
+        manifest = store / STORE_MANIFEST
+        lines = manifest.read_text().splitlines()
+        assert lines[1].startswith("EC,annual,EC.csv,")
+        lines[1] = corrupt(lines[1])
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IngestError, match=f"^{re.escape(str(manifest))}{message}"):
+            load_store(str(store))
+
+    def test_empty_store_manifest(self, tmp_path):
+        (tmp_path / STORE_MANIFEST).write_text("")
+        with pytest.raises(IngestError, match="empty store manifest"):
+            load_store(str(tmp_path))
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(IngestError, match="store manifest"):
             load_store(str(tmp_path))
@@ -267,6 +290,28 @@ class TestConfig:
     def test_bad_taus(self):
         with pytest.raises(ConfigError, match="taus"):
             parse_config_text("taus = 0.25;0.5\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("taus = 0,0.5,1.5", r"taus must lie inside \(0, 1\), got \(0.0, 0.5, 1.5\)"),
+        ("taus = 0.25,0.5,nan", r"taus must lie inside \(0, 1\)"),
+        ("taus = 0.25,0.5,inf", r"taus must lie inside \(0, 1\)"),
+        ("lambda = -1", r"lambda must be finite and >= 0, got -1.0"),
+        ("lambda = nan", r"lambda must be finite and >= 0, got nan"),
+        ("lambda = inf", r"lambda must be finite and >= 0, got inf"),
+    ])
+    def test_taus_and_lambda_the_fits_cannot_use(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text + "\n")
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(taus=(0.0, 0.5, 0.75)), dict(taus=(0.25, 0.5, 1.0)),
+        dict(taus=(0.25, 0.5, math.nan)), dict(taus=(math.nan, 0.5, 0.75)),
+        dict(lam=-1.0), dict(lam=math.nan), dict(lam=math.inf),
+    ])
+    def test_run_config_rejects_what_the_fits_cannot_use(self, kwargs):
+        with pytest.raises(ConfigError, match="taus must lie inside|lambda must be"):
+            RunConfig(**kwargs)
+        assert RunConfig(taus=(0.01, 0.5, 0.99), lam=0.0).lam == 0.0
 
     def test_density_needs_three_taus(self):
         with pytest.raises(ConfigError, match="fit_density needs exactly three taus"):

@@ -322,6 +322,8 @@ class TestValidationAndPlumbing:
             QuantileSpec(tau=1.5)
         with pytest.raises(DomainError):
             QuantileSpec(tau=0.5, lam=-1.0)
+        with pytest.raises(DomainError, match="lambda=nan"):
+            QuantileSpec(tau=0.5, lam=float("nan"))
 
     def test_unknown_entity(self):
         rows = make_rows(["A"] * 3, [1.0, 2.0, 3.0], [[1.0]] * 3)

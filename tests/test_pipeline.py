@@ -23,6 +23,7 @@ from co2nowcast.pipeline import (
     ModelSpec,
     PanelArrays,
     RunConfig,
+    Week,
     assemble_energy_design,
     bridge_design,
     co2_benchmark_quantiles,
@@ -80,13 +81,10 @@ class TestRunConfig:
         assert RunConfig(taus=taus, fit_density=False).taus == taus
 
 
-def _week(ds, t, v):
-    """The panel's arrays and the information set of (t, v)."""
-    return PanelArrays(ds), information_set(table2_rules(), t, v)
-
-
-def _benchmarks(panel, info, config):
-    return co2_benchmark_quantiles(panel, info, config.taus)
+def _week(ds, t, v, estimation_start=1990):
+    """The `Week` of (t, v) on the panel's arrays, and its information set."""
+    info = information_set(table2_rules(), t, v)
+    return Week(PanelArrays(ds), info, estimation_start), info
 
 
 def _coded_dataset():
@@ -115,9 +113,9 @@ class TestEnergyDesign:
     @pytest.mark.parametrize("kind", ENERGY_KINDS)
     def test_regressor_count_and_labels(self, kind):
         ds, _ = make_dataset(n_entities=3, seed=1)
-        panel, info = _week(ds, 2011, 24)
+        week, _ = _week(ds, 2011, 24)
         spec = ModelSpec(kind)
-        rows, pred, labels = assemble_energy_design(panel, info, spec, 2011, 1990)
+        rows, pred, labels = assemble_energy_design(week, spec)
         width = 1 + 4 * spec.has_q + 12 * spec.has_m + 2 * spec.has_w
         assert len(labels) == width
         assert labels[0] == "ar_c"
@@ -139,8 +137,7 @@ class TestEnergyDesign:
                 if e == "S01" and var == "WECI":
                     s = MixedFreqSeries(e, Frequency.WEEKLY, s.start, s.values[:-60])
                 ds.add(var, s)
-        config = RunConfig(estimation_start=1990, eval_start=2012, eval_end=2012)
-        out, gaps = nowcast_energy(*_week(ds, 2012, 40), ModelSpec("AR-W"), config)
+        out, gaps = nowcast_energy(*_week(ds, 2012, 40), ModelSpec("AR-W"))
         assert [n.entity for n in out] == ["S00", "S02"]
         assert "S01" in gaps
 
@@ -154,8 +151,7 @@ class TestEnergyDesign:
                 if e == "S01" and var == "WECI":
                     s = MixedFreqSeries(e, Frequency.WEEKLY, s.start, s.values[:60])
                 ds.add(var, s)
-        config = RunConfig(estimation_start=1990, eval_start=2012, eval_end=2012)
-        out, gaps = nowcast_energy(*_week(ds, 2012, 40), ModelSpec("AR-W"), config)
+        out, gaps = nowcast_energy(*_week(ds, 2012, 40), ModelSpec("AR-W"))
         assert [n.entity for n in out] == ["S00", "S02"]
         assert gaps == ["S01"]
 
@@ -163,10 +159,8 @@ class TestEnergyDesign:
         # training year s reads the same within-year offsets as target year t
         ds = _coded_dataset()
         t, v = 2011, 24
-        panel, info = _week(ds, t, v)
-        rows, pred, labels = assemble_energy_design(
-            panel, info, ModelSpec("AR-M"), t, 2005
-        )
+        week, info = _week(ds, t, v, 2005)
+        rows, pred, labels = assemble_energy_design(week, ModelSpec("AR-M"))
         m1 = labels.index("m1")
         # at week 24 the latest monthly period is (t, M4)
         assert info["ELEC"] == PeriodIndex(t, 4)
@@ -181,15 +175,11 @@ class TestEnergyDesign:
 
     def test_expanding_window(self):
         ds, _ = make_dataset(n_entities=3, seed=2)
-        rules = table2_rules()
         spec = ModelSpec("AR-Q")
         v = 30
         designs = {}
         for t in (2010, 2011):
-            info = information_set(rules, t, v)
-            rows, _, _ = assemble_energy_design(
-                PanelArrays(ds), info, spec, t, 1990
-            )
+            rows, _, _ = assemble_energy_design(_week(ds, t, v)[0], spec)
             designs[t] = {(r.entity, r.year): r for r in rows}
         assert set(designs[2010]) < set(designs[2011])
         for key, row in designs[2010].items():
@@ -210,25 +200,20 @@ class TestNowcastEnergy:
                                        [0.0] * 24))
         ds.add("WECI", MixedFreqSeries("A", Frequency.WEEKLY, PeriodIndex(2000, 1),
                                        [0.0] * 104))
-        out, gaps = nowcast_energy(*_week(ds, 2005, 10), ModelSpec("HistMean"),
-                                   RunConfig(estimation_start=1990,
-                                             eval_start=2005, eval_end=2005))
+        out, gaps = nowcast_energy(*_week(ds, 2005, 10), ModelSpec("HistMean"))
         assert gaps == []
         assert out[0].value == pytest.approx(0.0)
 
     def test_direct_spec_rejected(self):
         ds, _ = make_dataset(n_entities=2, seed=3)
         with pytest.raises(DomainError):
-            nowcast_energy(*_week(ds, 2011, 48), ModelSpec("DirectAR-W-M-Q"),
-                           RunConfig(eval_start=2011, eval_end=2011))
+            nowcast_energy(*_week(ds, 2011, 48), ModelSpec("DirectAR-W-M-Q"))
 
     def test_noise_free_recovery_at_full_information(self):
         # at week 48 the information set reaches the generating anchors, so a
         # noise-free panel is fit exactly and the nowcast equals the outcome
         ds, truth = make_dataset(n_entities=4, seed=4, noise_c=0.0, noise_e=0.0)
-        config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2011)
-        out, gaps = nowcast_energy(*_week(ds, 2011, 48), ModelSpec("AR-W-M-Q"),
-                                   config)
+        out, gaps = nowcast_energy(*_week(ds, 2011, 48), ModelSpec("AR-W-M-Q"))
         assert gaps == []
         assert len(out) == 4
         for n in out:
@@ -237,11 +222,9 @@ class TestNowcastEnergy:
 
     def test_ar_spec_matches_reduced_regression(self):
         ds, _ = make_dataset(n_entities=3, seed=5)
-        rules = table2_rules()
         t, v = 2011, 10
-        config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2011)
-        info = information_set(rules, t, v)
-        out, _ = nowcast_energy(PanelArrays(ds), info, ModelSpec("AR"), config)
+        week, info = _week(ds, t, v)
+        out, _ = nowcast_energy(week, info, ModelSpec("AR"))
         # oracle: plain within regression of c_s on c_{s-d_v}, which reads
         # nothing after the latest EC year of the information set
         from co2nowcast.panel_ls import DesignRow, fit_within, predict
@@ -265,10 +248,10 @@ class TestBridgeDesign:
     def test_lag_offset_and_factors(self):
         ds = _coded_dataset()
         t, v = 2021 - 10, 9  # use 2011 to stay inside the coded span
-        panel, info = _week(ds, t, v)
+        week, info = _week(ds, t, v, 2000)
         assert t - info["CO2"].year == 3  # annual emissions lag at week 9
         energy = {e: 123.0 for e in ds.entities}
-        rows, pred, labels = bridge_design(panel, info, energy, t, 2000)
+        rows, pred, labels = bridge_design(week, energy)
         assert labels == BRIDGE_LABELS
         for r in rows:
             assert r.x[0] == (r.year - 3) * 100.0 + 1  # AR lag of emissions
@@ -292,11 +275,10 @@ class TestBridgeDesign:
         config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2011,
                            fit_density=False)
         spec = ModelSpec("AR-W-M-Q")
-        panel, info = _week(ds, 2011, 48)
-        energy = nowcast_energy(panel, info, spec, config)
+        week, info = _week(ds, 2011, 48)
+        energy = nowcast_energy(week, info, spec)
         chat = {n.entity: n.value for n in energy[0]}
-        out, _ = nowcast_co2_density(panel, info, spec, config, energy,
-                                     _benchmarks(panel, info, config))
+        out, _ = nowcast_co2_density(week, info, spec, config, energy)
         for n in out:
             assert n.quantiles[1] == pytest.approx(chat[n.entity], abs=1e-4)
 
@@ -305,11 +287,9 @@ class TestDirectDesign:
     def test_shares_energy_blocks_and_reads_emissions_factor(self):
         ds, _ = make_dataset(n_entities=3, seed=7)
         t, v = 2011, 24
-        panel, info = _week(ds, t, v)
-        e_rows, e_pred, _ = assemble_energy_design(
-            panel, info, ModelSpec("AR-W-M-Q"), t, 1990)
-        d_rows, d_pred, _ = direct_design(
-            panel, info, ModelSpec("DirectAR-W-M-Q"), t, 1990)
+        week, info = _week(ds, t, v)
+        e_rows, e_pred, _ = assemble_energy_design(week, ModelSpec("AR-W-M-Q"))
+        d_rows, d_pred, _ = direct_design(week, ModelSpec("DirectAR-W-M-Q"))
         energy_x = {(r.entity, r.year): r.x for r in e_rows}
         energy_x.update({(e, t): x for e, x in e_pred})
         direct_x = {(r.entity, r.year): r.x for r in d_rows}
@@ -325,9 +305,8 @@ class TestDirectDesign:
 
     def test_labels_and_counts(self):
         ds, _ = make_dataset(n_entities=3, seed=7)
-        panel, info = _week(ds, 2011, 24)
-        rows, pred, labels = direct_design(panel, info, ModelSpec("DirectAR-W-M-Q"),
-                                           2011, 1990)
+        week, _ = _week(ds, 2011, 24)
+        rows, pred, labels = direct_design(week, ModelSpec("DirectAR-W-M-Q"))
         assert labels[0] == "ar_e" and labels[-1] == "f_e"
         assert len(labels) == 1 + 4 + 12 + 2 + 1
         assert all(len(r.x) == len(labels) for r in rows)
@@ -463,26 +442,24 @@ class TestDesignEqualsReference:
         gaps = set()
         for t in (2011, 2012):
             for v in range(1, 49):
-                panel, info = _week(ds, t, v)
+                week, info = _week(ds, t, v)
                 cut = _truncated(ds, info)
                 # the benchmarks are those of the cut series, bit for bit
-                assert energy_hist_mean(panel, info) == {
+                assert energy_hist_mean(week.panel, info) == {
                     e: float(np.mean(s.values)) for e, s in cut.series_of("EC")}
-                assert co2_benchmark_quantiles(panel, info, taus) == {
+                assert co2_benchmark_quantiles(week.panel, info, taus) == {
                     e: tuple(float(q) for q in np.quantile(s.values, taus))
                     for e, s in cut.series_of("CO2")}
                 # S00 has no first-stage nowcast: it keeps its training rows only
                 energy = {"S01": 0.5, "S02": -0.25, "S03": 1.0}
-                gaps.update(check("bridge", lambda: bridge_design(
-                    panel, info, energy, t, 1990), 1, energy=energy))
+                gaps.update(check("bridge", lambda: bridge_design(week, energy), 1,
+                                  energy=energy))
                 for kind in MODEL_KINDS[1:]:
                     spec = ModelSpec(kind)
                     if spec.is_direct:
-                        build, min_rows = lambda: direct_design(
-                            panel, info, spec, t, 1990), 1
+                        build, min_rows = lambda: direct_design(week, spec), 1
                     else:
-                        build, min_rows = lambda: assemble_energy_design(
-                            panel, info, spec, t, 1990), 2
+                        build, min_rows = lambda: assemble_energy_design(week, spec), 2
                     gaps.update(check(kind, build, min_rows, spec))
         # the panel reaches every case: a missing nowcast, a weekly series cut
         # short, a lag window before the series start, and a factor year
@@ -493,17 +470,17 @@ class TestDesignEqualsReference:
 
     def test_empty_design_raises(self):
         ds = _reference_panel()
-        panel, info = _week(ds, 2011, 30)
+        week, info = _week(ds, 2011, 30, 2012)
         with pytest.raises(CoverageError, match="empty energy design"):
-            assemble_energy_design(panel, info, ModelSpec("AR"), 2011, 2012)
+            assemble_energy_design(week, ModelSpec("AR"))
         # a panel without weekly data has no row for a weekly block
         no_weci = PanelDataset()
         for var in ("CO2", "EC"):
             for _, series in ds.series_of(var):
                 no_weci.add(var, series)
         with pytest.raises(CoverageError, match="empty energy design"):
-            assemble_energy_design(PanelArrays(no_weci), info, ModelSpec("AR-W"),
-                                   2011, 1990)
+            assemble_energy_design(Week(PanelArrays(no_weci), info, 1990),
+                                   ModelSpec("AR-W"))
 
 
 class TestDensityNowcast:
@@ -511,17 +488,17 @@ class TestDensityNowcast:
         ds = PanelDataset()
         ds.add("CO2", MixedFreqSeries("A", Frequency.ANNUAL, PeriodIndex(2000),
                                       [-2.0, -1.0, 0.0, 1.0, 2.0]))
-        panel, info = _week(ds, 2010, 9)  # emissions known through 2007
-        assert co2_benchmark_quantiles(panel, info, (0.25, 0.5, 0.75)) == {
+        week, info = _week(ds, 2010, 9)  # emissions known through 2007
+        assert co2_benchmark_quantiles(week.panel, info, (0.25, 0.5, 0.75)) == {
             "A": (-1.0, 0.0, 1.0)}
 
     def test_hist_mean_returns_benchmark(self):
         ds, _ = make_dataset(n_entities=2, seed=8)
         config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2011,
                            fit_density=False)
-        panel, info = _week(ds, 2011, 20)
-        out, gaps = nowcast_co2_density(panel, info, ModelSpec("HistMean"), config,
-                                        None, _benchmarks(panel, info, config))
+        week, info = _week(ds, 2011, 20)
+        out, gaps = nowcast_co2_density(week, info, ModelSpec("HistMean"), config,
+                                        None)
         assert gaps == []
         for n in out:
             assert n.quantiles == n.benchmark
@@ -531,11 +508,10 @@ class TestDensityNowcast:
         ds, _ = make_dataset(n_entities=3, seed=9)
         config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2011,
                            fit_density=True)
-        panel, info = _week(ds, 2011, 30)
+        week, info = _week(ds, 2011, 30)
         spec = ModelSpec("AR-W")
-        energy = nowcast_energy(panel, info, spec, config)
-        out, _ = nowcast_co2_density(panel, info, spec, config, energy,
-                                     _benchmarks(panel, info, config))
+        energy = nowcast_energy(week, info, spec)
+        out, _ = nowcast_co2_density(week, info, spec, config, energy)
         assert len(out) == 3
         for n in out:
             assert n.quantiles[0] <= n.quantiles[1] <= n.quantiles[2]
@@ -708,10 +684,10 @@ class TestYearsInParallel:
         """Stage two of spec AR raises error(year) in 2012."""
         density = pipeline.nowcast_co2_density
 
-        def failing(panel, info, spec, config, energy, benchmarks):
+        def failing(week, info, spec, config, energy):
             if info.year == 2012 and spec.kind == "AR":
                 raise error(info.year)
-            return density(panel, info, spec, config, energy, benchmarks)
+            return density(week, info, spec, config, energy)
 
         monkeypatch.setattr(pipeline, "nowcast_co2_density", failing)
 
@@ -757,12 +733,11 @@ class TestDistinctDesignsFitOnce:
                            fit_density=False)
 
         def bridge_week(v):
-            panel, info = _week(ds, 2011, v)
+            week, info = _week(ds, 2011, v)
             for kind in ENERGY_KINDS:
                 spec = ModelSpec(kind)
-                energy = nowcast_energy(panel, info, spec, config)
-                out, _ = nowcast_co2_density(panel, info, spec, config, energy,
-                                             _benchmarks(panel, info, config))
+                energy = nowcast_energy(week, info, spec)
+                out, _ = nowcast_co2_density(week, info, spec, config, energy)
                 assert len(out) == 3
 
         bridge_week(5)
@@ -810,24 +785,23 @@ class TestWeekSharesBlocks:
             for v in range(1, 49):
                 info = information_set(table2_rules(), t, v)
                 # in run order, each spec's design read through one `Week`
-                # must equal the same design built alone from the panel
-                week = pipeline.Week(panel, info, t, config.estimation_start)
+                # must equal the same design built alone, from a fresh `Week`
+                week = Week(panel, info, config.estimation_start)
                 for kind in MODEL_KINDS[1:]:
                     spec = ModelSpec(kind)
                     design = direct_design if spec.is_direct else assemble_energy_design
                     shared, alone = (
-                        _design_bytes(*design(p, info, spec, t, config.estimation_start))
-                        for p in (week, panel))
+                        _design_bytes(*design(w, spec))
+                        for w in (week, Week(panel, info, config.estimation_start)))
                     assert shared == alone
                     if spec.is_direct:
                         continue
                     # the bridge rows with this spec's own nowcasts as c_hat
-                    nowcasts, _ = nowcast_energy(week, info, spec, config)
+                    nowcasts, _ = nowcast_energy(week, info, spec)
                     energy = {n.entity: n.value for n in nowcasts}
                     shared, alone = (
-                        _design_bytes(*bridge_design(p, info, energy, t,
-                                                     config.estimation_start))
-                        for p in (week, panel))
+                        _design_bytes(*bridge_design(w, energy))
+                        for w in (week, Week(panel, info, config.estimation_start)))
                     assert shared == alone
 
     def test_one_bridge_training_set_and_one_energy_block_per_week(self, monkeypatch):

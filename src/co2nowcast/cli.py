@@ -86,7 +86,7 @@ def cmd_run(args) -> int:
     _write(os.path.join(args.out, "archive.csv"), header, archive.to_csv())
     _write(os.path.join(args.out, "density_params.csv"), header, archive.density_csv())
     _write(os.path.join(args.out, "diagnostics.csv"), header, archive.diagnostics_csv())
-    n_rows = len(archive.energy_rows) + len(archive.co2_rows)
+    n_rows = len(archive.energy) + len(archive.co2)
     print(f"archived {n_rows} prediction rows "
           f"({len(archive.diagnostics)} diagnostics) -> {args.out}")
     return EXIT_PARTIAL if archive.diagnostics else EXIT_OK
@@ -264,7 +264,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # OSError: a file that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
 

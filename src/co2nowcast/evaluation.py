@@ -175,7 +175,7 @@ def score_columns(columns: dict, metric: str, tau: float | None = None,
             raise ScoringGapError("CO2 rows without a quantile level")
         if metric == "qs":
             available = sorted(set(levels[pool].tolist()))
-            if all(abs(lv - tau) > 1e-12 for lv in available):
+            if not any(abs(lv - tau) <= 1e-12 for lv in available):  # NaN is in none
                 raise ScoringGapError(
                     f"quantile level tau={tau} not in archive; available: {available}")
             pool &= np.abs(levels - tau) <= 1e-12

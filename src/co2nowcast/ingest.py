@@ -61,6 +61,9 @@ def _parse_variable(fh, frequency: Frequency, path: str) -> dict:
         if len(row) != len(header):
             raise IngestError(f"{path}:{lineno}: expected {len(header)} fields")
         entity = row[0].strip()
+        if any(c in entity for c in ',"\r\n'):
+            raise IngestError(f"{path}:{lineno}: entity name {entity!r} holds a comma, "
+                              "a double quote or a line break")
         try:
             year = int(row[1])
             sub = int(row[2]) if has_sub and row[2].strip() else 1
@@ -106,7 +109,10 @@ def read_manifest(path: str):
     entries = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
+        header = next(reader, None)
+        if header is None:
+            raise ConfigError(f"{path}: empty manifest")
+        header = [h.strip() for h in header]
         if header != ["variable", "file", "frequency", "transform", "population_file"]:
             raise ConfigError(
                 f"{path}: manifest header must be "

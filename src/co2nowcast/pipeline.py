@@ -13,11 +13,13 @@ through the week's information set, which hides each period after its
 latest period of the variable; a bridge spec's CO2 stage receives the
 energy nowcasts that stage one produced for that week. No target year
 reads another year's fits, so the years run in parallel, one forked worker
-process per year up to the usable CPUs, and are merged in year order; the
-archive is the same as that of one process running them in turn. Lag
-offsets are pure functions of the calendar week, applied identically to
-training years and the target year (the "direct method" alignment), so no
-regressor can use information beyond the week's information set.
+process per year up to the usable CPUs. A worker formats each row as its
+CSV line where it computes the row, and the parent concatenates the lines
+of the years in year order; the archive is the same as that of one process
+running them in turn. Lag offsets are pure functions of the calendar week,
+applied identically to training years and the target year (the "direct
+method" alignment), so no regressor can use information beyond the week's
+information set.
 
 A design builds every (entity, year) row at once: one fancy index per block
 gathers the AR lag, the lag windows, the Almon-weighted weekly lags and the
@@ -493,52 +495,40 @@ def nowcast_co2_density(week: Week, info: InformationSet, spec: ModelSpec,
 
 @dataclass
 class NowcastArchive:
-    """Flat archive of every prediction with realized outcomes joined."""
+    """The archive as the lines of its three files, each line one row ending
+    in a newline: archive.csv's energy rows, then its CO2 rows, with realized
+    outcomes joined; density_params.csv's rows; and diagnostics.csv's rows.
+    Each line is formatted once, where its row is computed."""
 
-    energy_rows: list = field(default_factory=list)
-    co2_rows: list = field(default_factory=list)
-    density_rows: list = field(default_factory=list)
+    energy: list = field(default_factory=list)
+    co2: list = field(default_factory=list)
+    density: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
 
     def to_csv(self) -> str:
-        lines = ["spec,variable,entity,target_year,week,tau_or_point,"
-                 "prediction,benchmark,realized"]
-        for r in self.energy_rows:
-            lines.append(
-                f"{r['spec']},EC,{r['entity']},{r['year']},{r['week']},point,"
-                f"{r['prediction']!r},{r['benchmark']!r},{r['realized']!r}"
-            )
-        for r in self.co2_rows:
-            lines.append(
-                f"{r['spec']},CO2,{r['entity']},{r['year']},{r['week']},{r['tau']!r},"
-                f"{r['prediction']!r},{r['benchmark']!r},{r['realized']!r}"
-            )
-        return "\n".join(lines) + "\n"
+        return ("spec,variable,entity,target_year,week,tau_or_point,"
+                "prediction,benchmark,realized\n"
+                + "".join(self.energy) + "".join(self.co2))
 
     def density_csv(self) -> str:
-        lines = ["spec,entity,target_year,week,mu,sigma,alpha,nu"]
-        for r in self.density_rows:
-            p = r["params"]
-            lines.append(
-                f"{r['spec']},{r['entity']},{r['year']},{r['week']},"
-                f"{p.mu!r},{p.sigma!r},{p.alpha!r},{p.nu!r}"
-            )
-        return "\n".join(lines) + "\n"
+        return "spec,entity,target_year,week,mu,sigma,alpha,nu\n" + "".join(self.density)
 
     def diagnostics_csv(self) -> str:
-        """Diagnostics rows; a detail containing commas or quotes is quoted."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["spec", "target_year", "week", "stage", "detail"])
-        for d in self.diagnostics:
-            writer.writerow([d["spec"], d["year"], d["week"], d["stage"], d["detail"]])
-        return out.getvalue()
+        return "spec,target_year,week,stage,detail\n" + "".join(self.diagnostics)
+
+
+def _csv_line(*values) -> str:
+    """One CSV line of `values`; a field containing commas or quotes is quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(values)
+    return out.getvalue()
 
 
 def _run_year(panel: PanelArrays, config: RunConfig, t: int) -> NowcastArchive:
     """Every calendar week and model spec of target year t, re-fitted on what
     the week's information set shows of the panel; the specs of a week share
-    its `Week` of design blocks. Failures become diagnostics rows."""
+    its `Week` of design blocks. Each row is archived as its CSV line.
+    Failures become diagnostics rows."""
     rules = table2_rules()
     specs = tuple(ModelSpec(kind=k) for k in config.specs)
     realized = {var: panel.realized(var, t) for var in (VAR_EC, VAR_CO2)}
@@ -546,9 +536,7 @@ def _run_year(panel: PanelArrays, config: RunConfig, t: int) -> NowcastArchive:
     for v in range(1, cal.N_WEEKS + 1):
 
         def note(spec_kind, stage, detail):
-            archive.diagnostics.append(dict(
-                spec=spec_kind, year=t, week=v, stage=stage, detail=detail,
-            ))
+            archive.diagnostics.append(_csv_line(spec_kind, t, v, stage, detail))
 
         info = information_set(rules, t, v)
         week = Week(panel, info, config.estimation_start)
@@ -571,13 +559,10 @@ def _run_year(panel: PanelArrays, config: RunConfig, t: int) -> NowcastArchive:
                     note(spec.kind, "co2", str(exc))
                     continue
                 nowcasts, gaps = energy
-                for n in nowcasts:
-                    archive.energy_rows.append(dict(
-                        spec=spec.kind, entity=n.entity, year=t, week=v,
-                        prediction=n.value,
-                        benchmark=bench_energy[n.entity],
-                        realized=realized[VAR_EC][n.entity],
-                    ))
+                archive.energy.extend(
+                    f"{spec.kind},EC,{n.entity},{t},{v},point,{n.value!r},"
+                    f"{bench_energy[n.entity]!r},{realized[VAR_EC][n.entity]!r}\n"
+                    for n in nowcasts)
                 for e in gaps:
                     note(spec.kind, "energy",
                          f"entity {e} dropped: insufficient history")
@@ -587,17 +572,13 @@ def _run_year(panel: PanelArrays, config: RunConfig, t: int) -> NowcastArchive:
                 note(spec.kind, "co2", str(exc))
                 continue
             for n in densities:
-                for tau, pred_q, bench_q in zip(config.taus, n.quantiles, n.benchmark):
-                    archive.co2_rows.append(dict(
-                        spec=spec.kind, entity=n.entity, year=t, week=v,
-                        tau=tau, prediction=pred_q, benchmark=bench_q,
-                        realized=realized[VAR_CO2][n.entity],
-                    ))
-                if n.params is not None:
-                    archive.density_rows.append(dict(
-                        spec=spec.kind, entity=n.entity, year=t, week=v,
-                        params=n.params,
-                    ))
+                archive.co2.extend(
+                    f"{spec.kind},CO2,{n.entity},{t},{v},{tau!r},{pred_q!r},{bench_q!r},"
+                    f"{realized[VAR_CO2][n.entity]!r}\n"
+                    for tau, pred_q, bench_q in zip(config.taus, n.quantiles, n.benchmark))
+                if (p := n.params) is not None:
+                    archive.density.append(f"{spec.kind},{n.entity},{t},{v},"
+                                           f"{p.mu!r},{p.sigma!r},{p.alpha!r},{p.nu!r}\n")
             for e in gaps:
                 note(spec.kind, "co2", f"entity {e} dropped: insufficient history")
     return archive

@@ -186,7 +186,8 @@ class TestEvaluate:
         assert rc == EXIT_FATAL
         assert "AR-M" in capsys.readouterr().err
 
-    def test_qs_tau_missing_from_archive(self, tmp_path, capsys):
+    @pytest.mark.parametrize("tau", ["0.3", "nan"])
+    def test_qs_tau_missing_from_archive(self, tmp_path, capsys, tau):
         path = tmp_path / "median_only.csv"
         path.write_text(
             "spec,variable,entity,target_year,week,tau_or_point,"
@@ -195,9 +196,9 @@ class TestEvaluate:
         )
         out = tmp_path / "out"
         rc = main(["evaluate", "--archive", str(path), "--metric", "qs",
-                   "--tau", "0.3", "--out", str(out)])
+                   "--tau", tau, "--out", str(out)])
         assert rc == EXIT_FATAL
-        assert "tau=0.3" in capsys.readouterr().err
+        assert f"tau={tau} not in archive" in capsys.readouterr().err
         assert not out.exists()
 
     def test_benchmark_missing_a_week(self, tmp_path, capsys):
@@ -416,6 +417,32 @@ class TestErrorPaths:
                    "--manifest", str(manifest), "--out", str(tmp_path / "store")])
         assert rc == EXIT_FATAL
         assert "header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, manifest", [
+        (["ingest", "--manifest", "{tmp}/missing.csv"], None),
+        (["ingest", "--manifest", "{tmp}/manifest.csv"], "EC,missing.csv,annual,none,"),
+        (["ingest", "--manifest", "{tmp}/manifest.csv"],
+         "EC,ec.csv,annual,per_capita,missing.csv"),
+        (["ingest", "--manifest", "{tmp}/manifest.csv"], ""),
+        (["run", "--config", "{tmp}/missing.cfg"], None),
+        (["evaluate", "--archive", "{tmp}/missing.csv", "--metric", "rmsfe"], None),
+        (["density", "--archive-dir", "{tmp}/missing", "--entity", "S00",
+          "--year", "2009", "--weeks", "1"], None),
+    ], ids=["ingest-manifest", "ingest-data-file", "ingest-population-file",
+            "ingest-empty-manifest", "run-config", "evaluate-archive",
+            "density-archive-dir"])
+    def test_unreadable_input_is_fatal(self, tmp_path, capsys, argv, manifest):
+        (tmp_path / "ec.csv").write_text("entity,year,value\nA,2000,1.0\n")
+        if manifest is not None:  # "" is a 0-byte manifest, else one line after the header
+            header = "variable,file,frequency,transform,population_file\n"
+            (tmp_path / "manifest.csv").write_text(manifest and f"{header}{manifest}\n")
+        argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "out")]
+        if argv[0] == "ingest":
+            argv += ["--data-dir", str(tmp_path)]
+        assert main(argv) == EXIT_FATAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_short_sample_run_is_partial(self, tmp_path):
         dataset, _ = make_dataset(n_entities=2, first_year=2005, last_year=2009,

@@ -99,6 +99,14 @@ class TestQuantileScore:
         for tau in (0.1, 0.25, 0.5, 0.9):
             assert absolute(r, "qs", tau) >= 0.0
 
+    @pytest.mark.parametrize("tau", [0.3, float("nan")])
+    def test_level_missing_from_archive(self, tau):
+        # NaN is no level of the archive, not a level with no rows
+        weekly = {1: rows("A", [0.0], [1.0])}
+        archive = tagged(weekly, "AR", "CO2", 0.5) + tagged(weekly, "HistMean", "CO2", 0.5)
+        with pytest.raises(ScoringGapError, match=rf"tau={tau} not in archive"):
+            score(archive, "qs", tau)
+
 
 class TestCrps:
     def test_mean_of_quantile_scores(self):

@@ -13,7 +13,8 @@ which prints, per case, table and float column, the largest absolute and
 relative change from the file it replaces.
 """
 
-import dataclasses
+import csv
+import io
 import json
 import os
 
@@ -82,12 +83,24 @@ COLUMNS = dict(
 
 
 def _tables(archive):
-    """Every archived row as a flat list, in archive order."""
-    density = [dict(r, **dataclasses.asdict(r["params"])) for r in archive.density_rows]
-    rows = dict(energy=archive.energy_rows, co2=archive.co2_rows, density=density,
-                diagnostics=archive.diagnostics)
-    return {table: [[r[c] for c in COLUMNS[table]] for r in rows[table]]
-            for table in COLUMNS}
+    """Every archived row as a flat list, in archive order, read from the
+    text of the three files: int year and week, float numbers, str names."""
+    tables = {table: [] for table in COLUMNS}
+    for line in archive.to_csv().splitlines()[1:]:
+        spec, variable, entity, year, week, tau, *values = line.split(",")
+        row = [spec, entity, int(year), int(week)]
+        if variable == "EC":
+            tables["energy"].append(row + [float(x) for x in values])
+        else:
+            tables["co2"].append(row + [float(x) for x in (tau, *values)])
+    for line in archive.density_csv().splitlines()[1:]:
+        spec, entity, year, week, *values = line.split(",")
+        tables["density"].append([spec, entity, int(year), int(week),
+                                  *(float(x) for x in values)])
+    for spec, year, week, stage, detail in list(
+            csv.reader(io.StringIO(archive.diagnostics_csv())))[1:]:
+        tables["diagnostics"].append([spec, int(year), int(week), stage, detail])
+    return tables
 
 
 def _run(name):

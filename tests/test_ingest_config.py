@@ -84,6 +84,15 @@ class TestReadVariableCsv:
         with pytest.raises(IngestError, match="empty"):
             read_variable_csv(path, Frequency.ANNUAL)
 
+    @pytest.mark.parametrize("name", ['"A,B"', '"A""B"', '"A\nB"', '"A\rB"'],
+                             ids=["comma", "quote", "newline", "return"])
+    def test_entity_name_the_store_cannot_hold(self, tmp_path, name):
+        # the store and the archive write entity names unquoted
+        path = tmp_path / "y.csv"
+        path.write_bytes(f"entity,year,value\nA,2000,1.0\n{name},2000,1.0\n".encode())
+        with pytest.raises(IngestError, match=r"y\.csv:3: entity name"):
+            read_variable_csv(str(path), Frequency.ANNUAL)
+
 
 MANIFEST_HEADER = "variable,file,frequency,transform,population_file\n"
 
@@ -127,9 +136,11 @@ class TestManifest:
         with pytest.raises(ConfigError, match="population"):
             read_manifest(path)
 
-    def test_empty_manifest(self, tmp_path):
-        path = _write(tmp_path, "manifest.csv", MANIFEST_HEADER)
-        with pytest.raises(ConfigError, match="empty"):
+    @pytest.mark.parametrize("text", [MANIFEST_HEADER, ""],
+                             ids=["header-only", "no-header"])
+    def test_empty_manifest(self, tmp_path, text):
+        path = _write(tmp_path, "manifest.csv", text)
+        with pytest.raises(ConfigError, match=r"manifest\.csv: empty manifest"):
             read_manifest(path)
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import os
 from collections import Counter
@@ -38,6 +40,11 @@ from co2nowcast.release_calendar import information_set, table2_rules
 
 from _dgp import make_dataset
 from test_golden_archive import _late_starter
+
+
+def _rows(text):
+    """The rows of an archive file's text as dicts keyed by its header."""
+    return list(csv.DictReader(io.StringIO(text)))
 
 
 class TestModelSpec:
@@ -531,8 +538,8 @@ class TestRunOutOfSample:
         config = RunConfig(estimation_start=1990, eval_start=2012, eval_end=2012,
                            specs=("HistMean", "AR"), fit_density=True)
         archive = run_out_of_sample(ds, config)
-        assert archive.density_rows == []
-        co2 = [d for d in archive.diagnostics if d["stage"] == "co2"]
+        assert archive.density == []
+        co2 = [d for d in _rows(archive.diagnostics_csv()) if d["stage"] == "co2"]
         assert len(co2) == 2 * 48
         assert all(d["detail"] == "skew-t fit failed" for d in co2)
 
@@ -546,8 +553,8 @@ class TestRunOutOfSample:
     def test_cardinality(self):
         _, config, archive = self._run()
         n_years, n_weeks, n_specs, n_ent = 2, 48, 2, 3
-        assert len(archive.energy_rows) == n_years * n_weeks * n_specs * n_ent
-        assert len(archive.co2_rows) == n_years * n_weeks * n_specs * n_ent * 3
+        assert len(archive.energy) == n_years * n_weeks * n_specs * n_ent
+        assert len(archive.co2) == n_years * n_weeks * n_specs * n_ent * 3
         assert archive.diagnostics == []
 
     def test_determinism(self):
@@ -557,9 +564,10 @@ class TestRunOutOfSample:
 
     def test_realized_values_joined(self):
         ds, _, archive = self._run()
-        for r in archive.energy_rows[:20]:
-            expected = ds.get("EC", r["entity"]).value_at(PeriodIndex(r["year"]))
-            assert r["realized"] == expected
+        for r in _rows(archive.to_csv())[:20]:
+            year = PeriodIndex(int(r["target_year"]))
+            expected = ds.get("EC", r["entity"]).value_at(year)
+            assert float(r["realized"]) == expected
 
     def test_one_panel_arrays_per_run_and_one_energy_fit_per_week(self, monkeypatch):
         import co2nowcast.pipeline as pipeline
@@ -628,9 +636,10 @@ class TestRunOutOfSample:
         archive = run_out_of_sample(ds, config)
         assert archive.diagnostics == []
         assert weeks == [(t, v) for t in (2011, 2012) for v in range(1, 49)]
-        hist = [r for r in archive.energy_rows if r["spec"] == "HistMean"]
+        hist = [r for r in _rows(archive.to_csv())
+                if r["spec"] == "HistMean" and r["variable"] == "EC"]
         assert len(hist) == 2 * 2 * 48
-        assert all(r["prediction"] == r["benchmark"] for r in hist)
+        assert all(float(r["prediction"]) == float(r["benchmark"]) for r in hist)
 
     def test_week_before_an_entity_starts_is_a_benchmark_diagnostic(self):
         # every series starts in 2006, and until week 9 the latest CO2 year
@@ -654,9 +663,9 @@ class TestRunOutOfSample:
         config = RunConfig(estimation_start=2005, eval_start=2009, eval_end=2009,
                            specs=("AR",), fit_density=False)
         archive = run_out_of_sample(ds, config)
-        assert archive.energy_rows == []
+        assert archive.energy == []
         assert len(archive.diagnostics) > 0
-        for d in archive.diagnostics:
+        for d in _rows(archive.diagnostics_csv()):
             assert d["stage"] in ("energy", "co2", "benchmark")
 
 
@@ -675,9 +684,30 @@ class TestYearsInParallel:
             archive = self._run(monkeypatch, n_workers, ds, config)
             files.append((archive.to_csv(), archive.density_csv(),
                           archive.diagnostics_csv()))
-            assert {d["year"] for d in archive.diagnostics} == {2010, 2011, 2012}
-            assert archive.density_rows
+            years = {int(d["target_year"]) for d in _rows(archive.diagnostics_csv())}
+            assert years == {2010, 2011, 2012}
+            assert archive.density
         assert files[0] == files[1]
+
+    def test_every_archived_row_is_one_line(self, monkeypatch):
+        # a line that lost its newline would merge two rows of its file
+        ds = _late_starter()
+        config = RunConfig(estimation_start=1990, eval_start=2010, eval_end=2012,
+                           specs=("HistMean", "AR", "DirectAR-W-M-Q"))
+        for n_workers in (1, 2):
+            archive = self._run(monkeypatch, n_workers, ds, config)
+            tables = ((archive.energy + archive.co2, archive.to_csv()),
+                      (archive.density, archive.density_csv()))
+            for lines, text in tables:
+                width = text.split("\n", 1)[0].count(",") + 1
+                assert lines
+                for line in lines:
+                    assert isinstance(line, str) and line.endswith("\n")
+                    assert line.count("\n") == 1 and line.count(",") + 1 == width
+            assert archive.diagnostics
+            for line in archive.diagnostics:
+                assert isinstance(line, str) and line.endswith("\n")
+                assert [len(row) for row in csv.reader(io.StringIO(line))] == [5]
 
     @staticmethod
     def _fail_in_2012(monkeypatch, error):
@@ -709,12 +739,13 @@ class TestYearsInParallel:
         config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2012,
                            specs=("HistMean", "AR"), fit_density=False)
         archive = self._run(monkeypatch, 2, ds, config)
-        notes = [(d["spec"], d["year"], d["stage"], d["detail"])
-                 for d in archive.diagnostics]
+        notes = [(d["spec"], int(d["target_year"]), d["stage"], d["detail"])
+                 for d in _rows(archive.diagnostics_csv())]
         assert notes == [("AR", 2012, "co2", "no density in 2012")] * 48
         # HistMean in both years and AR in 2011: 48 weeks, 2 entities, 3 taus
-        assert {r["year"] for r in archive.co2_rows if r["spec"] == "AR"} == {2011}
-        assert len(archive.co2_rows) == 3 * 48 * 2 * 3
+        co2 = [r for r in _rows(archive.to_csv()) if r["variable"] == "CO2"]
+        assert {int(r["target_year"]) for r in co2 if r["spec"] == "AR"} == {2011}
+        assert len(co2) == 3 * 48 * 2 * 3
 
 
 class TestDistinctDesignsFitOnce:

@@ -124,6 +124,13 @@ def read_manifest(path: str):
             if len(row) != 5:
                 raise ConfigError(f"{path}:{lineno}: expected 5 fields")
             variable, fname, freq, transform, popfile = (c.strip() for c in row)
+            # the store writes each variable unquoted, as the name of its file
+            if not variable or variable[0] == "." or set(variable) & set(',"\r\n/\\'):
+                raise ConfigError(f"{path}:{lineno}: variable name {variable!r} is empty, "
+                                  "starts with '.' or holds a comma, a double quote, "
+                                  "a line break or a path separator")
+            if any(e["variable"] == variable for e in entries):
+                raise ConfigError(f"{path}:{lineno}: variable {variable!r} given twice")
             if freq not in FREQUENCIES:
                 raise ConfigError(f"{path}:{lineno}: unknown frequency {freq!r}")
             if transform not in TRANSFORMS:

@@ -21,15 +21,17 @@ applied identically to training years and the target year (the "direct
 method" alignment), so no regressor can use information beyond the week's
 information set.
 
-A design builds every (entity, year) row at once: one fancy index per block
-gathers the AR lag, the lag windows, the Almon-weighted weekly lags and the
-cross-sectional factors of all years. A row with any missing value is
-skipped. Every stage takes its calendar week as a `Week`, which builds
-once what the week's specs share: both benchmarks, each of those blocks,
-and the bridge's training set, which reads realized energy and so is the
-same for every bridge spec, with one quantile fit per level. An energy or
-direct spec adds only the concatenation of the blocks it names and its
-own fit; a bridge spec adds only its nowcasts in the prediction rows.
+Every stage takes its calendar week as a `Week`, whose one frame is every
+entity and every year from the first training year to the target year.
+One fancy index per distinct (variable, anchor, lags) read gathers that
+block over the frame once per week for the energy, bridge and direct
+designs alike; a design skips a row with any missing value, which leaves
+it its regressand's own entities and published years. The `Week` also
+builds both benchmarks once, and the bridge's training set, which reads
+realized energy and so serves every bridge spec, with one quantile fit per
+level. An energy or direct spec adds only the concatenation of the blocks
+it names and its own fit; a bridge spec adds only its nowcasts in the
+prediction rows.
 """
 
 from __future__ import annotations
@@ -222,12 +224,12 @@ class PanelArrays:
                  for e, i, a, b in self._col(var, info[var])[2]]
         return [(e, v[np.isfinite(v)]) for e, v in shown]
 
-    def read(self, info: InformationSet, var, anchor, years, n, rows):
-        """`var` at ordinal(anchor) + per_year * years[j] minus 0..n-1 for the
-        entity rows `rows`, as an (entity, year, lag) array."""
+    def read(self, info: InformationSet, var, anchor, years, n):
+        """`var` at ordinal(anchor) + per_year * years[j] minus 0..n-1 for
+        every entity, as an (entity, year, lag) array."""
         freq, _, _, k = self._col(var, anchor)
         k = k + freq.per_year * years[:, None] - np.arange(n)
-        return self._read(info, var, rows[:, None, None], k)
+        return self._read(info, var, slice(None), k)
 
     def _read(self, info, var, rows, k):
         """arr[rows, k] of `var`: NaN at every column k outside the array or
@@ -263,20 +265,22 @@ class Week:
     and the first training year, with the benchmarks and design blocks that
     the week's specs share, each built on first use and kept for the week.
 
-    A design on EC (energy) or CO2 (bridge, direct) has rows for its
-    regressand's entities and for the years from `estimation_start` to the
-    regressand's latest year in `info`, then the target year t, `info.year`.
-    Each block over those rows is read from `panel` through `info` once: y,
-    the AR lag, each high-frequency block (the weekly one Almon-weighted)
-    and the cross-sectional factors. An energy or direct design concatenates
-    the blocks its spec names, so a row's validity is judged on its own
-    columns only. The bridge's training rows read realized energy, not a
-    nowcast, so one training set and one quantile fit per level serve every
-    bridge spec; a spec only fills its own nowcasts into the prediction rows."""
+    The frame is every entity of the panel and the years from
+    `estimation_start` to the target year t, `info.year`, last. Each distinct
+    (variable, anchor, lags) read over it goes through `info` once and serves
+    the energy (EC) and the CO2 (bridge, direct) designs alike: `info` hides
+    y after the regressand's latest year, and an entity without a series of
+    the regressand reads y and its AR lag as NaN, so a design's complete
+    rows are its own entities and years. An energy or direct design
+    concatenates the blocks its spec names, so a row's validity is judged on
+    its own columns only. The bridge's training rows read realized energy,
+    not a nowcast, so one training set and one quantile fit per level serve
+    every bridge spec; a spec only fills its own nowcasts into the
+    prediction rows."""
 
     def __init__(self, panel: PanelArrays, info: InformationSet, estimation_start: int):
         self.panel, self.info, self.t = panel, info, info.year
-        self.estimation_start, self._kept = estimation_start, {}
+        self.years, self._kept = np.arange(estimation_start, self.t + 1), {}
 
     def _keep(self, key, build):
         """build(), called once per week for `key`."""
@@ -284,30 +288,16 @@ class Week:
             self._kept[key] = build()
         return self._kept[key]
 
-    def frame(self, y_var):
-        """The entity names, their panel rows, and the years (t last) of a
-        design on `y_var`."""
-        def build():
-            names = self.panel.entities_of(y_var)
-            own = np.array([self.panel.entities.index(e) for e in names], dtype=np.intp)
-            latest = self.info[y_var].year
-            return names, own, np.append(np.arange(self.estimation_start, latest + 1),
-                                         self.t)
-        return self._keep(("frame", y_var), build)
-
-    def read(self, y_var, var, anchor, n=1, every=False):
+    def read(self, var, anchor, n=1):
         """`var` at ordinal(anchor) + per_year * (s - t) minus 0..n-1 in each
-        year s of the `y_var` design, for its entities (every entity of the
-        panel if `every`), as a read-only (entity, year, lag) array."""
+        year s of the frame, as a read-only (entity, year, lag) array."""
         def build():
-            _, own, years = self.frame(y_var)
-            rows = np.arange(len(self.panel.entities)) if every else own
-            block = self.panel.read(self.info, var, anchor, years - self.t, n, rows)
+            block = self.panel.read(self.info, var, anchor, self.years - self.t, n)
             block.flags.writeable = False
             return block
-        return self._keep(("read", y_var, var, anchor, n, every), build)
+        return self._keep(("read", var, anchor, n), build)
 
-    def hf(self, y_var, spec):
+    def hf(self, spec):
         """The high-frequency blocks `spec` reads: quarterly and monthly lags,
         and the Almon-weighted weekly lags."""
         blocks = []
@@ -315,9 +305,9 @@ class Week:
                                  (spec.has_m, VAR_ELEC, N_MONTH_LAGS),
                                  (spec.has_w, VAR_WECI, N_WEEK_LAGS)):
             if has:
-                lags = self.read(y_var, var, self.info[var], n_lags)
+                lags = self.read(var, self.info[var], n_lags)
                 if var == VAR_WECI:  # one Q @ lags per row, bit for bit
-                    lags = self._keep(("almon", y_var), lambda: np.matmul(
+                    lags = self._keep("almon", lambda: np.matmul(
                         ALMON_MAP.Q, lags.reshape(-1, n_lags, 1)
                     ).reshape(*lags.shape[:2], -1))
                 blocks.append(lags)
@@ -336,11 +326,11 @@ class Week:
 
     def factor(self, var):
         """The cross-sectional mean of `var` at the latest CO2 lag in each
-        year of the CO2 design, over every entity of the panel with a value
-        there; NaN where none has one."""
+        year of the frame, over every entity with a value there; NaN where
+        none has one."""
         def build():
             means = []
-            block = self.read(VAR_CO2, var, self.info[VAR_CO2], every=True)
+            block = self.read(var, self.info[VAR_CO2])
             for col in block[:, :, 0].T:
                 have = col[np.isfinite(col)]
                 means.append(math.fsum(have) / have.size if have.size else np.nan)
@@ -351,13 +341,12 @@ class Week:
         """Training rows of the `y_var` design on its AR lag and `blocks`,
         entity-major with years ascending, skipping any row with a missing
         value, and the target year's (entity, regressor) array."""
-        names, _, years = self.frame(y_var)
-        y = self.read(y_var, y_var, PeriodIndex(self.t))[:, :, 0]
-        blocks = [self.read(y_var, y_var, self.info[y_var]), *blocks]
+        y = self.read(y_var, PeriodIndex(self.t))[:, :, 0]
+        blocks = [self.read(y_var, self.info[y_var]), *blocks]
         X = np.concatenate([np.broadcast_to(b, y.shape + b.shape[2:]) for b in blocks],
                            axis=2)
         train = np.isfinite(X[:, :-1]).all(axis=2) & np.isfinite(y[:, :-1])
-        year_of, y_of = years.tolist(), y.tolist()
+        names, year_of, y_of = self.panel.entities, self.years.tolist(), y.tolist()
         rows = [DesignRow(entity=names[i], year=year_of[j], y=y_of[i][j], x=X[i, j])
                 for i, j in zip(*np.nonzero(train))]
         if not rows:
@@ -365,19 +354,18 @@ class Week:
                 f"empty {name} design at ({self.t}, week {self.info.week})")
         return rows, X[:, -1]
 
-    def pred(self, y_var, last):
+    def pred(self, last):
         """(entity, regressors) per entity whose target-year row `last` is
         complete; copies: a view into X can be less aligned than a fresh
         array, and the dot product in `predict` may then round differently."""
-        names = self.frame(y_var)[0]
-        return [(names[i], last[i].copy())
+        return [(self.panel.entities[i], last[i].copy())
                 for i in np.flatnonzero(np.isfinite(last).all(axis=1))]
 
     def bridge(self):
         """The bridge design on realized energy: its training rows, shared by
         every bridge spec, and a target-year array without c_hat."""
         def build():
-            c = self.read(VAR_CO2, VAR_EC, PeriodIndex(self.t))
+            c = self.read(VAR_EC, PeriodIndex(self.t))
             blocks = [c, self.factor(VAR_CO2), self.factor(VAR_EC)]
             return self.design(VAR_CO2, blocks, "bridge")
         return self._keep("bridge", build)
@@ -393,8 +381,8 @@ class Week:
 def assemble_energy_design(week: Week, spec: ModelSpec):
     """Training rows plus prediction rows for the MIDAS energy regression of
     `week`. Training years with insufficient history are dropped per entity."""
-    rows, last = week.design(VAR_EC, week.hf(VAR_EC, spec), "energy")
-    return rows, week.pred(VAR_EC, last), ("ar_c",) + _hf_labels(spec)
+    rows, last = week.design(VAR_EC, week.hf(spec), "energy")
+    return rows, week.pred(last), ("ar_c",) + _hf_labels(spec)
 
 
 def _drop_thin_entities(rows, pred, entities, min_rows=2):
@@ -438,16 +426,16 @@ def bridge_design(week: Week, energy: dict):
     available lag."""
     rows, last = week.bridge()
     last = last.copy()
-    last[:, 1] = [energy.get(e, np.nan) for e in week.frame(VAR_CO2)[0]]
-    return rows, week.pred(VAR_CO2, last), BRIDGE_LABELS
+    last[:, 1] = [energy.get(e, np.nan) for e in week.panel.entities]
+    return rows, week.pred(last), BRIDGE_LABELS
 
 
 def direct_design(week: Week, spec: ModelSpec):
     """Direct quantile design of `week`: emissions growth on its own AR lag,
     the high-frequency blocks, and the scalar emissions factor."""
-    blocks = [*week.hf(VAR_CO2, spec), week.factor(VAR_CO2)]
+    blocks = [*week.hf(spec), week.factor(VAR_CO2)]
     rows, last = week.design(VAR_CO2, blocks, "direct")
-    return rows, week.pred(VAR_CO2, last), ("ar_e",) + _hf_labels(spec) + ("f_e",)
+    return rows, week.pred(last), ("ar_e",) + _hf_labels(spec) + ("f_e",)
 
 
 def co2_benchmark_quantiles(panel, info: InformationSet, taus) -> dict:

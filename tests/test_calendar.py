@@ -154,8 +154,7 @@ class TestTruncate:
         assert self._shown(panel, info, "EC") == list(range(1, 20))  # to 2018
         assert self._shown(panel, info, "PI") == list(range(4 * 21))  # to 2020:Q4
         # a design read of 2021:Q1 and 2020:Q4 sees only 2020:Q4
-        lags = panel.read(info, "PI", PeriodIndex(2021, 1), np.array([0]), 2,
-                          np.array([0]))
+        lags = panel.read(info, "PI", PeriodIndex(2021, 1), np.array([0]), 2)
         assert np.isnan(lags[0, 0, 0]) and lags[0, 0, 1] == 4 * 21 - 1
 
     def test_input_untouched(self):

@@ -136,6 +136,26 @@ class TestManifest:
         with pytest.raises(ConfigError, match="population"):
             read_manifest(path)
 
+    @pytest.mark.parametrize("name", [
+        '""', '"E,C"', '"E""C"', '"E\nC"', '"E\rC"', "a/EC", "a\\EC", "..", ".EC"],
+        ids=["empty", "comma", "quote", "newline", "return", "slash", "backslash",
+             "parent", "dot"])
+    def test_variable_name_the_store_cannot_hold(self, tmp_path, name):
+        # the store writes each variable unquoted, as the name of its file
+        path = tmp_path / "manifest.csv"
+        path.write_bytes(
+            f"{MANIFEST_HEADER}CO2,co2.csv,annual,none,\n{name},ec.csv,annual,none,\n"
+            .encode())
+        with pytest.raises(ConfigError, match=r"manifest\.csv:3: variable name"):
+            read_manifest(str(path))
+
+    def test_repeated_variable(self, tmp_path):
+        path = _write(tmp_path, "manifest.csv", MANIFEST_HEADER
+                      + "EC,ec.csv,annual,none,\nCO2,co2.csv,annual,none,\n"
+                      + "EC,ec2.csv,annual,none,\n")
+        with pytest.raises(ConfigError, match=r"manifest\.csv:4: variable 'EC' given twice"):
+            read_manifest(path)
+
     @pytest.mark.parametrize("text", [MANIFEST_HEADER, ""],
                              ids=["header-only", "no-header"])
     def test_empty_manifest(self, tmp_path, text):

@@ -341,6 +341,17 @@ def _reference_panel():
     return ds
 
 
+def _emissions_only_panel():
+    """The reference panel plus S04, with S00's emissions and high-frequency
+    series but no energy series: the converse of S03."""
+    ds = _reference_panel()
+    for var in ds.variables:
+        if var != "EC":
+            s = ds.get(var, "S00")
+            ds.add(var, MixedFreqSeries("S04", s.frequency, s.start, s.values))
+    return ds
+
+
 def _truncated(ds, info):
     """Every series of `ds` cut at the latest period of its variable in
     `info`: the reference's own truncation, independent of `PanelArrays`."""
@@ -420,9 +431,18 @@ def _ref_design(ds, info, t, start, spec=None, energy=None):
 
 
 class TestDesignEqualsReference:
-    def test_every_design_of_two_years(self):
-        ds = _reference_panel()
+    @pytest.mark.parametrize("make, built_rows, skipped_rows, gapped", [
+        pytest.param(_reference_panel, {("AR", "S03", 2000)},
+                     {("DirectAR-W-M-Q", "S01", 1998), ("bridge", "S00", 1990)},
+                     {"S00", "S02"}, id="reference"),
+        # S04 has direct rows, but no energy row, no bridge row and no nowcast
+        pytest.param(_emissions_only_panel, {("DirectAR-W-M-Q", "S04", 2000)},
+                     {("bridge", "S04", 2000)}, {"S04"}, id="emissions_only"),
+    ])
+    def test_every_design_of_two_years(self, make, built_rows, skipped_rows, gapped):
+        ds = make()
         taus = (0.25, 0.5, 0.75)
+        built = set()  # (design, entity, year) of every training row
         skipped = set()  # (design, entity, year) with y and its AR lag present
 
         def check(name, build, min_rows, spec=None, energy=None):
@@ -439,6 +459,7 @@ class TestDesignEqualsReference:
             assert gaps == _drop_thin_entities(ref_rows, ref_pred, entities, min_rows)[2]
             lag = t - info[y_var].year
             kept = {(r.entity, r.year) for r in rows}
+            built.update((name, e, s) for e, s in kept)
             skipped.update(
                 (name, e, s) for e in entities for s in range(1990, info[y_var].year + 1)
                 if (e, s) not in kept
@@ -468,12 +489,13 @@ class TestDesignEqualsReference:
                     else:
                         build, min_rows = lambda: assemble_energy_design(week, spec), 2
                     gaps.update(check(kind, build, min_rows, spec))
-        # the panel reaches every case: a missing nowcast, a weekly series cut
+        # each panel reaches its cases: S03 and S04 each lack one regressand;
+        # the reference panel also has a missing nowcast, a weekly series cut
         # short, a lag window before the series start, and a factor year
         # that no entity covers
-        assert {"S00", "S02"} <= gaps
-        assert ("DirectAR-W-M-Q", "S01", 1998) in skipped
-        assert ("bridge", "S00", 1990) in skipped
+        assert gapped <= gaps
+        assert built_rows <= built
+        assert skipped_rows <= skipped
 
     def test_empty_design_raises(self):
         ds = _reference_panel()
@@ -869,7 +891,16 @@ class TestWeekSharesBlocks:
         # one fit per level for the six bridge specs, one for the direct spec
         assert fits.count(BRIDGE_LABELS) == n_taus * n_weeks
         assert len(fits) == 2 * n_taus * n_weeks
-        # each high-frequency variable is read once for the energy block that
-        # the six energy specs share and once for the direct design
+        # one read per distinct (variable, anchor, lags) of the week, shared by
+        # the energy and direct designs: each high-frequency block once; CO2
+        # as y and at its latest lag (the AR lag and the emissions factor);
+        # EC as y (and the bridge's realized energy), at its latest lag, and
+        # at the latest CO2 lag for the energy factor, one read fewer where
+        # those two lags are the same period
         for var in ("PI", "ELEC", "WECI"):
-            assert [reads[v, var] for v in range(1, 49)] == [2] * n_weeks
+            assert [reads[v, var] for v in range(1, 49)] == [1] * n_weeks
+        assert [reads[v, "CO2"] for v in range(1, 49)] == [2] * n_weeks
+        same = [info["EC"] == info["CO2"] for info in
+                (information_set(table2_rules(), 2012, v) for v in range(1, 49))]
+        assert same == [9 <= v <= 20 for v in range(1, 49)]
+        assert [reads[v, "EC"] for v in range(1, 49)] == [3 - s for s in same]

@@ -46,19 +46,15 @@ def parse_config_text(text: str):
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
         values[key] = value
 
-    def as_int(key, default):
-        if key not in values:
-            return default
+    def as_int(key):
         try:
             return int(values[key])
         except ValueError:
             raise ConfigError(f"config key {key!r}: expected integer") from None
 
-    kwargs = dict(
-        estimation_start=as_int("estimation_start", 1990),
-        eval_start=as_int("eval_start", 2009),
-        eval_end=as_int("eval_end", 2018),
-    )
+    # only the keys the file gives: RunConfig holds the defaults
+    kwargs = {key: as_int(key) for key in ("estimation_start", "eval_start", "eval_end")
+              if key in values}
     if "taus" in values:
         try:
             kwargs["taus"] = tuple(float(t) for t in values["taus"].split(","))

@@ -61,9 +61,14 @@ def _parse_variable(fh, frequency: Frequency, path: str) -> dict:
         if len(row) != len(header):
             raise IngestError(f"{path}:{lineno}: expected {len(header)} fields")
         entity = row[0].strip()
+        if not entity:
+            raise IngestError(f"{path}:{lineno}: empty entity name")
         if any(c in entity for c in ',"\r\n'):
             raise IngestError(f"{path}:{lineno}: entity name {entity!r} holds a comma, "
                               "a double quote or a line break")
+        if has_sub and not row[2].strip() and frequency is not Frequency.ANNUAL:
+            raise IngestError(f"{path}:{lineno}: empty sub field in a "
+                              f"{frequency.value} file")
         try:
             year = int(row[1])
             sub = int(row[2]) if has_sub and row[2].strip() else 1

@@ -1,14 +1,19 @@
 """Panel least squares with entity fixed effects (within estimator).
 
+A design is one numpy record array, one record per observation, with fields
+`entity` (the name), `year`, `y` and `x` (the k regressors); `design` builds
+it from one array per field, and the fits read its `y` and `x` columns whole.
+
 Each distinct design is fitted once per process: `_fit` is a bounded
-`lru_cache` keyed on the bytes and shape of y and X, the row entities and the
-labels (which the rank-deficiency message names), everything the fit reads.
+`lru_cache` keyed on the bytes and shape of y and X, the bytes of the entity
+column and the labels (which the rank-deficiency message names), everything
+the fit reads.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -24,31 +29,42 @@ RANK_TOL = 1e-10  # relative to the largest pivot of the demeaned design
 
 
 @dataclass(frozen=True)
-class DesignRow:
-    entity: str
-    year: int
-    y: float
-    x: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class FixedEffectsModel:
     alpha: dict  # entity -> intercept
     beta: np.ndarray
     labels: tuple
 
 
-def _stack(rows):
-    rows = list(rows)
-    if not rows:
+def design(entity, year, y, X) -> np.recarray:
+    """The design of observations (entity[i], year[i], y[i], X[i]) as one
+    record array; `X` is (observation, regressor)."""
+    entity, year = np.asarray(entity, dtype=str), np.asarray(year, dtype=np.int64)
+    y = np.asarray(y, dtype=float)
+    if not y.size:
         raise SingularDesignError("empty design")
-    k = len(rows[0].x)
-    if any(len(r.x) != k for r in rows):
-        raise LengthError("regressor length varies across design rows")
-    y = np.array([r.y for r in rows], dtype=float)
-    X = np.array([r.x for r in rows], dtype=float).reshape(len(rows), k)
-    entities = [r.entity for r in rows]
-    return y, X, entities
+    try:
+        X = np.asarray(X, dtype=float)
+    except ValueError as exc:  # rows of different lengths
+        raise LengthError("regressor length varies across design rows") from exc
+    if X.ndim != 2 or not len(entity) == len(year) == len(y) == len(X):
+        raise LengthError(f"design columns of lengths {len(entity)}, {len(year)}, "
+                          f"{len(y)} and regressors of shape {X.shape}")
+    rows = np.empty(len(y), dtype=[("entity", entity.dtype), ("year", np.int64),
+                                   ("y", float), ("x", float, X.shape[1:])])
+    rows["entity"], rows["year"], rows["y"], rows["x"] = entity, year, y, X
+    return rows.view(np.recarray)
+
+
+def _stack(rows, labels):
+    """A design's y and X as contiguous arrays, and its k regressor labels."""
+    if not len(rows):
+        raise SingularDesignError("empty design")
+    y, X = np.ascontiguousarray(rows.y), np.ascontiguousarray(rows.x)
+    k = X.shape[1]
+    labels = tuple(f"x{j}" for j in range(k)) if labels is None else tuple(labels)
+    if len(labels) != k:
+        raise LengthError(f"{len(labels)} labels for {k} regressors")
+    return y, X, labels
 
 
 def _solve_pivoted(X, y, labels):
@@ -72,53 +88,41 @@ def _solve_pivoted(X, y, labels):
 
 
 def fit_within(rows, labels=None) -> FixedEffectsModel:
-    """Slopes from within-entity demeaned least squares.
+    """Slopes from within-entity demeaned least squares on the design `rows`.
 
     Numerically equivalent to dummy-variable OLS; intercepts recovered as
     alpha_i = mean_i(y) - mean_i(x)' beta. Unbalanced panels are allowed;
     each entity is demeaned on its own rows. `beta` is read-only.
     """
-    y, X, entities = _stack(rows)
-    k = X.shape[1]
-    if labels is None:
-        labels = tuple(f"x{j}" for j in range(k))
-    labels = tuple(labels)
-    if len(labels) != k:
-        raise LengthError(f"{len(labels)} labels for {k} regressors")
-    alpha, beta = _fit(y.tobytes(), X.tobytes(), X.shape, tuple(entities), labels)
+    y, X, labels = _stack(rows, labels)
+    entity = rows.entity
+    alpha, beta = _fit(y.tobytes(), X.tobytes(), X.shape, entity.tobytes(),
+                       entity.dtype.str, labels)
     return FixedEffectsModel(alpha=dict(alpha), beta=beta, labels=labels)
 
 
 @functools.lru_cache(maxsize=32)
-def _fit(y_bytes, X_bytes, shape, entities, labels):
+def _fit(y_bytes, X_bytes, shape, entity_bytes, entity_dtype, labels):
     """The within fit on arrays rebuilt from the key alone: (alpha items,
-    read-only beta). At paper shape a key holds at most 231 KB (a 1,377 x 19
-    energy design), so the 32 entries hold at most about 7.5 MB."""
+    read-only beta). At paper shape a key holds at most 237 KB (a 1,377 x 19
+    energy design), so the 32 entries hold at most about 7.6 MB."""
     y = np.frombuffer(y_bytes, dtype=float)
     X = np.frombuffer(X_bytes, dtype=float).reshape(shape)
-    groups: dict = {}
-    for i, e in enumerate(entities):
-        groups.setdefault(e, []).append(i)
-    for e, idx in groups.items():
-        if len(idx) < 2:
-            raise DegenerateEntityError(
-                f"entity {e!r} has {len(idx)} row(s); need >= 2 for fixed effects"
-            )
-
-    yd = y.copy()
-    Xd = X.copy()
-    means = {}
-    for e, idx in groups.items():
-        idx = np.array(idx)
-        ybar = y[idx].mean()
-        xbar = X[idx].mean(axis=0)
-        yd[idx] -= ybar
-        Xd[idx] -= xbar
-        means[e] = (ybar, xbar)
-
-    beta = _solve_pivoted(Xd, yd, labels)
+    names, idx, counts = np.unique(np.frombuffer(entity_bytes, dtype=entity_dtype),
+                                   return_inverse=True, return_counts=True)
+    if counts.min() < 2:
+        i = counts.argmin()
+        raise DegenerateEntityError(
+            f"entity {names[i].item()!r} has {counts[i]} row(s); "
+            "need >= 2 for fixed effects")
+    # a stable sort keeps each entity's rows in row order, the order its means sum
+    groups = np.split(np.argsort(idx, kind="stable"), np.cumsum(counts)[:-1])
+    ybar = [y[g].mean() for g in groups]
+    xbar = [X[g].mean(axis=0) for g in groups]
+    beta = _solve_pivoted(X - np.array(xbar)[idx], y - np.array(ybar)[idx], labels)
     beta.flags.writeable = False
-    alpha = tuple((e, float(ybar - xbar @ beta)) for e, (ybar, xbar) in means.items())
+    alpha = tuple((e, float(yb - xb @ beta))
+                  for e, yb, xb in zip(names.tolist(), ybar, xbar))
     return alpha, beta
 
 

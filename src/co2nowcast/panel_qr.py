@@ -17,9 +17,11 @@ slides, that is the largest gamma0 the signs of the a_i admit, in closed
 form; on any other flat face one small LP over the face picks the point. The
 objective is never relaxed above the optimum.
 
-Each distinct LP is solved once per process: `_solve` is a bounded
-`lru_cache` keyed on the bytes and shape of y, X and the entity index, the
-entity count, tau and lambda, which is everything the LP reads.
+A design is the record array of `panel_ls.design`; its entities index the
+intercepts in sorted order. Each distinct LP is solved once per process:
+`_solve` is a bounded `lru_cache` keyed on the bytes and shape of y, X and
+the entity index, the entity count, tau and lambda, which is everything the
+LP reads.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .errors import DomainError, LengthError, SingularDesignError, UnknownEntityError
+from .errors import DomainError, SingularDesignError, UnknownEntityError
 from .evaluation import pinball
 from .panel_ls import _stack
 
@@ -62,14 +64,6 @@ class QuantileModel:
 def objective_value(y, X, entity_idx, gamma0, a, beta, tau, lam) -> float:
     resid = y - gamma0 - a[entity_idx] - X @ beta
     return float(np.sum(pinball(resid, tau)) + lam * np.sum(np.abs(a)))
-
-
-def _encode(rows):
-    y, X, entities = _stack(rows)
-    ents = sorted(set(entities))
-    pos = {e: i for i, e in enumerate(ents)}
-    idx = np.array([pos[e] for e in entities], dtype=np.intp)
-    return y, X, idx, ents
 
 
 _TOL = 1e-7  # HiGHS feasibility tolerance: a value this close to a bound is at it
@@ -163,14 +157,11 @@ def _solve(y_bytes, X_bytes, shape, idx_bytes, n_ent, tau, lam):
 
 
 def fit_quantile(rows, spec: QuantileSpec, labels=None) -> QuantileModel:
-    """Fit one quantile level by the exact LP; `beta` is read-only."""
-    y, X, idx, ents = _encode(rows)
-    k = X.shape[1]
-    if labels is None:
-        labels = tuple(f"x{j}" for j in range(k))
-    labels = tuple(labels)
-    if len(labels) != k:
-        raise LengthError(f"{len(labels)} labels for {k} regressors")
+    """Fit one quantile level of the design `rows` (see `panel_ls.design`) by
+    the exact LP; `beta` is read-only."""
+    y, X, labels = _stack(rows, labels)
+    ents, idx = np.unique(rows.entity, return_inverse=True)
+    ents = ents.tolist()
     gamma0, a, beta = _solve(y.tobytes(), X.tobytes(), X.shape, idx.tobytes(),
                              len(ents), spec.tau, spec.lam)
     obj = objective_value(y, X, idx, gamma0, a, beta, spec.tau, spec.lam)

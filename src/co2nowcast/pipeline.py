@@ -25,8 +25,10 @@ Every stage takes its calendar week as a `Week`, whose one frame is every
 entity and every year from the first training year to the target year.
 One fancy index per distinct (variable, anchor, lags) read gathers that
 block over the frame once per week for the energy, bridge and direct
-designs alike; a design skips a row with any missing value, which leaves
-it its regressand's own entities and published years. The `Week` also
+designs alike. A design is one record array (`panel_ls.design`), one
+record per complete (entity, year) of the frame, gathered by one masked
+index: a row with any missing value is skipped, which leaves the design its
+regressand's own entities and published years. The `Week` also
 builds both benchmarks once, and the bridge's training set, which reads
 realized energy and so serves every bridge spec, with one quantile fit per
 level. An energy or direct spec adds only the concatenation of the blocks
@@ -41,7 +43,6 @@ import io
 import math
 import multiprocessing
 import os
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import repeat
@@ -58,7 +59,7 @@ from .errors import (
     UnknownVariableError,
 )
 from .panel import Frequency, PanelDataset, PeriodIndex, ordinal
-from .panel_ls import DesignRow, fit_within, predict
+from .panel_ls import design, fit_within, predict
 from .panel_qr import QuantileSpec, fit_quantile, predict_quantile, rearrange
 from .release_calendar import (
     VAR_CO2,
@@ -338,21 +339,20 @@ class Week:
         return self._keep(("factor", var), build)
 
     def design(self, y_var, blocks, name):
-        """Training rows of the `y_var` design on its AR lag and `blocks`,
-        entity-major with years ascending, skipping any row with a missing
-        value, and the target year's (entity, regressor) array."""
+        """The `y_var` design on its AR lag and `blocks`: its training
+        records, entity-major with years ascending, skipping any row with a
+        missing value, and the target year's (entity, regressor) array."""
         y = self.read(y_var, PeriodIndex(self.t))[:, :, 0]
         blocks = [self.read(y_var, self.info[y_var]), *blocks]
         X = np.concatenate([np.broadcast_to(b, y.shape + b.shape[2:]) for b in blocks],
                            axis=2)
         train = np.isfinite(X[:, :-1]).all(axis=2) & np.isfinite(y[:, :-1])
-        names, year_of, y_of = self.panel.entities, self.years.tolist(), y.tolist()
-        rows = [DesignRow(entity=names[i], year=year_of[j], y=y_of[i][j], x=X[i, j])
-                for i, j in zip(*np.nonzero(train))]
-        if not rows:
+        i, j = np.nonzero(train)
+        if not i.size:
             raise CoverageError(
                 f"empty {name} design at ({self.t}, week {self.info.week})")
-        return rows, X[:, -1]
+        names = np.asarray(self.panel.entities)
+        return design(names[i], self.years[j], y[i, j], X[i, j]), X[:, -1]
 
     def pred(self, last):
         """(entity, regressors) per entity whose target-year row `last` is
@@ -390,11 +390,13 @@ def _drop_thin_entities(rows, pred, entities, min_rows=2):
     prediction row. Every other entity of `entities` (those with a series of
     the design's variable) is a gap; one with training rows but no
     prediction row keeps its rows."""
-    counts = Counter(r.entity for r in rows)
-    keep = {e for e, n in counts.items() if n >= min_rows}
+    names, counts = np.unique(rows.entity, return_counts=True)
+    kept = names[counts >= min_rows]
+    keep = set(kept.tolist())
     dropped = sorted(set(entities) - (keep & {e for e, _ in pred}))
-    rows = [r for r in rows if r.entity in keep]
     pred = [(e, x) for e, x in pred if e in keep]
+    if kept.size < names.size:  # a mask only where an entity is too thin
+        rows = rows[np.isin(rows.entity, kept)]
     return rows, pred, dropped
 
 

@@ -14,7 +14,7 @@ from co2nowcast.almon import AlmonSpec, build_almon_map, implied_weights, restri
 from co2nowcast.cli import EXIT_OK, main
 from co2nowcast.evaluation import score_columns
 from co2nowcast.panel import MixedFreqSeries, PanelDataset, PeriodIndex, ordinal
-from co2nowcast.panel_ls import DesignRow, fit_within
+from co2nowcast.panel_ls import design, fit_within
 from co2nowcast.panel_qr import QuantileSpec, fit_quantile
 from co2nowcast.pipeline import (
     MODEL_KINDS,
@@ -110,7 +110,8 @@ def test_criterion_3_within_estimator_matches_dummy_ols():
             for s in range(t_i):
                 x = rng.normal(size=k)
                 y = float(rng.normal() + i + x.sum())
-                rows.append(DesignRow(entity=f"E{i}", year=s, y=y, x=x))
+                rows.append((f"E{i}", s, y, x))
+        rows = design(*zip(*rows))
         model = fit_within(rows)
         alpha, beta = _dummy_ols(rows)
         assert np.allclose(model.beta, beta, atol=1e-8)
@@ -130,7 +131,8 @@ def test_criterion_4_quantile_regression_matches_lp_optimum():
             for s in range(int(rng.integers(4, 12))):
                 x = rng.normal(size=k)
                 y = float(0.5 * i + x @ rng.normal(size=k) + rng.normal())
-                rows.append(DesignRow(entity=f"E{i}", year=s, y=y, x=x))
+                rows.append((f"E{i}", s, y, x))
+        rows = design(*zip(*rows))
         assert len(rows) <= 200
         tau = float(rng.choice([0.25, 0.5, 0.75]))
         lam = float(rng.choice([0.0, 1.0, 10.0]))

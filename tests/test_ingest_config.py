@@ -94,6 +94,22 @@ class TestReadVariableCsv:
             read_variable_csv(str(path), Frequency.ANNUAL)
 
 
+    @pytest.mark.parametrize("freq, row, what", [
+        (Frequency.QUARTERLY, "A,2000,,1.0", "empty sub field"),
+        (Frequency.MONTHLY, "A,2000, ,1.0", "empty sub field"),
+        (Frequency.WEEKLY, "A,2000,,1.0", "empty sub field"),
+        (Frequency.QUARTERLY, ",2000,1,1.0", "empty entity name"),
+        (Frequency.ANNUAL, " ,2000,1,1.0", "empty entity name"),
+    ], ids=["quarterly_sub", "monthly_blank_sub", "weekly_sub", "entity", "blank_entity"])
+    def test_empty_sub_or_entity_names_line(self, tmp_path, freq, row, what):
+        # only an annual file may leave `sub` empty (it reads as 1)
+        path = _write(tmp_path, "v.csv", f"entity,year,sub,value\nA,1999,1,0.5\n{row}\n")
+        with pytest.raises(IngestError, match=rf"v\.csv:3: {what}"):
+            read_variable_csv(path, freq)
+        annual = _write(tmp_path, "y.csv", "entity,year,sub,value\nA,1999,,0.5\nA,2000,,1.0\n")
+        assert read_variable_csv(annual, Frequency.ANNUAL)["A"].values.tolist() == [0.5, 1.0]
+
+
 MANIFEST_HEADER = "variable,file,frequency,transform,population_file\n"
 
 

@@ -9,17 +9,10 @@ from co2nowcast.errors import (
     UnknownEntityError,
 )
 from co2nowcast.panel_ls import (
-    DesignRow,
+    design,
     fit_within,
     predict,
 )
-
-
-def rows_from_arrays(entities, years, y, X):
-    return [
-        DesignRow(entity=e, year=t, y=float(yi), x=np.asarray(xi, dtype=float))
-        for e, t, yi, xi in zip(entities, years, y, X)
-    ]
 
 
 def exact_linear_model():
@@ -27,7 +20,7 @@ def exact_linear_model():
     xs = [0.0, 1.0, 2.0, 0.0, 1.0, 2.0]
     ents = ["A"] * 3 + ["B"] * 3
     y = [3 + 3 * x if e == "A" else 1 + 3 * x for e, x in zip(ents, xs)]
-    return fit_within(rows_from_arrays(ents, range(6), y, [[x] for x in xs]))
+    return fit_within(design(ents, range(6), y, [[x] for x in xs]))
 
 
 class TestFitWithin:
@@ -38,7 +31,7 @@ class TestFitWithin:
         assert model.alpha["B"] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_column_raises(self):
-        rows = rows_from_arrays(
+        rows = design(
             ["A", "A", "B", "B"], range(4), [1.0, 2.0, 3.0, 4.0],
             [[0.0], [0.0], [0.0], [0.0]],
         )
@@ -49,22 +42,39 @@ class TestFitWithin:
         rng = np.random.default_rng(3)
         x = rng.normal(size=8)
         X = np.c_[x, 2.0 * x]
-        rows = rows_from_arrays(["A"] * 4 + ["B"] * 4, range(8),
-                                rng.normal(size=8), X)
+        rows = design(["A"] * 4 + ["B"] * 4, range(8), rng.normal(size=8), X)
         with pytest.raises(SingularDesignError, match="collinear"):
             fit_within(rows, labels=("u", "v"))
 
     def test_single_row_entity_rejected(self):
-        rows = rows_from_arrays(["A", "A", "B"], range(3),
-                                [1.0, 2.0, 3.0], [[1.0], [2.0], [3.0]])
+        rows = design(["A", "A", "B"], range(3),
+                      [1.0, 2.0, 3.0], [[1.0], [2.0], [3.0]])
         with pytest.raises(DegenerateEntityError, match="'B'"):
             fit_within(rows)
 
     def test_label_length_checked(self):
-        rows = rows_from_arrays(["A", "A"], range(2), [1.0, 2.0],
-                                [[1.0, 0.0], [0.0, 1.0]])
+        rows = design(["A", "A"], range(2), [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(LengthError):
             fit_within(rows, labels=("only_one",))
+
+
+class TestDesign:
+    def test_ragged_regressors_rejected(self):
+        with pytest.raises(LengthError):
+            design(["A", "A"], range(2), [1.0, 2.0], [[1.0], [1.0, 2.0]])
+
+    @pytest.mark.parametrize("entity, year, y", [
+        (["A"], range(2), [1.0, 2.0]),
+        (["A", "A"], range(3), [1.0, 2.0]),
+        (["A", "A"], range(2), [1.0, 2.0, 3.0]),
+    ])
+    def test_column_lengths_checked(self, entity, year, y):
+        with pytest.raises(LengthError):
+            design(entity, year, y, [[1.0], [2.0]])
+
+    def test_empty_design_rejected(self):
+        with pytest.raises(SingularDesignError, match="empty design"):
+            design([], [], [], np.zeros((0, 1)))
 
 
 class TestFitMemo:
@@ -86,9 +96,8 @@ class TestFitMemo:
         return calls
 
     def test_same_design_fits_once(self, solves):
-        first = fit_within(rows_from_arrays(self.ENTS, range(6), self.Y, self.X))
-        second = fit_within(rows_from_arrays(self.ENTS, range(10, 16),
-                                             np.array(self.Y), self.X))
+        first = fit_within(design(self.ENTS, range(6), self.Y, self.X))
+        second = fit_within(design(self.ENTS, range(10, 16), np.array(self.Y), self.X))
         assert len(solves) == 1
         assert np.array_equal(first.beta, second.beta)
         assert first.alpha == second.alpha
@@ -106,20 +115,20 @@ class TestFitMemo:
             ents[3] = "A"
         else:
             labels = ("u", "v")
-        fit_within(rows_from_arrays(self.ENTS, range(6), self.Y, self.X))
-        fit_within(rows_from_arrays(ents, range(6), y, X), labels=labels)
+        fit_within(design(self.ENTS, range(6), self.Y, self.X))
+        fit_within(design(ents, range(6), y, X), labels=labels)
         assert len(solves) == 2
 
     def test_rank_deficient_design_raises_every_time(self, solves):
         X = [[x[0], 2.0 * x[0]] for x in self.X]
-        rows = rows_from_arrays(self.ENTS, range(6), self.Y, X)
+        rows = design(self.ENTS, range(6), self.Y, X)
         for _ in range(2):
             with pytest.raises(SingularDesignError, match="collinear"):
                 fit_within(rows, labels=("u", "v"))
         assert len(solves) == 2
 
     def test_beta_is_read_only(self, solves):
-        model = fit_within(rows_from_arrays(self.ENTS, range(6), self.Y, self.X))
+        model = fit_within(design(self.ENTS, range(6), self.Y, self.X))
         with pytest.raises(ValueError):
             model.beta[0] = 0.0
 
@@ -152,10 +161,8 @@ class TestDummyVariableOracle:
             for i in range(n_ent):
                 keep = max(2, int(rng.integers(2, t_len + 1)))
                 for t in range(keep):
-                    rows.append(DesignRow(
-                        entity=f"E{i}", year=t,
-                        y=float(rng.normal()), x=rng.normal(size=k),
-                    ))
+                    rows.append((f"E{i}", t, float(rng.normal()), rng.normal(size=k)))
+            rows = design(*zip(*rows))
             model = fit_within(rows)
             alpha_o, beta_o = self._dummy_ols(rows)
             assert np.allclose(model.beta, beta_o, atol=1e-8), f"trial {trial}"
@@ -164,11 +171,10 @@ class TestDummyVariableOracle:
 
     def test_residual_identities(self):
         rng = np.random.default_rng(29)
-        rows = [
-            DesignRow(entity=f"E{i}", year=t, y=float(rng.normal()),
-                      x=rng.normal(size=3))
+        rows = design(*zip(*[
+            (f"E{i}", t, float(rng.normal()), rng.normal(size=3))
             for i in range(4) for t in range(9)
-        ]
+        ]))
         model = fit_within(rows)
         by_ent: dict = {}
         for r in rows:

@@ -10,7 +10,7 @@ from co2nowcast.errors import (
     UnknownEntityError,
 )
 from co2nowcast.evaluation import pinball
-from co2nowcast.panel_ls import DesignRow
+from co2nowcast.panel_ls import design
 from co2nowcast.panel_qr import (
     QuantileSpec,
     fit_quantile,
@@ -20,13 +20,6 @@ from co2nowcast.panel_qr import (
 )
 
 
-def make_rows(entities, y, X):
-    return [
-        DesignRow(entity=e, year=t, y=float(yi), x=np.asarray(xi, dtype=float))
-        for t, (e, yi, xi) in enumerate(zip(entities, y, X))
-    ]
-
-
 def lp_oracle(rows, tau, lam):
     """Independent exact optimum via a free-variable LP formulation.
 
@@ -34,8 +27,7 @@ def lp_oracle(rows, tau, lam):
     s_1..s_N >= 0 bounding |g_i|]; differs from the production solver's
     split-positive-part encoding.
     """
-    y = np.array([r.y for r in rows])
-    X = np.array([r.x for r in rows])
+    y, X = rows.y, rows.x
     ents = sorted({r.entity for r in rows})
     pos = {e: j for j, e in enumerate(ents)}
     idx = np.array([pos[r.entity] for r in rows])
@@ -103,12 +95,12 @@ class TestCheckLoss:
 
 class TestSingleEntityQuantiles:
     def test_median_tie_breaks_low(self):
-        rows = make_rows(["A"] * 4, [1.0, 2.0, 3.0, 9.0], [[]] * 4)
+        rows = design(["A"] * 4, range(4), [1.0, 2.0, 3.0, 9.0], [[]] * 4)
         model = fit_quantile(rows, QuantileSpec(tau=0.5, lam=0.0))
         assert model.gamma["A"] == pytest.approx(2.0, abs=1e-8)
 
     def test_quarter_tie_breaks_low(self):
-        rows = make_rows(["A"] * 4, [0.0, 1.0, 2.0, 3.0], [[]] * 4)
+        rows = design(["A"] * 4, range(4), [0.0, 1.0, 2.0, 3.0], [[]] * 4)
         model = fit_quantile(rows, QuantileSpec(tau=0.25, lam=0.0))
         assert model.gamma["A"] == pytest.approx(0.0, abs=1e-8)
 
@@ -117,7 +109,7 @@ class TestSingleEntityQuantiles:
         X = rng.normal(size=(9, 2))
         beta = np.array([1.5, -0.5])
         y = 0.3 + X @ beta
-        rows = make_rows(["A"] * 9, y, X)
+        rows = design(["A"] * 9, range(9), y, X)
         model = fit_quantile(rows, QuantileSpec(tau=0.5, lam=0.0))
         for r in rows:
             assert predict_quantile(model, "A", r.x) == pytest.approx(r.y, abs=1e-6)
@@ -135,10 +127,8 @@ class TestLPOracle:
                 shift = rng.normal(0, 1)
                 for t in range(t_len):
                     x = rng.normal(size=k)
-                    rows.append(DesignRow(
-                        entity=f"E{i}", year=t,
-                        y=float(shift + x.sum() + rng.normal()), x=x,
-                    ))
+                    rows.append((f"E{i}", t, float(shift + x.sum() + rng.normal()), x))
+            rows = design(*zip(*rows))
             tau = (0.25, 0.5, 0.75)[trial % 3]
             lam = (0.0, 1.0, 10.0)[trial % 3 if trial < 12 else (trial + 1) % 3]
             opt = lp_oracle(rows, tau, lam)
@@ -153,14 +143,11 @@ class TestLPOracle:
         for i in range(3):
             for t in range(8):
                 x = rng.normal(size=2)
-                rows.append(DesignRow(
-                    entity=f"E{i}", year=t,
-                    y=float(0.5 * i + x[0] - x[1] + rng.normal()), x=x,
-                ))
+                rows.append((f"E{i}", t, float(0.5 * i + x[0] - x[1] + rng.normal()), x))
+        rows = design(*zip(*rows))
         spec = QuantileSpec(tau=0.5, lam=1.0)
         model = fit_quantile(rows, spec)
-        y = np.array([r.y for r in rows])
-        X = np.array([r.x for r in rows])
+        y, X = rows.y, rows.x
         ents = sorted(model.gamma)
 
         def objective(beta, gamma):
@@ -193,7 +180,8 @@ class TestExactOptimum:
                         for s in range(int(rng.integers(4, 12))):
                             x = rng.normal(size=k)
                             y = float(0.5 * i + x @ rng.normal(size=k) + rng.normal())
-                            rows.append(DesignRow(entity=f"E{i}", year=s, y=y, x=x))
+                            rows.append((f"E{i}", s, y, x))
+                    rows = design(*zip(*rows))
                     opt = lp_oracle(rows, tau, lam)
                     model = fit_quantile(rows, QuantileSpec(tau=tau, lam=lam))
                     assert model.objective <= opt * (1 + 1e-12) + 1e-12, (
@@ -226,14 +214,14 @@ class TestTieRule:
         y = np.repeat([0.0, 1.0, 2.0], 7) + X @ [1.0, -0.5] + rng.normal(size=21)
         for tau in (0.25, 0.5):
             for lam in (0.0, 0.3, 10.0):
-                fit_quantile(make_rows(ents, y, X), QuantileSpec(tau=tau, lam=lam))
+                fit_quantile(design(ents, range(21), y, X), QuantileSpec(tau=tau, lam=lam))
         assert len(linprog_calls) == 6
 
     def test_straddling_deviations_take_the_top_of_the_segment(self, linprog_calls):
         # gamma_A = -5 and gamma_B = 5 are unique, and every common intercept
         # in [-5, 5] gives the same objective; the tie rule takes the largest
-        rows = make_rows(["A"] * 3 + ["B"] * 3,
-                         [-6.0, -5.0, -4.0, 4.0, 5.0, 6.0], [[]] * 6)
+        rows = design(["A"] * 3 + ["B"] * 3, range(6),
+                      [-6.0, -5.0, -4.0, 4.0, 5.0, 6.0], [[]] * 6)
         model = fit_quantile(rows, QuantileSpec(tau=0.5, lam=0.4))
         assert model.gamma["A"] == pytest.approx(-5.0, abs=1e-12)
         assert model.gamma["B"] == pytest.approx(5.0, abs=1e-12)
@@ -245,8 +233,8 @@ class TestTieRule:
     def test_flat_face_takes_the_smallest_signed_sum(self, linprog_calls):
         # each entity's medians form a segment and a common intercept in
         # [1.5, 2] fits both with a = 0: a flat face, resolved by one face LP
-        rows = make_rows(["A"] * 4 + ["B"] * 4,
-                         [0.0, 1.0, 2.0, 3.0, 0.5, 1.5, 2.5, 3.5], [[]] * 8)
+        rows = design(["A"] * 4 + ["B"] * 4, range(8),
+                      [0.0, 1.0, 2.0, 3.0, 0.5, 1.5, 2.5, 3.5], [[]] * 8)
         model = fit_quantile(rows, QuantileSpec(tau=0.5, lam=1.0))
         assert model.common == pytest.approx(1.5, abs=1e-9)
         assert model.deviations == {"A": 0.0, "B": 0.0}
@@ -262,11 +250,8 @@ class TestShrinkage:
         for i, shift in enumerate((-2.0, 0.0, 2.0)):
             for t in range(10):
                 x = rng.normal(size=1)
-                rows.append(DesignRow(
-                    entity=f"E{i}", year=t,
-                    y=float(shift + 0.5 * x[0] + rng.normal(0, 0.3)), x=x,
-                ))
-        return rows
+                rows.append((f"E{i}", t, float(shift + 0.5 * x[0] + rng.normal(0, 0.3)), x))
+        return design(*zip(*rows))
 
     def test_large_lambda_collapses_deviations(self):
         rows = self._rows()
@@ -280,10 +265,7 @@ class TestShrinkage:
         # penalizing deviations from a common level: adding a constant to y
         # shifts the common intercept, not the fit quality
         rows = self._rows()
-        shifted = [
-            DesignRow(entity=r.entity, year=r.year, y=r.y + 100.0, x=r.x)
-            for r in rows
-        ]
+        shifted = design(rows.entity, rows.year, rows.y + 100.0, rows.x)
         m0 = fit_quantile(rows, QuantileSpec(tau=0.5, lam=1.0))
         m1 = fit_quantile(shifted, QuantileSpec(tau=0.5, lam=1.0))
         assert m1.common == pytest.approx(m0.common + 100.0, abs=1e-5)
@@ -292,10 +274,7 @@ class TestShrinkage:
 
     def test_scale_equivariance(self):
         rows = self._rows()
-        scaled = [
-            DesignRow(entity=r.entity, year=r.year, y=3.0 * r.y, x=3.0 * r.x)
-            for r in rows
-        ]
+        scaled = design(rows.entity, rows.year, 3.0 * rows.y, 3.0 * rows.x)
         m0 = fit_quantile(rows, QuantileSpec(tau=0.25, lam=0.0))
         m1 = fit_quantile(scaled, QuantileSpec(tau=0.25, lam=0.0))
         assert m1.objective == pytest.approx(3.0 * m0.objective, rel=1e-8)
@@ -326,13 +305,13 @@ class TestValidationAndPlumbing:
             QuantileSpec(tau=0.5, lam=float("nan"))
 
     def test_unknown_entity(self):
-        rows = make_rows(["A"] * 3, [1.0, 2.0, 3.0], [[1.0]] * 3)
+        rows = design(["A"] * 3, range(3), [1.0, 2.0, 3.0], [[1.0]] * 3)
         model = fit_quantile(rows, QuantileSpec(tau=0.5, lam=0.0))
         with pytest.raises(UnknownEntityError):
             predict_quantile(model, "B", [1.0])
 
     def test_label_length_checked(self, lp_calls):
-        rows = make_rows(["A", "A"], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]])
+        rows = design(["A", "A"], range(2), [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(LengthError):
             fit_quantile(rows, QuantileSpec(tau=0.5), labels=("only_one",))
         assert lp_calls == []
@@ -342,8 +321,8 @@ class TestValidationAndPlumbing:
         # without bound, so no fit satisfies the tie rule
         rng = np.random.default_rng(0)
         x = rng.normal(size=9)
-        rows = make_rows(["A"] * 4 + ["B"] * 5, x + rng.normal(size=9),
-                         np.c_[x, 2.0 * x])
+        rows = design(["A"] * 4 + ["B"] * 5, range(9), x + rng.normal(size=9),
+                      np.c_[x, 2.0 * x])
         with pytest.raises(SingularDesignError, match="tie-break"):
             fit_quantile(rows, QuantileSpec(tau=0.5, lam=0.0))
 
@@ -355,8 +334,8 @@ class TestSolveMemo:
     SPEC = QuantileSpec(tau=0.5, lam=1.0)
 
     def test_same_design_solves_once(self, lp_calls):
-        first = fit_quantile(make_rows(self.ENTS, self.Y, self.X), self.SPEC)
-        second = fit_quantile(make_rows(self.ENTS, np.array(self.Y), self.X),
+        first = fit_quantile(design(self.ENTS, range(6), self.Y, self.X), self.SPEC)
+        second = fit_quantile(design(self.ENTS, range(6), np.array(self.Y), self.X),
                               QuantileSpec(tau=0.5, lam=1.0), labels=("x",))
         assert len(lp_calls) == 1
         assert np.array_equal(first.beta, second.beta)
@@ -376,21 +355,21 @@ class TestSolveMemo:
             spec = QuantileSpec(tau=0.25, lam=1.0)
         else:
             spec = QuantileSpec(tau=0.5, lam=0.5)
-        fit_quantile(make_rows(self.ENTS, self.Y, self.X), self.SPEC)
-        fit_quantile(make_rows(ents, y, X), spec)
+        fit_quantile(design(self.ENTS, range(6), self.Y, self.X), self.SPEC)
+        fit_quantile(design(ents, range(6), y, X), spec)
         assert len(lp_calls) == 2
 
     def test_failed_lp_raises_every_time(self, lp_calls, monkeypatch):
         failed = scipy.optimize.OptimizeResult(success=False, message="forced")
         monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: failed)
-        rows = make_rows(self.ENTS, self.Y, self.X)
+        rows = design(self.ENTS, range(6), self.Y, self.X)
         for _ in range(2):
             with pytest.raises(SingularDesignError, match="forced"):
                 fit_quantile(rows, self.SPEC)
         assert len(lp_calls) == 2
 
     def test_beta_is_read_only(self, lp_calls):
-        model = fit_quantile(make_rows(self.ENTS, self.Y, self.X), self.SPEC)
+        model = fit_quantile(design(self.ENTS, range(6), self.Y, self.X), self.SPEC)
         with pytest.raises(ValueError):
             model.beta[0] = 0.0
 

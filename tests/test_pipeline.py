@@ -17,7 +17,7 @@ from co2nowcast.panel import (
     advance,
     ordinal,
 )
-from co2nowcast.panel_ls import DesignRow
+from co2nowcast.panel_ls import design
 from co2nowcast.pipeline import (
     ALMON_MAP,
     BRIDGE_LABELS,
@@ -130,7 +130,7 @@ class TestEnergyDesign:
             assert labels[1] == "q1"
         if spec.has_w:
             assert labels[-1] == "w2"
-        assert rows and all(len(r.x) == width for r in rows)
+        assert len(rows) and all(len(r.x) == width for r in rows)
         assert len(pred) == 3
         assert all(len(x) == width for _, x in pred)
 
@@ -234,18 +234,16 @@ class TestNowcastEnergy:
         out, _ = nowcast_energy(week, info, ModelSpec("AR"))
         # oracle: plain within regression of c_s on c_{s-d_v}, which reads
         # nothing after the latest EC year of the information set
-        from co2nowcast.panel_ls import DesignRow, fit_within, predict
+        from co2nowcast.panel_ls import fit_within, predict
 
         d_v = t - info["EC"].year
         rows = []
         for e in ds.entities:
             s_ec = ds.get("EC", e)
             for s in range(1990, info["EC"].year + 1):
-                rows.append(DesignRow(
-                    entity=e, year=s, y=s_ec.value_at(PeriodIndex(s)),
-                    x=np.array([s_ec.value_at(PeriodIndex(s - d_v))]),
-                ))
-        model = fit_within(rows)
+                rows.append((e, s, s_ec.value_at(PeriodIndex(s)),
+                             [s_ec.value_at(PeriodIndex(s - d_v))]))
+        model = fit_within(design(*zip(*rows)))
         for n in out:
             x = np.array([ds.get("EC", n.entity).value_at(PeriodIndex(t - d_v))])
             assert n.value == pytest.approx(predict(model, n.entity, x), abs=1e-10)
@@ -423,11 +421,11 @@ def _ref_design(ds, info, t, start, spec=None, energy=None):
         for s in range(start, info[y_var].year + 1):
             y, x = _ref_value(ds, y_var, entity, PeriodIndex(s)), x_of(entity, s)
             if y is not None and x is not None:
-                rows.append(DesignRow(entity=entity, year=s, y=y, x=x))
+                rows.append((entity, s, y, x))
         x = x_of(entity, t)
         if x is not None:
             pred.append((entity, x))
-    return rows, pred
+    return design(*zip(*rows)), pred
 
 
 class TestDesignEqualsReference:
@@ -450,7 +448,7 @@ class TestDesignEqualsReference:
             ref_rows, ref_pred = _ref_design(cut, info, t, 1990, spec, energy)
             assert [(r.entity, r.year, r.y, r.x.tobytes()) for r in rows] == [
                 (r.entity, r.year, r.y, r.x.tobytes()) for r in ref_rows]
-            assert all(type(r.y) is float and type(r.year) is int for r in rows)
+            assert rows.y.dtype == float and rows.year.dtype == np.int64
             assert [(e, x.tobytes()) for e, x in pred] == [
                 (e, x.tobytes()) for e, x in ref_pred]
             y_var = "CO2" if spec is None or spec.is_direct else "EC"
@@ -510,6 +508,27 @@ class TestDesignEqualsReference:
         with pytest.raises(CoverageError, match="empty energy design"):
             assemble_energy_design(Week(PanelArrays(no_weci), info, 1990),
                                    ModelSpec("AR-W"))
+
+
+class TestDesignRecords:
+    def test_records_match_the_columns(self):
+        # a design is read both ways: the fits take its y and x columns whole,
+        # and per-record readers take len(rows) and each record's fields
+        week, _ = _week(_reference_panel(), 2012, 30)
+        designs = [bridge_design(week, {"S01": 0.5}),
+                   direct_design(week, ModelSpec("DirectAR-W-M-Q"))]
+        designs += [assemble_energy_design(week, ModelSpec(kind))
+                    for kind in MODEL_KINDS[1:-1]]
+        for rows, _, labels in designs:
+            y, X = rows.y, rows.x
+            assert len(rows) == len(y) == len(X) > 0
+            assert X.shape == (len(rows), len(labels))
+            for i, r in enumerate(rows):
+                assert isinstance(r.entity, str) and r.entity == rows.entity[i]
+                assert isinstance(r.year, (int, np.integer)) and r.year == rows.year[i]
+                assert f"{r.entity}|{r.year}|" == f"{rows.entity[i]}|{int(rows.year[i])}|"
+                assert r.y == y[i] and r.x.shape == (len(labels),)
+                assert np.asarray(r.x, dtype=float).tobytes() == X[i].tobytes()
 
 
 class TestDensityNowcast:

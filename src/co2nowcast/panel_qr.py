@@ -7,30 +7,35 @@ toward a common value rather than toward zero, so results do not depend on
 the location of y. With lambda = 0 the split is degenerate and plain
 per-entity intercepts are fitted instead (a_i = gamma_i, gamma0 = 0).
 
-Every instance is solved exactly by one HiGHS call on the dual LP, the
-rank-score form (Koenker & Bassett 1978; Koenker 2005, ch. 6), whose
-marginals are an optimal (gamma0, a, beta). Where the optimum is not unique,
-the tie rule picks, on the exact optimal face, the coefficients with the
-smallest signed sum gamma0 + sum(a) + sum(beta) (sum(gamma) + sum(beta) when
-lambda = 0). When the predictions are unique and only the gamma0/a split
-slides, that is the largest gamma0 the signs of the a_i admit, in closed
-form; on any other flat face one small LP over the face picks the point. The
-objective is never relaxed above the optimum.
+Every instance is solved exactly from the dual LP, the rank-score form
+(Koenker & Bassett 1978; Koenker 2005, ch. 6), whose optimal solution marks
+the rows of zero residual that pin an optimal (gamma0, a, beta). Where the
+optimum is not unique, the tie rule picks, on the exact optimal face, the
+coefficients with the smallest signed sum gamma0 + sum(a) + sum(beta)
+(sum(gamma) + sum(beta) when lambda = 0). When the predictions are unique
+and only the gamma0/a split slides, that is the largest gamma0 the signs of
+the a_i admit, in closed form; on any other flat face one small LP over the
+face picks the point. The objective is never relaxed above the optimum.
 
-A design is the record array of `panel_ls.design`; its entities index the
-intercepts in sorted order. Each distinct LP is solved once per process:
-`_solve` is a bounded `lru_cache` keyed on the bytes and shape of y, X and
-the entity index, the entity count, tau and lambda, which is everything the
-LP reads.
+Each LP is one HiGHS model, built through SciPy's binding and solved
+without presolve (`_highs`). A design is the record array of
+`panel_ls.design`; its entities index the intercepts in sorted order. The
+fits of one target year share an `LPState`, which keeps, per chain of
+same-sized LPs (design shape, entity count, tau, lambda), the last design
+solved: a design bitwise equal to it reuses its fit, and any other starts
+from its final basis. The state lives as long as its year; a fit without
+one is one cold solve.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
+# the HiGHS binding, reached as an attribute: `from scipy.optimize._highspy
+# import _core` runs scipy.optimize's import two frames deeper, which under
+# CPython 3.11 was measured to fault about 25,000 more pages (0.2 s) at start
+from scipy.optimize import _highspy
 
 from .errors import DomainError, SingularDesignError, UnknownEntityError
 from .evaluation import pinball
@@ -66,11 +71,47 @@ def objective_value(y, X, entity_idx, gamma0, a, beta, tau, lam) -> float:
     return float(np.sum(pinball(resid, tau)) + lam * np.sum(np.abs(a)))
 
 
-_TOL = 1e-7  # HiGHS feasibility tolerance: a value this close to a bound is at it
+_TOL = 1e-7  # a value this close to a bound is at it
+# HiGHS's feasibility tolerances, below its default 1e-7: without presolve, a
+# face LP solved to 1e-7 can end on a basis whose vertex misses its rows'
+# bounds by 3e-8, which raises the quantile objective above the optimum
+_FEASIBLE = 1e-9
 
 
-def _fit_lp(y, X, idx, n_ent, tau, lam):
-    """Exact optimum from one HiGHS solve of the dual, the rank-score form.
+def _highs(cost, A, row_lo, row_hi, col_lo, col_hi, basis=None, what="quantile LP"):
+    """min cost'x s.t. row_lo <= A x <= row_hi and col_lo <= x <= col_hi, by
+    one HiGHS solve without presolve, from `basis` (a `HighsBasis` of an LP
+    of the same size) if given. Returns x and the final basis; raises
+    `SingularDesignError` unless the LP is solved to optimality."""
+    m, n = A.shape
+    j, i = np.nonzero(A.T)  # column-wise: the rows of each column in turn
+    lp = _highspy._core.HighsLp()
+    lp.num_col_, lp.num_row_ = n, m
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, col_lo, col_hi
+    lp.row_lower_, lp.row_upper_ = row_lo, row_hi
+    mat = lp.a_matrix_
+    mat.format_, mat.num_col_, mat.num_row_ = _highspy._core.MatrixFormat.kColwise, n, m
+    mat.start_ = np.searchsorted(j, np.arange(n + 1)).astype(np.int32)
+    mat.index_, mat.value_ = i.astype(np.int32), A[i, j]
+    highs = _highspy._core._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "off")
+    for tolerance in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
+        highs.setOptionValue(tolerance, _FEASIBLE)
+    highs.passModel(lp)
+    if basis is not None:
+        highs.setBasis(basis)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _highspy._core.HighsModelStatus.kOptimal:
+        raise SingularDesignError(f"{what} failed: {highs.modelStatusToString(status)}")
+    return np.array(highs.getSolution().col_value), highs.getBasis()
+
+
+def _fit_lp(y, X, idx, n_ent, tau, lam, basis=None):
+    """Exact optimum from one HiGHS solve of the dual, the rank-score form,
+    started from `basis` if given; returns (gamma0, a, beta), a and beta
+    read-only, and the dual's final basis.
 
     The primal design D holds the intercept columns and then X: one indicator
     column per entity when lam == 0 (coefficients gamma_i), or a column of
@@ -78,42 +119,35 @@ def _fit_lp(y, X, idx, n_ent, tau, lam):
 
         min -y'd  s.t.  tau - 1 <= d <= tau,  D_f'd = 0,  |G'd| <= lam,
 
-    where D_f are the free columns (all of D when lam == 0; the ones and X
-    when lam > 0) and G the penalized indicators. Its marginals are an
-    optimal primal vertex. Complementary slackness with d spans the optimal
-    face: rows with d inside the box have zero residual, rows at tau (tau - 1)
-    a residual >= 0 (<= 0), an entity with |G_i'd| < lam has a_i = 0, and
-    G_i'd = +lam (-lam) gives a_i >= 0 (<= 0). The tie rule picks the point
-    of the face with the smallest signed sum of all coefficients.
+    one row per column of D, where D_f are the free columns (all of D when
+    lam == 0; the ones and X when lam > 0) and G the penalized indicators.
+    Complementary slackness with an optimal d spans the optimal face of the
+    primal: rows with d inside the box have zero residual, rows at tau
+    (tau - 1) a residual >= 0 (<= 0), an entity with |G_i'd| < lam has
+    a_i = 0, and G_i'd = +lam (-lam) gives a_i >= 0 (<= 0). The point is
+    solved from the zero-residual rows by least squares, not read from the
+    row duals, which carry the rounding of the final basis (a warm start's
+    more than a cold one's): it depends only on which rows pin it. The tie
+    rule picks the point of the face with the smallest signed sum of all
+    coefficients.
     """
     n, k = X.shape
     G = np.zeros((n, n_ent))
     G[np.arange(n), idx] = 1.0
     D = np.hstack([G, X]) if lam == 0.0 else np.hstack([np.ones((n, 1)), G, X])
     free = np.ones(D.shape[1], dtype=bool)
-    A_ub = b_ub = None
     if lam != 0.0:
         free[1 : 1 + n_ent] = False
-        A_ub, b_ub = np.vstack([G.T, -G.T]), np.full(2 * n_ent, lam)
-    res = scipy.optimize.linprog(
-        -y, A_ub=A_ub, b_ub=b_ub, A_eq=D[:, free].T, b_eq=np.zeros(free.sum()),
-        bounds=(tau - 1.0, tau), method="highs",
-    )
-    if not res.success:
-        raise SingularDesignError(f"quantile LP failed: {res.message}")
-    d = res.x
-    coef = np.empty(D.shape[1])
-    coef[free] = -res.eqlin.marginals
+    bound = np.where(free, 0.0, lam)
+    d, basis = _highs(-y, D.T, -bound, bound, np.full(n, tau - 1.0), np.full(n, tau),
+                      basis)
     lo = np.where(free, -np.inf, 0.0)  # bounds of each coefficient on the face
     hi = np.where(free, np.inf, 0.0)
     if lam != 0.0:
-        mu = res.ineqlin.marginals
-        coef[~free] = mu[n_ent:] - mu[:n_ent]
         s, tol = G.T @ d, min(_TOL, 0.5 * lam)  # a tiny lam keeps its signs apart
         lo[~free] = np.where(s <= tol - lam, -np.inf, 0.0)
         hi[~free] = np.where(s >= lam - tol, np.inf, 0.0)
     keep = (lo != 0.0) | (hi != 0.0)  # coefficients not pinned at zero
-    coef[~keep] = 0.0
     inner = (d > tau - 1.0 + _TOL) & (d < tau - _TOL)
 
     # With lam > 0 and no a_i pinned at zero, gamma0 + t, a - t keeps every
@@ -121,49 +155,66 @@ def _fit_lp(y, X, idx, n_ent, tau, lam):
     # the only tie: the signed sum falls as gamma0 rises (N > 1), so take the
     # largest gamma0 the signs admit, the smallest gamma_i with a_i >= 0.
     slide = lam != 0.0 and keep[1 : 1 + n_ent].all()
-    if np.linalg.matrix_rank(D[inner][:, keep]) == keep.sum() - slide:
+    pinned, _, rank, _ = np.linalg.lstsq(D[inner][:, keep], y[inner], rcond=None)
+    if rank == keep.sum() - slide:
+        coef = np.zeros(D.shape[1])
+        coef[keep] = pinned  # least norm along the slide, which keeps gamma
         if slide:
             gamma = coef[0] + coef[1 : 1 + n_ent]
             coef[0] = gamma[hi[1 : 1 + n_ent] > 0.0].min()
             coef[1 : 1 + n_ent] = gamma - coef[0]
     else:  # a flat face: one small LP over (gamma, beta) picks the point
-        upper = ~inner & (d > tau - 0.5)  # d at tau
-        lower = ~inner & ~upper  # d at tau - 1
-        face = scipy.optimize.linprog(
-            np.ones(D.shape[1]),
-            A_ub=np.vstack([D[upper], -D[lower]]), b_ub=np.r_[y[upper], -y[lower]],
-            A_eq=D[inner], b_eq=y[inner], bounds=np.c_[lo, hi], method="highs",
-        )
-        if not face.success:  # unbounded: collinear columns of [G X]
-            raise SingularDesignError(f"quantile tie-break LP failed: {face.message}")
-        coef = face.x
+        # a row with d at tau (tau - 1) keeps its residual >= 0 (<= 0)
+        upper = ~inner & (d > tau - 0.5)
+        lower = ~inner & ~upper
+        _, face = _highs(np.ones(D.shape[1]), D, np.where(upper, -np.inf, y),
+                         np.where(lower, np.inf, y), lo, hi,
+                         what="quantile tie-break LP")  # unbounded: collinear [G X]
+        # the vertex of its final basis, solved afresh: the rows the basis
+        # holds at a bound have zero residual, and every coefficient outside
+        # it sits at its one finite bound, 0
+        basic = _highspy._core.HighsBasisStatus.kBasic
+        at = np.array([s != basic for s in face.row_status])
+        on = np.array([s == basic for s in face.col_status])
+        coef = np.zeros(D.shape[1])
+        coef[on] = np.linalg.solve(D[at][:, on], y[at])
+    coef.flags.writeable = False
     if lam == 0.0:
-        return 0.0, coef[:n_ent], coef[n_ent:]
-    return float(coef[0]), coef[1 : 1 + n_ent], coef[1 + n_ent :]
+        return (0.0, coef[:n_ent], coef[n_ent:]), basis
+    return (float(coef[0]), coef[1 : 1 + n_ent], coef[1 + n_ent :]), basis
 
 
-@functools.lru_cache(maxsize=32)
-def _solve(y_bytes, X_bytes, shape, idx_bytes, n_ent, tau, lam):
-    """`_fit_lp` on arrays rebuilt from the key alone; a and beta read-only.
-    At paper shape a key holds at most 233 KB (a 1,326 x 20 direct design),
-    so the 32 entries hold at most about 7.5 MB."""
-    y = np.frombuffer(y_bytes, dtype=float)
-    X = np.frombuffer(X_bytes, dtype=float).reshape(shape)
-    idx = np.frombuffer(idx_bytes, dtype=np.intp)
-    gamma0, a, beta = _fit_lp(y, X, idx, n_ent, tau, lam)
-    a.flags.writeable = False
-    beta.flags.writeable = False
-    return gamma0, a, beta
+class LPState:
+    """The quantile LPs of one target year, as chains of same-sized LPs: per
+    (design shape, entity count, tau, lambda), the last design solved, its
+    fit and the dual's final basis. A design bitwise equal to its chain's
+    last reuses that fit; any other is solved from the chain's basis. A
+    failed solve leaves its chain as it was."""
+
+    def __init__(self):
+        self._last = {}  # chain key -> (y, X, idx, fit, basis)
+
+    def solve(self, y, X, idx, n_ent, tau, lam):
+        """(gamma0, a, beta) of the design (y, X, idx) by `_fit_lp`."""
+        key = (X.shape, n_ent, tau, lam)
+        last = self._last.get(key)
+        if last is not None and all(np.array_equal(u.view(np.uint8), v.view(np.uint8))
+                                    for u, v in zip((y, X, idx), last)):
+            return last[3]
+        fit, basis = _fit_lp(y, X, idx, n_ent, tau, lam, None if last is None else last[4])
+        self._last[key] = y, X, idx, fit, basis
+        return fit
 
 
-def fit_quantile(rows, spec: QuantileSpec, labels=None) -> QuantileModel:
+def fit_quantile(rows, spec: QuantileSpec, labels=None, lp=None) -> QuantileModel:
     """Fit one quantile level of the design `rows` (see `panel_ls.design`) by
-    the exact LP; `beta` is read-only."""
+    the exact LP, through `lp`, the `LPState` of the target year, if given,
+    and else by one cold solve; `beta` is read-only."""
     y, X, labels = _stack(rows, labels)
     ents, idx = np.unique(rows.entity, return_inverse=True)
     ents = ents.tolist()
-    gamma0, a, beta = _solve(y.tobytes(), X.tobytes(), X.shape, idx.tobytes(),
-                             len(ents), spec.tau, spec.lam)
+    gamma0, a, beta = (LPState() if lp is None else lp).solve(
+        y, X, idx, len(ents), spec.tau, spec.lam)
     obj = objective_value(y, X, idx, gamma0, a, beta, spec.tau, spec.lam)
     gamma = {e: float(gamma0 + a[i]) for i, e in enumerate(ents)}
     deviations = {e: float(a[i]) for i, e in enumerate(ents)}

@@ -33,7 +33,8 @@ builds both benchmarks once, and the bridge's training set, which reads
 realized energy and so serves every bridge spec, with one quantile fit per
 level. An energy or direct spec adds only the concatenation of the blocks
 it names and its own fit; a bridge spec adds only its nowcasts in the
-prediction rows.
+prediction rows. The quantile fits of a target year go through one
+`panel_qr.LPState`, which its weeks share and which ends with the year.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .errors import (
 )
 from .panel import Frequency, PanelDataset, PeriodIndex, ordinal
 from .panel_ls import design, fit_within, predict
-from .panel_qr import QuantileSpec, fit_quantile, predict_quantile, rearrange
+from .panel_qr import LPState, QuantileSpec, fit_quantile, predict_quantile, rearrange
 from .release_calendar import (
     VAR_CO2,
     VAR_EC,
@@ -264,7 +265,9 @@ BRIDGE_LABELS = ("ar_e", "c_hat", "f_e", "f_c")
 class Week:
     """One calendar week: the panel's arrays, its information set `info`
     and the first training year, with the benchmarks and design blocks that
-    the week's specs share, each built on first use and kept for the week.
+    the week's specs share, each built on first use and kept for the week,
+    and `lp`, the target year's `LPState` that its quantile fits go through
+    (None: each fit is one cold solve).
 
     The frame is every entity of the panel and the years from
     `estimation_start` to the target year t, `info.year`, last. Each distinct
@@ -279,8 +282,9 @@ class Week:
     every bridge spec; a spec only fills its own nowcasts into the
     prediction rows."""
 
-    def __init__(self, panel: PanelArrays, info: InformationSet, estimation_start: int):
-        self.panel, self.info, self.t = panel, info, info.year
+    def __init__(self, panel: PanelArrays, info: InformationSet, estimation_start: int,
+                 lp: LPState | None = None):
+        self.panel, self.info, self.t, self.lp = panel, info, info.year, lp
         self.years, self._kept = np.arange(estimation_start, self.t + 1), {}
 
     def _keep(self, key, build):
@@ -374,7 +378,8 @@ class Week:
         """One quantile fit of the shared bridge training rows per level."""
         rows = self.bridge()[0]
         return self._keep(("bridge fits", taus, lam), lambda: [
-            fit_quantile(rows, QuantileSpec(tau=tau, lam=lam), labels=BRIDGE_LABELS)
+            fit_quantile(rows, QuantileSpec(tau=tau, lam=lam), labels=BRIDGE_LABELS,
+                         lp=self.lp)
             for tau in taus])
 
 
@@ -470,15 +475,16 @@ def nowcast_co2_density(week: Week, info: InformationSet, spec: ModelSpec,
     if spec.is_direct:
         rows, pred, labels = direct_design(week, spec)
         models = [fit_quantile(rows, QuantileSpec(tau=tau, lam=config.lam),
-                               labels=labels) for tau in taus]
+                               labels=labels, lp=week.lp) for tau in taus]
         gaps_energy = []
     else:
         nowcasts, gaps_energy = energy
-        rows, pred, _ = bridge_design(week, {n.entity: n.value for n in nowcasts})
+        _, pred, _ = bridge_design(week, {n.entity: n.value for n in nowcasts})
         models = week.bridge_models(taus, config.lam)
-    # every entity with a training row keeps them: only prediction rows drop
-    _, pred, gaps = _drop_thin_entities(rows, pred, benchmarks, min_rows=1)
-    gaps = sorted(set(gaps) | set(gaps_energy))
+    # an entity is predicted where it has training rows (the fits' entities)
+    # and a prediction row; every other entity with a benchmark is a gap
+    pred = [(e, x) for e, x in pred if e in models[0].gamma]
+    gaps = sorted(set(benchmarks).difference(e for e, _ in pred).union(gaps_energy))
     return [nowcast(e, [predict_quantile(m, e, x) for m in models])
             for e, x in pred], gaps
 
@@ -517,9 +523,10 @@ def _csv_line(*values) -> str:
 def _run_year(panel: PanelArrays, config: RunConfig, t: int) -> NowcastArchive:
     """Every calendar week and model spec of target year t, re-fitted on what
     the week's information set shows of the panel; the specs of a week share
-    its `Week` of design blocks. Each row is archived as its CSV line.
+    its `Week` of design blocks, and the weeks share one `LPState`, made
+    here, so no LP outlives the year. Each row is archived as its CSV line.
     Failures become diagnostics rows."""
-    rules = table2_rules()
+    rules, lp = table2_rules(), LPState()
     specs = tuple(ModelSpec(kind=k) for k in config.specs)
     realized = {var: panel.realized(var, t) for var in (VAR_EC, VAR_CO2)}
     archive = NowcastArchive()
@@ -529,7 +536,7 @@ def _run_year(panel: PanelArrays, config: RunConfig, t: int) -> NowcastArchive:
             archive.diagnostics.append(_csv_line(spec_kind, t, v, stage, detail))
 
         info = information_set(rules, t, v)
-        week = Week(panel, info, config.estimation_start)
+        week = Week(panel, info, config.estimation_start, lp)
         try:
             panel.check(info)
             bench_energy = week.hist_mean()

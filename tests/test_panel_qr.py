@@ -12,6 +12,7 @@ from co2nowcast.errors import (
 from co2nowcast.evaluation import pinball
 from co2nowcast.panel_ls import design
 from co2nowcast.panel_qr import (
+    LPState,
     QuantileSpec,
     fit_quantile,
     objective_value,
@@ -190,22 +191,21 @@ class TestExactOptimum:
 
 
 @pytest.fixture
-def linprog_calls(monkeypatch):
-    """Number of `scipy.optimize.linprog` calls, from an empty LP cache."""
-    panel_qr._solve.cache_clear()
+def solves(monkeypatch):
+    """(args, kwargs) of every HiGHS solve through `panel_qr._highs`."""
     calls = []
-    linprog = scipy.optimize.linprog
+    highs = panel_qr._highs
 
-    def counting_linprog(*args, **kwargs):
-        calls.append(args)
-        return linprog(*args, **kwargs)
+    def counting_highs(*args, **kwargs):
+        calls.append((args, kwargs))
+        return highs(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
+    monkeypatch.setattr(panel_qr, "_highs", counting_highs)
     return calls
 
 
 class TestTieRule:
-    def test_unique_predictions_take_one_linprog_call(self, linprog_calls):
+    def test_unique_predictions_take_one_solve(self, solves):
         # seven rows per entity keep tau * 7 off the integers, so no entity's
         # quantile is an interval; these fits are unique
         rng = np.random.default_rng(3)
@@ -215,9 +215,9 @@ class TestTieRule:
         for tau in (0.25, 0.5):
             for lam in (0.0, 0.3, 10.0):
                 fit_quantile(design(ents, range(21), y, X), QuantileSpec(tau=tau, lam=lam))
-        assert len(linprog_calls) == 6
+        assert len(solves) == 6
 
-    def test_straddling_deviations_take_the_top_of_the_segment(self, linprog_calls):
+    def test_straddling_deviations_take_the_top_of_the_segment(self, solves):
         # gamma_A = -5 and gamma_B = 5 are unique, and every common intercept
         # in [-5, 5] gives the same objective; the tie rule takes the largest
         rows = design(["A"] * 3 + ["B"] * 3, range(6),
@@ -227,10 +227,10 @@ class TestTieRule:
         assert model.gamma["B"] == pytest.approx(5.0, abs=1e-12)
         assert model.common == model.gamma["B"]
         assert model.deviations["B"] == 0.0
-        assert len(linprog_calls) == 1
+        assert len(solves) == 1
         assert model.objective <= lp_oracle(rows, 0.5, 0.4) * (1 + 1e-12)
 
-    def test_flat_face_takes_the_smallest_signed_sum(self, linprog_calls):
+    def test_flat_face_takes_the_smallest_signed_sum(self, solves):
         # each entity's medians form a segment and a common intercept in
         # [1.5, 2] fits both with a = 0: a flat face, resolved by one face LP
         rows = design(["A"] * 4 + ["B"] * 4, range(8),
@@ -238,7 +238,7 @@ class TestTieRule:
         model = fit_quantile(rows, QuantileSpec(tau=0.5, lam=1.0))
         assert model.common == pytest.approx(1.5, abs=1e-9)
         assert model.deviations == {"A": 0.0, "B": 0.0}
-        assert len(linprog_calls) == 2
+        assert len(solves) == 2
         assert model.objective <= lp_oracle(rows, 0.5, 1.0) * (1 + 1e-12)
 
 
@@ -282,8 +282,7 @@ class TestShrinkage:
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """Arguments of every `_fit_lp` call, starting from an empty LP cache."""
-    panel_qr._solve.cache_clear()
+    """Arguments of every `_fit_lp` call."""
     calls = []
     fit_lp = panel_qr._fit_lp
 
@@ -327,23 +326,29 @@ class TestValidationAndPlumbing:
             fit_quantile(rows, QuantileSpec(tau=0.5, lam=0.0))
 
 
+@pytest.fixture
+def lp():
+    """One target year's LP state."""
+    return LPState()
+
+
 class TestSolveMemo:
     ENTS = ["A", "A", "A", "B", "B", "B"]
     Y = [1.0, 2.5, 2.0, 4.0, 3.0, 6.5]
     X = [[0.5], [1.0], [2.0], [0.0], [1.5], [3.0]]
     SPEC = QuantileSpec(tau=0.5, lam=1.0)
 
-    def test_same_design_solves_once(self, lp_calls):
-        first = fit_quantile(design(self.ENTS, range(6), self.Y, self.X), self.SPEC)
+    def test_same_design_solves_once(self, lp_calls, lp):
+        first = fit_quantile(design(self.ENTS, range(6), self.Y, self.X), self.SPEC, lp=lp)
         second = fit_quantile(design(self.ENTS, range(6), np.array(self.Y), self.X),
-                              QuantileSpec(tau=0.5, lam=1.0), labels=("x",))
+                              QuantileSpec(tau=0.5, lam=1.0), labels=("x",), lp=lp)
         assert len(lp_calls) == 1
         assert np.array_equal(first.beta, second.beta)
         assert first.gamma == second.gamma
         assert second.labels == ("x",)
 
     @pytest.mark.parametrize("change", ["y", "x", "entity", "tau", "lam"])
-    def test_any_change_is_a_new_solve(self, lp_calls, change):
+    def test_any_change_is_a_new_solve(self, lp_calls, lp, change):
         ents, y, X, spec = list(self.ENTS), list(self.Y), list(self.X), self.SPEC
         if change == "y":
             y[2] += 1e-12
@@ -355,23 +360,76 @@ class TestSolveMemo:
             spec = QuantileSpec(tau=0.25, lam=1.0)
         else:
             spec = QuantileSpec(tau=0.5, lam=0.5)
-        fit_quantile(design(self.ENTS, range(6), self.Y, self.X), self.SPEC)
-        fit_quantile(design(ents, range(6), y, X), spec)
+        fit_quantile(design(self.ENTS, range(6), self.Y, self.X), self.SPEC, lp=lp)
+        fit_quantile(design(ents, range(6), y, X), spec, lp=lp)
         assert len(lp_calls) == 2
 
-    def test_failed_lp_raises_every_time(self, lp_calls, monkeypatch):
-        failed = scipy.optimize.OptimizeResult(success=False, message="forced")
-        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: failed)
+    def test_failed_lp_raises_every_time(self, lp_calls, lp, monkeypatch):
+        def failing(*args, **kwargs):
+            raise SingularDesignError("quantile LP failed: forced")
+
+        monkeypatch.setattr(panel_qr, "_highs", failing)
         rows = design(self.ENTS, range(6), self.Y, self.X)
         for _ in range(2):
             with pytest.raises(SingularDesignError, match="forced"):
-                fit_quantile(rows, self.SPEC)
+                fit_quantile(rows, self.SPEC, lp=lp)
         assert len(lp_calls) == 2
 
-    def test_beta_is_read_only(self, lp_calls):
-        model = fit_quantile(design(self.ENTS, range(6), self.Y, self.X), self.SPEC)
-        with pytest.raises(ValueError):
-            model.beta[0] = 0.0
+    def test_failed_solve_is_never_reused(self, lp_calls, lp, monkeypatch):
+        # every failure is a solve of its own and leaves the chain its last
+        # good design; the failed design is solved afresh once HiGHS works
+        good = design(self.ENTS, range(6), self.Y, self.X)
+        bad = design(self.ENTS, range(6), np.add(self.Y, 1.0), self.X)
+        fit_quantile(good, self.SPEC, lp=lp)
+        highs = panel_qr._highs
+
+        def failing(*args, **kwargs):
+            raise SingularDesignError("quantile LP failed: forced")
+
+        monkeypatch.setattr(panel_qr, "_highs", failing)
+        for _ in range(3):
+            with pytest.raises(SingularDesignError, match="forced"):
+                fit_quantile(bad, self.SPEC, lp=lp)
+        fit_quantile(good, self.SPEC, lp=lp)  # the chain's last: reused
+        monkeypatch.setattr(panel_qr, "_highs", highs)
+        model = fit_quantile(bad, self.SPEC, lp=lp)
+        assert len(lp_calls) == 1 + 3 + 0 + 1
+        assert model.common == pytest.approx(
+            fit_quantile(good, self.SPEC).common + 1.0, abs=1e-9)
+
+    def test_beta_is_read_only(self, lp_calls, lp):
+        for state in (lp, None):
+            model = fit_quantile(design(self.ENTS, range(6), self.Y, self.X), self.SPEC,
+                                 lp=state)
+            with pytest.raises(ValueError):
+                model.beta[0] = 0.0
+
+
+class TestWarmChain:
+    @pytest.mark.parametrize("tau", [0.25, 0.5])
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_warm_chain_equals_cold_solves(self, solves, lam, tau):
+        # ten same-shaped panels, as the weeks of one year: each solved from
+        # its predecessor's basis equals the same panel solved cold
+        rng = np.random.default_rng(23)
+        ents = np.repeat(["A", "B", "C", "D"], 12)
+        X = rng.normal(size=(48, 3))
+        y = np.repeat([-1.0, 0.0, 0.5, 2.0], 12) + X @ [1.0, -0.5, 0.2]
+        lp, spec = LPState(), QuantileSpec(tau=tau, lam=lam)
+        for week in range(10):
+            X[:, -1] += rng.normal(scale=0.05, size=48)
+            y = y + rng.normal(scale=0.3, size=48)
+            rows = design(ents, range(48), y, X)
+            warm, cold = fit_quantile(rows, spec, lp=lp), fit_quantile(rows, spec)
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=0.0)
+            assert np.allclose(warm.beta, cold.beta, rtol=0.0, atol=1e-9)
+            assert warm.common == pytest.approx(cold.common, abs=1e-9)
+            for e in warm.gamma:
+                assert warm.gamma[e] == pytest.approx(cold.gamma[e], abs=1e-9)
+        # 10 warm and 10 cold duals, 9 of the warm ones from a basis
+        duals = [args for args, kwargs in solves if "what" not in kwargs]
+        assert len(duals) == 20
+        assert sum(len(args) > 6 and args[6] is not None for args in duals) == 9
 
 
 class TestRearrange:

@@ -18,6 +18,7 @@ from co2nowcast.panel import (
     ordinal,
 )
 from co2nowcast.panel_ls import design
+from co2nowcast.panel_qr import LPState, QuantileSpec, fit_quantile
 from co2nowcast.pipeline import (
     ALMON_MAP,
     BRIDGE_LABELS,
@@ -34,12 +35,14 @@ from co2nowcast.pipeline import (
     nowcast_co2_density,
     nowcast_energy,
     _drop_thin_entities,
+    _run_year,
     run_out_of_sample,
 )
 from co2nowcast.release_calendar import information_set, table2_rules
 
 from _dgp import make_dataset
 from test_golden_archive import _late_starter
+from test_panel_qr import lp_oracle
 
 
 def _rows(text):
@@ -791,21 +794,22 @@ class TestYearsInParallel:
 
 class TestDistinctDesignsFitOnce:
     def test_one_lp_per_tau_for_one_bridge_week(self, monkeypatch):
-        panel_qr._solve.cache_clear()
         taus = []
         fit_lp = panel_qr._fit_lp
 
-        def counting_fit_lp(y, X, idx, n_ent, tau, lam):
+        def counting_fit_lp(y, X, idx, n_ent, tau, lam, basis=None):
             taus.append(tau)
-            return fit_lp(y, X, idx, n_ent, tau, lam)
+            return fit_lp(y, X, idx, n_ent, tau, lam, basis)
 
         monkeypatch.setattr(panel_qr, "_fit_lp", counting_fit_lp)
         ds, _ = make_dataset(n_entities=3, seed=9)
+        panel, lp = PanelArrays(ds), LPState()  # the weeks of one year share lp
         config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2011,
                            fit_density=False)
 
         def bridge_week(v):
-            week, info = _week(ds, 2011, v)
+            info = information_set(table2_rules(), 2011, v)
+            week = Week(panel, info, config.estimation_start, lp)
             for kind in ENERGY_KINDS:
                 spec = ModelSpec(kind)
                 energy = nowcast_energy(week, info, spec)
@@ -819,7 +823,14 @@ class TestDistinctDesignsFitOnce:
         bridge_week(9)  # the CO2 release adds a training year
         assert taus == 2 * list(config.taus)
 
-    def test_warm_cache_equals_cold_cache(self):
+    def test_warm_cache_equals_cold_cache(self, monkeypatch):
+        solves = []
+        fit_lp = panel_qr._fit_lp
+
+        def counting_fit_lp(*args):
+            solves.append(args)
+            return fit_lp(*args)
+
         def outputs(seed):
             ds, _ = make_dataset(n_entities=3, seed=seed)
             config = RunConfig(estimation_start=1990, eval_start=2012, eval_end=2012,
@@ -827,16 +838,68 @@ class TestDistinctDesignsFitOnce:
             archive = run_out_of_sample(ds, config)
             return archive.to_csv(), archive.density_csv(), archive.diagnostics_csv()
 
-        caches = (panel_qr._solve, panel_ls._fit, skew_t._fit)
+        monkeypatch.setattr(panel_qr, "_fit_lp", counting_fit_lp)
+        caches = (panel_ls._fit, skew_t._fit)
         for cache in caches:
             cache.cache_clear()
         cold = outputs(14)
         hits = [cache.cache_info().hits for cache in caches]
+        n_solves = len(solves)
         warm = outputs(14)
         assert all(cache.cache_info().hits > h for cache, h in zip(caches, hits))
+        # no LP outlives its year: the second run solves every LP again
+        assert len(solves) == 2 * n_solves > 0
         outputs(15)
         interleaved = outputs(14)
         assert cold == warm == interleaved
+
+    def test_a_year_is_the_same_after_another_year(self, monkeypatch):
+        # each year makes its own LP state: a year run after another in the
+        # same process equals the same year run alone, and starts each of
+        # its chains of LPs cold
+        cold = []
+        fit_lp = panel_qr._fit_lp
+
+        def counting_fit_lp(*args):
+            cold.append(args[6] is None)
+            return fit_lp(*args)
+
+        monkeypatch.setattr(panel_qr, "_fit_lp", counting_fit_lp)
+        ds, _ = make_dataset(n_entities=3, seed=18)
+        config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2012,
+                           specs=("HistMean", "AR-W-M-Q", "DirectAR-W-M-Q"))
+
+        def year_2012(panel):
+            del cold[:]
+            archive = _run_year(panel, config, 2012)
+            return archive.to_csv(), archive.density_csv(), archive.diagnostics_csv(), cold[:]
+
+        alone = year_2012(PanelArrays(ds))
+        panel = PanelArrays(ds)
+        _run_year(panel, config, 2011)
+        assert year_2012(panel) == alone
+        assert alone[0] and 0 < sum(alone[3]) < len(alone[3])
+
+
+class TestPaperShapeFace:
+    def test_flat_face_reaches_the_lp_optimum(self, monkeypatch):
+        # the 51-entity direct design of 2012, week 21 fits tau = 0.25 on a
+        # flat face; solved without presolve to HiGHS's default feasibility
+        # tolerance, its face LP ended 3e-8 above the optimum
+        faces = []
+        highs = panel_qr._highs
+
+        def counting_highs(*args, **kwargs):
+            faces.append("what" in kwargs)
+            return highs(*args, **kwargs)
+
+        monkeypatch.setattr(panel_qr, "_highs", counting_highs)
+        ds, _ = make_dataset(n_entities=51, first_year=1985, last_year=2018, seed=1)
+        week, _ = _week(ds, 2012, 21)
+        rows, _, labels = direct_design(week, ModelSpec("DirectAR-W-M-Q"))
+        model = fit_quantile(rows, QuantileSpec(tau=0.25, lam=1.0), labels=labels)
+        assert faces == [False, True]
+        assert model.objective <= lp_oracle(rows, 0.25, 1.0) * (1 + 1e-12)
 
 
 def _design_bytes(rows, pred, labels):
@@ -888,9 +951,9 @@ class TestWeekSharesBlocks:
             designs.append(name)
             return week_design(self, y_var, blocks, name)
 
-        def counting_fit_quantile(rows, spec, labels=None):
+        def counting_fit_quantile(rows, spec, labels=None, lp=None):
             fits.append(labels)
-            return pipeline_fit_quantile(rows, spec, labels=labels)
+            return pipeline_fit_quantile(rows, spec, labels=labels, lp=lp)
 
         week_design, pipeline_fit_quantile = pipeline.Week.design, pipeline.fit_quantile
         monkeypatch.setattr(pipeline, "_worker_count", lambda n_years: 1)

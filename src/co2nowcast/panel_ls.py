@@ -4,15 +4,12 @@ A design is one numpy record array, one record per observation, with fields
 `entity` (the name), `year`, `y` and `x` (the k regressors); `design` builds
 it from one array per field, and the fits read its `y` and `x` columns whole.
 
-Each distinct design is fitted once per process: `_fit` is a bounded
-`lru_cache` keyed on the bytes and shape of y and X, the bytes of the entity
-column and the labels (which the rank-deficiency message names), everything
-the fit reads.
+A fit keeps no state between calls: each call fits its design afresh, and
+the pipeline's week store decides which fits to reuse.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,21 +92,7 @@ def fit_within(rows, labels=None) -> FixedEffectsModel:
     each entity is demeaned on its own rows. `beta` is read-only.
     """
     y, X, labels = _stack(rows, labels)
-    entity = rows.entity
-    alpha, beta = _fit(y.tobytes(), X.tobytes(), X.shape, entity.tobytes(),
-                       entity.dtype.str, labels)
-    return FixedEffectsModel(alpha=dict(alpha), beta=beta, labels=labels)
-
-
-@functools.lru_cache(maxsize=32)
-def _fit(y_bytes, X_bytes, shape, entity_bytes, entity_dtype, labels):
-    """The within fit on arrays rebuilt from the key alone: (alpha items,
-    read-only beta). At paper shape a key holds at most 237 KB (a 1,377 x 19
-    energy design), so the 32 entries hold at most about 7.6 MB."""
-    y = np.frombuffer(y_bytes, dtype=float)
-    X = np.frombuffer(X_bytes, dtype=float).reshape(shape)
-    names, idx, counts = np.unique(np.frombuffer(entity_bytes, dtype=entity_dtype),
-                                   return_inverse=True, return_counts=True)
+    names, idx, counts = np.unique(rows.entity, return_inverse=True, return_counts=True)
     if counts.min() < 2:
         i = counts.argmin()
         raise DegenerateEntityError(
@@ -121,9 +104,8 @@ def _fit(y_bytes, X_bytes, shape, entity_bytes, entity_dtype, labels):
     xbar = [X[g].mean(axis=0) for g in groups]
     beta = _solve_pivoted(X - np.array(xbar)[idx], y - np.array(ybar)[idx], labels)
     beta.flags.writeable = False
-    alpha = tuple((e, float(yb - xb @ beta))
-                  for e, yb, xb in zip(names.tolist(), ybar, xbar))
-    return alpha, beta
+    alpha = {e: float(yb - xb @ beta) for e, yb, xb in zip(names.tolist(), ybar, xbar)}
+    return FixedEffectsModel(alpha=alpha, beta=beta, labels=labels)
 
 
 def predict(model: FixedEffectsModel, entity: str, x) -> float:

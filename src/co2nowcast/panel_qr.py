@@ -19,12 +19,12 @@ face picks the point. The objective is never relaxed above the optimum.
 
 Each LP is one HiGHS model, built through SciPy's binding and solved
 without presolve (`_highs`). A design is the record array of
-`panel_ls.design`; its entities index the intercepts in sorted order. The
-fits of one target year share an `LPState`, which keeps, per chain of
-same-sized LPs (design shape, entity count, tau, lambda), the last design
-solved: a design bitwise equal to it reuses its fit, and any other starts
-from its final basis. The state lives as long as its year; a fit without
-one is one cold solve.
+`panel_ls.design`; its entities index the intercepts in sorted order. A fit
+keeps no result between calls: the pipeline's week store decides which fits
+to reuse. The fits of one target year may share one dict of final bases,
+one per chain of same-sized LPs (design shape, entity count, tau, lambda):
+each solve starts from its chain's basis and leaves its own there. A fit
+without the dict is one cold solve.
 """
 
 from __future__ import annotations
@@ -184,37 +184,19 @@ def _fit_lp(y, X, idx, n_ent, tau, lam, basis=None):
     return (float(coef[0]), coef[1 : 1 + n_ent], coef[1 + n_ent :]), basis
 
 
-class LPState:
-    """The quantile LPs of one target year, as chains of same-sized LPs: per
-    (design shape, entity count, tau, lambda), the last design solved, its
-    fit and the dual's final basis. A design bitwise equal to its chain's
-    last reuses that fit; any other is solved from the chain's basis. A
-    failed solve leaves its chain as it was."""
-
-    def __init__(self):
-        self._last = {}  # chain key -> (y, X, idx, fit, basis)
-
-    def solve(self, y, X, idx, n_ent, tau, lam):
-        """(gamma0, a, beta) of the design (y, X, idx) by `_fit_lp`."""
-        key = (X.shape, n_ent, tau, lam)
-        last = self._last.get(key)
-        if last is not None and all(np.array_equal(u.view(np.uint8), v.view(np.uint8))
-                                    for u, v in zip((y, X, idx), last)):
-            return last[3]
-        fit, basis = _fit_lp(y, X, idx, n_ent, tau, lam, None if last is None else last[4])
-        self._last[key] = y, X, idx, fit, basis
-        return fit
-
-
 def fit_quantile(rows, spec: QuantileSpec, labels=None, lp=None) -> QuantileModel:
     """Fit one quantile level of the design `rows` (see `panel_ls.design`) by
-    the exact LP, through `lp`, the `LPState` of the target year, if given,
-    and else by one cold solve; `beta` is read-only."""
+    the exact LP. `lp`, if given, is the target year's dict of final bases
+    per chain: the solve starts from its chain's basis and, if it succeeds,
+    leaves its own there. `beta` is read-only."""
     y, X, labels = _stack(rows, labels)
     ents, idx = np.unique(rows.entity, return_inverse=True)
     ents = ents.tolist()
-    gamma0, a, beta = (LPState() if lp is None else lp).solve(
-        y, X, idx, len(ents), spec.tau, spec.lam)
+    chain = X.shape, len(ents), spec.tau, spec.lam
+    (gamma0, a, beta), basis = _fit_lp(y, X, idx, len(ents), spec.tau, spec.lam,
+                                       None if lp is None else lp.get(chain))
+    if lp is not None:
+        lp[chain] = basis
     obj = objective_value(y, X, idx, gamma0, a, beta, spec.tau, spec.lam)
     gamma = {e: float(gamma0 + a[i]) for i, e in enumerate(ents)}
     deviations = {e: float(a[i]) for i, e in enumerate(ents)}

@@ -10,8 +10,8 @@ themselves), then matches a skewed Student-t density to the quantile triple.
 `run_out_of_sample` builds the panel's arrays once per run (`PanelArrays`).
 The calendar week is the unit of work: every stage reads those arrays only
 through the week's information set, which hides each period after its
-latest period of the variable; a bridge spec's CO2 stage receives the
-energy nowcasts that stage one produced for that week. No target year
+latest period of the variable; a bridge spec's CO2 stage reads the energy
+nowcasts that stage one produced from that information. No target year
 reads another year's fits, so the years run in parallel, one forked worker
 process per year up to the usable CPUs. A worker formats each row as its
 CSV line where it computes the row, and the parent concatenates the lines
@@ -23,18 +23,24 @@ information set.
 
 Every stage takes its calendar week as a `Week`, whose one frame is every
 entity and every year from the first training year to the target year.
-One fancy index per distinct (variable, anchor, lags) read gathers that
-block over the frame once per week for the energy, bridge and direct
-designs alike. A design is one record array (`panel_ls.design`), one
-record per complete (entity, year) of the frame, gathered by one masked
-index: a row with any missing value is skipped, which leaves the design its
-regressand's own entities and published years. The `Week` also
-builds both benchmarks once, and the bridge's training set, which reads
-realized energy and so serves every bridge spec, with one quantile fit per
-level. An energy or direct spec adds only the concatenation of the blocks
-it names and its own fit; a bridge spec adds only its nowcasts in the
-prediction rows. The quantile fits of a target year go through one
-`panel_qr.LPState`, which its weeks share and which ends with the year.
+One fancy index per distinct (variable, anchor, lags) read gathers a block
+over the frame for the energy, bridge and direct designs alike. A design is
+one record array (`panel_ls.design`), one record per complete (entity,
+year) of the frame, gathered by one masked index: a row with any missing
+value is skipped, which leaves the design its regressand's own entities
+and published years. The bridge's training set reads realized energy, so
+it and its quantile fits serve every bridge spec.
+
+One rule decides what is reused: the weeks of a year share one store, and
+each item a week builds (a read block, the Almon block, a benchmark, a
+factor, the bridge's training set and fits, each spec's stage-one nowcasts
+and stage-two cells) is kept there with its stamp, the week's latest
+periods of the variables it reads. A week drops every item whose stamp
+its information set does not match and builds only what is missing; a
+build that raises keeps nothing. So an item is rebuilt exactly when a
+period it reads is released: of the 384 (spec, week) cells of a year of
+the Table 2 calendar, 215 are built, 3 for HistMean, 3 for AR, 5 for AR-Q,
+12 for AR-M and 48 for each spec with the weekly block.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ from .errors import (
 )
 from .panel import Frequency, PanelDataset, PeriodIndex, ordinal
 from .panel_ls import design, fit_within, predict
-from .panel_qr import LPState, QuantileSpec, fit_quantile, predict_quantile, rearrange
+from .panel_qr import QuantileSpec, fit_quantile, predict_quantile, rearrange
 from .release_calendar import (
     VAR_CO2,
     VAR_EC,
@@ -85,11 +91,16 @@ MODEL_KINDS = (
     "DirectAR-W-M-Q",
 )
 
-N_QUARTER_LAGS = 4
-N_MONTH_LAGS = 12
-N_WEEK_LAGS = 52
+ALMON_MAP = build_almon_map(AlmonSpec(C=52))
 
-ALMON_MAP = build_almon_map(AlmonSpec(C=N_WEEK_LAGS))
+# (block letter, variable, lags, label prefix, Almon map or None) of each
+# high-frequency block, in design order: a spec reads the blocks whose
+# letters its kind names, and a mapped block enters as its Almon parameters
+HF_BLOCKS = (
+    ("Q", VAR_PI, 4, "q", None),
+    ("M", VAR_ELEC, 12, "m", None),
+    ("W", VAR_WECI, ALMON_MAP.spec.C, "w", ALMON_MAP),
+)
 
 
 @dataclass(frozen=True)
@@ -101,24 +112,20 @@ class ModelSpec:
             raise ConfigError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
 
     @property
-    def _blocks(self) -> set:
-        return set(self.kind.removeprefix("Direct").split("-"))
-
-    @property
-    def has_w(self) -> bool:
-        return "W" in self._blocks
-
-    @property
-    def has_m(self) -> bool:
-        return "M" in self._blocks
-
-    @property
-    def has_q(self) -> bool:
-        return "Q" in self._blocks
-
-    @property
     def is_direct(self) -> bool:
         return self.kind.startswith("Direct")
+
+    @property
+    def hf(self) -> tuple:
+        """The rows of `HF_BLOCKS` whose letters the spec's kind names."""
+        letters = self.kind.removeprefix("Direct").split("-")
+        return tuple(b for b in HF_BLOCKS if b[0] in letters)
+
+    @property
+    def reads(self) -> tuple:
+        """The stamp of what the spec's stages keep: CO2, EC and its
+        high-frequency variables, every variable either stage may read."""
+        return (VAR_CO2, VAR_EC) + tuple(var for _, var, *_ in self.hf)
 
 
 @dataclass(frozen=True)
@@ -249,14 +256,8 @@ class PanelArrays:
 
 
 def _hf_labels(spec):
-    labels = []
-    if spec.has_q:
-        labels += [f"q{j}" for j in range(1, N_QUARTER_LAGS + 1)]
-    if spec.has_m:
-        labels += [f"m{j}" for j in range(1, N_MONTH_LAGS + 1)]
-    if spec.has_w:
-        labels += [f"w{j}" for j in range(1, ALMON_MAP.spec.n_params + 1)]
-    return tuple(labels)
+    return tuple(f"{prefix}{j}" for _, _, n, prefix, almon in spec.hf
+                 for j in range(1, (n if almon is None else almon.spec.n_params) + 1))
 
 
 BRIDGE_LABELS = ("ar_e", "c_hat", "f_e", "f_c")
@@ -264,34 +265,40 @@ BRIDGE_LABELS = ("ar_e", "c_hat", "f_e", "f_c")
 
 class Week:
     """One calendar week: the panel's arrays, its information set `info`
-    and the first training year, with the benchmarks and design blocks that
-    the week's specs share, each built on first use and kept for the week,
-    and `lp`, the target year's `LPState` that its quantile fits go through
-    (None: each fit is one cold solve).
+    and the first training year, with what the week's specs share, each item
+    built on first use and kept in `kept`, the store that the weeks of one
+    year share in turn (None: a store of this week alone). An item is kept
+    with its stamp, the week's latest periods of the variables it reads,
+    until a week whose `info` differs there. `lp` is the year's dict of final
+    quantile-LP bases (`fit_quantile`), an item that reads no variable.
 
     The frame is every entity of the panel and the years from
-    `estimation_start` to the target year t, `info.year`, last. Each distinct
-    (variable, anchor, lags) read over it goes through `info` once and serves
-    the energy (EC) and the CO2 (bridge, direct) designs alike: `info` hides
+    `estimation_start` to the target year t, `info.year`, last: `info` hides
     y after the regressand's latest year, and an entity without a series of
     the regressand reads y and its AR lag as NaN, so a design's complete
     rows are its own entities and years. An energy or direct design
     concatenates the blocks its spec names, so a row's validity is judged on
-    its own columns only. The bridge's training rows read realized energy,
-    not a nowcast, so one training set and one quantile fit per level serve
-    every bridge spec; a spec only fills its own nowcasts into the
-    prediction rows."""
+    its own columns only; a bridge spec only fills its own nowcasts into the
+    prediction rows of the shared bridge design."""
 
     def __init__(self, panel: PanelArrays, info: InformationSet, estimation_start: int,
-                 lp: LPState | None = None):
-        self.panel, self.info, self.t, self.lp = panel, info, info.year, lp
-        self.years, self._kept = np.arange(estimation_start, self.t + 1), {}
+                 kept: dict | None = None):
+        self.panel, self.info, self.t = panel, info, info.year
+        self.years = np.arange(estimation_start, self.t + 1)
+        self._kept = {} if kept is None else kept
+        for key in [key for key, (stamp, _) in self._kept.items()
+                    if any(info[var] != period for var, period in stamp)]:
+            del self._kept[key]
+        self.lp = self._keep("lp bases", (), dict)
 
-    def _keep(self, key, build):
-        """build(), called once per week for `key`."""
+    def _keep(self, key, variables, build):
+        """The item kept under `key`, built by build() if the store lacks it
+        and kept with the week's latest periods of `variables`, every
+        variable the item reads."""
         if key not in self._kept:
-            self._kept[key] = build()
-        return self._kept[key]
+            stamp = tuple((var, self.info[var]) for var in variables)
+            self._kept[key] = stamp, build()
+        return self._kept[key][1]
 
     def read(self, var, anchor, n=1):
         """`var` at ordinal(anchor) + per_year * (s - t) minus 0..n-1 in each
@@ -300,33 +307,30 @@ class Week:
             block = self.panel.read(self.info, var, anchor, self.years - self.t, n)
             block.flags.writeable = False
             return block
-        return self._keep(("read", var, anchor, n), build)
+        return self._keep(("read", var, anchor, n), (var,), build)
 
     def hf(self, spec):
-        """The high-frequency blocks `spec` reads: quarterly and monthly lags,
-        and the Almon-weighted weekly lags."""
+        """The blocks of `spec.hf` at their latest periods, each its lags or,
+        where it has an Almon map, its Almon-weighted lags."""
         blocks = []
-        for has, var, n_lags in ((spec.has_q, VAR_PI, N_QUARTER_LAGS),
-                                 (spec.has_m, VAR_ELEC, N_MONTH_LAGS),
-                                 (spec.has_w, VAR_WECI, N_WEEK_LAGS)):
-            if has:
-                lags = self.read(var, self.info[var], n_lags)
-                if var == VAR_WECI:  # one Q @ lags per row, bit for bit
-                    lags = self._keep("almon", lambda: np.matmul(
-                        ALMON_MAP.Q, lags.reshape(-1, n_lags, 1)
-                    ).reshape(*lags.shape[:2], -1))
-                blocks.append(lags)
+        for _, var, n, _, almon in spec.hf:
+            lags = self.read(var, self.info[var], n)
+            if almon is not None:  # one Q @ lags per row, bit for bit
+                lags = self._keep(("almon", var), (var,), lambda: np.matmul(
+                    almon.Q, lags.reshape(-1, n, 1)).reshape(*lags.shape[:2], -1))
+            blocks.append(lags)
         return blocks
 
     def hist_mean(self):
         """The week's `energy_hist_mean`: the archive's energy benchmark and
         the HistMean spec's nowcasts."""
-        return self._keep("hist_mean", lambda: energy_hist_mean(self.panel, self.info))
+        return self._keep("hist_mean", (VAR_EC,),
+                          lambda: energy_hist_mean(self.panel, self.info))
 
     def co2_benchmarks(self, taus):
         """The week's `co2_benchmark_quantiles` at `taus`: the archive's CO2
         benchmark and the HistMean spec's quantiles."""
-        return self._keep(("co2 benchmarks", taus),
+        return self._keep(("co2 benchmarks", taus), (VAR_CO2,),
                           lambda: co2_benchmark_quantiles(self.panel, self.info, taus))
 
     def factor(self, var):
@@ -334,13 +338,16 @@ class Week:
         year of the frame, over every entity with a value there; NaN where
         none has one."""
         def build():
+            # not through `read`: kept under the period of CO2 but stamped
+            # with `var` alone, a block would outlive CO2's next release
+            block = self.panel.read(self.info, var, self.info[VAR_CO2],
+                                    self.years - self.t, 1)
             means = []
-            block = self.read(var, self.info[VAR_CO2])
             for col in block[:, :, 0].T:
                 have = col[np.isfinite(col)]
                 means.append(math.fsum(have) / have.size if have.size else np.nan)
             return np.array(means)[None, :, None]
-        return self._keep(("factor", var), build)
+        return self._keep(("factor", var), (var, VAR_CO2), build)
 
     def design(self, y_var, blocks, name):
         """The `y_var` design on its AR lag and `blocks`: its training
@@ -372,15 +379,21 @@ class Week:
             c = self.read(VAR_EC, PeriodIndex(self.t))
             blocks = [c, self.factor(VAR_CO2), self.factor(VAR_EC)]
             return self.design(VAR_CO2, blocks, "bridge")
-        return self._keep("bridge", build)
+        return self._keep("bridge", (VAR_CO2, VAR_EC), build)
 
     def bridge_models(self, taus, lam):
         """One quantile fit of the shared bridge training rows per level."""
         rows = self.bridge()[0]
-        return self._keep(("bridge fits", taus, lam), lambda: [
+        return self._keep(("bridge fits", taus, lam), (VAR_CO2, VAR_EC), lambda: [
             fit_quantile(rows, QuantileSpec(tau=tau, lam=lam), labels=BRIDGE_LABELS,
                          lp=self.lp)
             for tau in taus])
+
+    def stage(self, build, spec, *args):
+        """build(self, spec, *args), one stage of `spec`, kept under the
+        stamp `spec.reads`."""
+        return self._keep((build, spec, *args), spec.reads,
+                          lambda: build(self, spec, *args))
 
 
 def assemble_energy_design(week: Week, spec: ModelSpec):
@@ -410,20 +423,25 @@ def energy_hist_mean(panel, info: InformationSet) -> dict:
     return {e: float(np.mean(v)) for e, v in panel.visible(info, VAR_EC)}
 
 
-def nowcast_energy(week: Week, info: InformationSet, spec: ModelSpec):
-    """Stage one for `week`, whose information set is `info`: assemble, fit,
-    predict. Returns (nowcasts, gap entities)."""
-    if spec.is_direct:
-        raise DomainError("the direct model has no energy stage")
-    t, v = info.year, info.week
+def _energy(week: Week, spec: ModelSpec):
+    """Stage one of `spec` for `week`: assemble, fit, predict. Returns
+    ((entity, nowcast) per predicted entity, gap entities)."""
     if spec.kind == "HistMean":
-        return [EnergyNowcast(entity=e, year=t, week=v, value=mean)
-                for e, mean in week.hist_mean().items()], []
+        return list(week.hist_mean().items()), []
     rows, pred, labels = assemble_energy_design(week, spec)
     rows, pred, gaps = _drop_thin_entities(rows, pred, week.panel.entities_of(VAR_EC))
     model = fit_within(rows, labels=labels)
-    return [EnergyNowcast(entity=e, year=t, week=v, value=predict(model, e, x))
-            for e, x in pred], gaps
+    return [(e, predict(model, e, x)) for e, x in pred], gaps
+
+
+def nowcast_energy(week: Week, info: InformationSet, spec: ModelSpec):
+    """Stage one for `week`, whose information set is `info`. Returns
+    (nowcasts, gap entities)."""
+    if spec.is_direct:
+        raise DomainError("the direct model has no energy stage")
+    values, gaps = week.stage(_energy, spec)
+    return [EnergyNowcast(entity=e, year=info.year, week=info.week, value=value)
+            for e, value in values], list(gaps)  # a copy: the store keeps the list
 
 
 def bridge_design(week: Week, energy: dict):
@@ -452,41 +470,50 @@ def co2_benchmark_quantiles(panel, info: InformationSet, taus) -> dict:
             for e, v in panel.visible(info, VAR_CO2)}
 
 
-def nowcast_co2_density(week: Week, info: InformationSet, spec: ModelSpec,
-                        config: RunConfig, energy):
-    """Stage two for `week`, whose information set is `info`: quantile
-    predictions, rearrangement, density fit and the week's benchmark triple
-    at `config.taus`. `energy` is the spec's stage-one result (nowcasts, gap
-    entities); HistMean ignores it and direct specs pass None.
-
-    Returns (nowcasts, gap entities), the gaps including stage one's. A
-    density fit that fails raises its `DataError` to the caller."""
-    t, v, taus = info.year, info.week, config.taus
+def _co2(week: Week, spec: ModelSpec, config: RunConfig):
+    """Stage two of `spec` for `week`: quantile predictions at `config.taus`,
+    rearrangement and density fit. A bridge spec reads its stage one through
+    `week`. Returns ((entity, quantiles, params) per predicted entity, gap
+    entities, the gaps including stage one's)."""
+    taus = config.taus
     benchmarks = week.co2_benchmarks(taus)
 
-    def nowcast(e, triple):
+    def cell(e, triple):
         q = rearrange(triple)
-        params = fit_from_quantiles(taus, q) if config.fit_density else None
-        return CO2DensityNowcast(entity=e, year=t, week=v, quantiles=q,
-                                 benchmark=benchmarks[e], params=params)
+        return e, q, fit_from_quantiles(taus, q) if config.fit_density else None
 
     if spec.kind == "HistMean":
-        return [nowcast(e, benchmarks[e]) for e in sorted(benchmarks)], []
+        return [cell(e, benchmarks[e]) for e in sorted(benchmarks)], []
     if spec.is_direct:
         rows, pred, labels = direct_design(week, spec)
         models = [fit_quantile(rows, QuantileSpec(tau=tau, lam=config.lam),
                                labels=labels, lp=week.lp) for tau in taus]
         gaps_energy = []
     else:
-        nowcasts, gaps_energy = energy
-        _, pred, _ = bridge_design(week, {n.entity: n.value for n in nowcasts})
+        values, gaps_energy = week.stage(_energy, spec)
+        _, pred, _ = bridge_design(week, dict(values))
         models = week.bridge_models(taus, config.lam)
     # an entity is predicted where it has training rows (the fits' entities)
     # and a prediction row; every other entity with a benchmark is a gap
     pred = [(e, x) for e, x in pred if e in models[0].gamma]
     gaps = sorted(set(benchmarks).difference(e for e, _ in pred).union(gaps_energy))
-    return [nowcast(e, [predict_quantile(m, e, x) for m in models])
-            for e, x in pred], gaps
+    return [cell(e, [predict_quantile(m, e, x) for m in models]) for e, x in pred], gaps
+
+
+def nowcast_co2_density(week: Week, info: InformationSet, spec: ModelSpec,
+                        config: RunConfig):
+    """Stage two for `week`, whose information set is `info`: quantile
+    predictions, rearrangement, density fit and the week's benchmark triple
+    at `config.taus`. A bridge spec's CO2 stage reads the spec's stage one
+    of the same week.
+
+    Returns (nowcasts, gap entities), the gaps including stage one's. A
+    failure of either stage raises its `DataError` to the caller."""
+    benchmarks = week.co2_benchmarks(config.taus)
+    cells, gaps = week.stage(_co2, spec, config)
+    return [CO2DensityNowcast(entity=e, year=info.year, week=info.week, quantiles=q,
+                              benchmark=benchmarks[e], params=params)
+            for e, q, params in cells], list(gaps)
 
 
 @dataclass
@@ -521,12 +548,12 @@ def _csv_line(*values) -> str:
 
 
 def _run_year(panel: PanelArrays, config: RunConfig, t: int) -> NowcastArchive:
-    """Every calendar week and model spec of target year t, re-fitted on what
-    the week's information set shows of the panel; the specs of a week share
-    its `Week` of design blocks, and the weeks share one `LPState`, made
-    here, so no LP outlives the year. Each row is archived as its CSV line.
-    Failures become diagnostics rows."""
-    rules, lp = table2_rules(), LPState()
+    """Every calendar week and model spec of target year t, fitted on what
+    the week's information set shows of the panel; the weeks share one store,
+    made here, of what they build, so each item is rebuilt only when a period
+    it reads is released, and nothing outlives the year. Each row is archived
+    as its CSV line. Failures become diagnostics rows."""
+    rules, kept = table2_rules(), {}
     specs = tuple(ModelSpec(kind=k) for k in config.specs)
     realized = {var: panel.realized(var, t) for var in (VAR_EC, VAR_CO2)}
     archive = NowcastArchive()
@@ -536,7 +563,7 @@ def _run_year(panel: PanelArrays, config: RunConfig, t: int) -> NowcastArchive:
             archive.diagnostics.append(_csv_line(spec_kind, t, v, stage, detail))
 
         info = information_set(rules, t, v)
-        week = Week(panel, info, config.estimation_start, lp)
+        week = Week(panel, info, config.estimation_start, kept)
         try:
             panel.check(info)
             bench_energy = week.hist_mean()
@@ -545,17 +572,15 @@ def _run_year(panel: PanelArrays, config: RunConfig, t: int) -> NowcastArchive:
             note("*", "benchmark", str(exc))
             continue
         for spec in specs:
-            energy = None
             if not spec.is_direct:
                 try:
-                    energy = nowcast_energy(week, info, spec)
+                    nowcasts, gaps = nowcast_energy(week, info, spec)
                 except DataError as exc:
                     # a bridge CO2 stage reads stage one, so it fails alike
                     # (HistMean's stage one cannot raise)
                     note(spec.kind, "energy", str(exc))
                     note(spec.kind, "co2", str(exc))
                     continue
-                nowcasts, gaps = energy
                 archive.energy.extend(
                     f"{spec.kind},EC,{n.entity},{t},{v},point,{n.value!r},"
                     f"{bench_energy[n.entity]!r},{realized[VAR_EC][n.entity]!r}\n"
@@ -564,7 +589,7 @@ def _run_year(panel: PanelArrays, config: RunConfig, t: int) -> NowcastArchive:
                     note(spec.kind, "energy",
                          f"entity {e} dropped: insufficient history")
             try:
-                densities, gaps = nowcast_co2_density(week, info, spec, config, energy)
+                densities, gaps = nowcast_co2_density(week, info, spec, config)
             except DataError as exc:
                 note(spec.kind, "co2", str(exc))
                 continue

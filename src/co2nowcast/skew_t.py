@@ -42,9 +42,10 @@ a step which failed to shrink the ratio residual, is replaced by
 bisection; the bracket ends move only on a residual whose sign the
 quantiles' own error cannot flip. So alpha never leaves the bracket, the
 bracket always holds the root, and the final quantiles are polished at
-that alpha to |F(q) - tau| <= 1e-13. Fits are memoised per
-distinct (levels, values, nu) in a bounded cache: a benchmark triple, for
-one, repeats week after week.
+that alpha to |F(q) - tau| <= 1e-13. A fit keeps no result between
+calls: the pipeline's week store decides which fits to reuse. The only
+memoised values are tables that no data enters: the t quantiles (`_t_ppf`)
+and the grid's standardized quantiles (`_grid_quantiles`).
 """
 
 from __future__ import annotations
@@ -284,16 +285,10 @@ def fit_from_quantiles(levels, values, nu: float = NU) -> SkewTParams:
     only through the spacing ratio r = (v2 - v1) / (v3 - v1), which is
     strictly monotone in alpha. alpha is the root of r(alpha) = r inside the
     grid bracket that holds it; a ratio beyond the grid's range is clamped
-    to the nearer end, alpha = +/-32. Fits are memoised per distinct
-    (levels, values, nu); an input that is rejected raises on every call.
+    to the nearer end, alpha = +/-32.
     """
-    return _fit(tuple(float(t) for t in levels), tuple(float(v) for v in values),
-                float(nu))
-
-
-@lru_cache(maxsize=4096)
-def _fit(levels: tuple, values: tuple, nu: float) -> SkewTParams:
-    values = np.array(values)
+    levels, nu = tuple(float(t) for t in levels), float(nu)
+    values = np.array([float(v) for v in values])
     if any(not 0.0 < t < 1.0 for t in levels) or list(levels) != sorted(levels):
         raise DomainError("levels must be ascending and inside (0, 1)")
     if len(levels) != 3 or len(values) != 3:

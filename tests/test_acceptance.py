@@ -325,8 +325,7 @@ def _relative_scores_one_seed(seed):
                 )
         info = information_set(rules, t, 48)
         week = Week(ds, info, config.estimation_start)
-        energy = nowcast_energy(week, info, spec)
-        out, _ = nowcast_co2_density(week, info, spec, config, energy)
+        out, _ = nowcast_co2_density(week, info, spec, config)
         for n in out:
             y = realized("CO2", n.entity, t)
             for tau, q_m, q_b in zip(config.taus, n.quantiles, n.benchmark):

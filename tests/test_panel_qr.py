@@ -12,7 +12,6 @@ from co2nowcast.errors import (
 from co2nowcast.evaluation import pinball
 from co2nowcast.panel_ls import design
 from co2nowcast.panel_qr import (
-    LPState,
     QuantileSpec,
     fit_quantile,
     objective_value,
@@ -328,41 +327,19 @@ class TestValidationAndPlumbing:
 
 @pytest.fixture
 def lp():
-    """One target year's LP state."""
-    return LPState()
+    """One target year's final LP bases, per chain."""
+    return {}
 
 
 class TestSolveMemo:
+    """What a fit that the pipeline keeps and shares relies on: a rejected
+    design raises on every call, a failed solve leaves no basis behind, and
+    beta is read-only."""
+
     ENTS = ["A", "A", "A", "B", "B", "B"]
     Y = [1.0, 2.5, 2.0, 4.0, 3.0, 6.5]
     X = [[0.5], [1.0], [2.0], [0.0], [1.5], [3.0]]
     SPEC = QuantileSpec(tau=0.5, lam=1.0)
-
-    def test_same_design_solves_once(self, lp_calls, lp):
-        first = fit_quantile(design(self.ENTS, range(6), self.Y, self.X), self.SPEC, lp=lp)
-        second = fit_quantile(design(self.ENTS, range(6), np.array(self.Y), self.X),
-                              QuantileSpec(tau=0.5, lam=1.0), labels=("x",), lp=lp)
-        assert len(lp_calls) == 1
-        assert np.array_equal(first.beta, second.beta)
-        assert first.gamma == second.gamma
-        assert second.labels == ("x",)
-
-    @pytest.mark.parametrize("change", ["y", "x", "entity", "tau", "lam"])
-    def test_any_change_is_a_new_solve(self, lp_calls, lp, change):
-        ents, y, X, spec = list(self.ENTS), list(self.Y), list(self.X), self.SPEC
-        if change == "y":
-            y[2] += 1e-12
-        elif change == "x":
-            X[4] = [1.5 + 1e-12]
-        elif change == "entity":
-            ents[2] = "B"
-        elif change == "tau":
-            spec = QuantileSpec(tau=0.25, lam=1.0)
-        else:
-            spec = QuantileSpec(tau=0.5, lam=0.5)
-        fit_quantile(design(self.ENTS, range(6), self.Y, self.X), self.SPEC, lp=lp)
-        fit_quantile(design(ents, range(6), y, X), spec, lp=lp)
-        assert len(lp_calls) == 2
 
     def test_failed_lp_raises_every_time(self, lp_calls, lp, monkeypatch):
         def failing(*args, **kwargs):
@@ -376,11 +353,13 @@ class TestSolveMemo:
         assert len(lp_calls) == 2
 
     def test_failed_solve_is_never_reused(self, lp_calls, lp, monkeypatch):
-        # every failure is a solve of its own and leaves the chain its last
-        # good design; the failed design is solved afresh once HiGHS works
+        # every failure is a solve of its own and leaves its chain the basis
+        # of the last good solve; the failed design is solved afresh, from
+        # that basis, once HiGHS works
         good = design(self.ENTS, range(6), self.Y, self.X)
         bad = design(self.ENTS, range(6), np.add(self.Y, 1.0), self.X)
         fit_quantile(good, self.SPEC, lp=lp)
+        (chain, basis), = lp.items()
         highs = panel_qr._highs
 
         def failing(*args, **kwargs):
@@ -390,10 +369,12 @@ class TestSolveMemo:
         for _ in range(3):
             with pytest.raises(SingularDesignError, match="forced"):
                 fit_quantile(bad, self.SPEC, lp=lp)
-        fit_quantile(good, self.SPEC, lp=lp)  # the chain's last: reused
+            assert list(lp) == [chain] and lp[chain] is basis
         monkeypatch.setattr(panel_qr, "_highs", highs)
         model = fit_quantile(bad, self.SPEC, lp=lp)
-        assert len(lp_calls) == 1 + 3 + 0 + 1
+        assert len(lp_calls) == 1 + 3 + 1
+        assert [args[6] for args in lp_calls] == [None] + [basis] * 4
+        assert lp[chain] is not basis
         assert model.common == pytest.approx(
             fit_quantile(good, self.SPEC).common + 1.0, abs=1e-9)
 
@@ -415,7 +396,7 @@ class TestWarmChain:
         ents = np.repeat(["A", "B", "C", "D"], 12)
         X = rng.normal(size=(48, 3))
         y = np.repeat([-1.0, 0.0, 0.5, 2.0], 12) + X @ [1.0, -0.5, 0.2]
-        lp, spec = LPState(), QuantileSpec(tau=tau, lam=lam)
+        lp, spec = {}, QuantileSpec(tau=tau, lam=lam)
         for week in range(10):
             X[:, -1] += rng.normal(scale=0.05, size=48)
             y = y + rng.normal(scale=0.3, size=48)

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from co2nowcast import panel_ls, panel_qr, pipeline, skew_t
-from co2nowcast.errors import ConfigError, CoverageError, DomainError
+from co2nowcast.errors import (
+    ConfigError,
+    CoverageError,
+    DataError,
+    DomainError,
+    SingularDesignError,
+)
 from co2nowcast.panel import (
     Frequency,
     MixedFreqSeries,
@@ -18,7 +24,7 @@ from co2nowcast.panel import (
     ordinal,
 )
 from co2nowcast.panel_ls import design
-from co2nowcast.panel_qr import LPState, QuantileSpec, fit_quantile
+from co2nowcast.panel_qr import QuantileSpec, fit_quantile
 from co2nowcast.pipeline import (
     ALMON_MAP,
     BRIDGE_LABELS,
@@ -41,7 +47,7 @@ from co2nowcast.pipeline import (
 from co2nowcast.release_calendar import information_set, table2_rules
 
 from _dgp import make_dataset
-from test_golden_archive import _late_starter
+from test_golden_archive import REL, _late_starter
 from test_panel_qr import lp_oracle
 
 
@@ -52,12 +58,17 @@ def _rows(text):
 
 class TestModelSpec:
     def test_blocks(self):
-        assert not ModelSpec("HistMean").has_m
-        assert not ModelSpec("AR").has_w
+        for kind in ("HistMean", "AR"):
+            assert ModelSpec(kind).hf == ()
+            assert ModelSpec(kind).reads == ("CO2", "EC")
         spec = ModelSpec("AR-W-M-Q")
-        assert spec.has_w and spec.has_m and spec.has_q and not spec.is_direct
+        assert [b[:4] for b in spec.hf] == [("Q", "PI", 4, "q"), ("M", "ELEC", 12, "m"),
+                                            ("W", "WECI", 52, "w")]
+        assert spec.hf[2][4] is ALMON_MAP and not spec.is_direct
+        assert spec.reads == ("CO2", "EC", "PI", "ELEC", "WECI")
+        assert ModelSpec("AR-M").reads == ("CO2", "EC", "ELEC")
         direct = ModelSpec("DirectAR-W-M-Q")
-        assert direct.is_direct and direct.has_w
+        assert direct.is_direct and direct.hf == spec.hf
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -119,6 +130,14 @@ def _coded_dataset():
 ENERGY_KINDS = [k for k in MODEL_KINDS if k != "HistMean" and not k.startswith("Direct")]
 
 
+def _releases(variables, t=2012):
+    """The weeks of year t whose latest period of any of `variables` differs
+    from the week before's: week 1 and each week with a release."""
+    infos = [information_set(table2_rules(), t, v) for v in range(1, 49)]
+    return [v for v in range(1, 49)
+            if v == 1 or any(infos[v - 1][x] != infos[v - 2][x] for x in variables)]
+
+
 class TestEnergyDesign:
     @pytest.mark.parametrize("kind", ENERGY_KINDS)
     def test_regressor_count_and_labels(self, kind):
@@ -126,12 +145,13 @@ class TestEnergyDesign:
         week, _ = _week(ds, 2011, 24)
         spec = ModelSpec(kind)
         rows, pred, labels = assemble_energy_design(week, spec)
-        width = 1 + 4 * spec.has_q + 12 * spec.has_m + 2 * spec.has_w
+        blocks = kind.split("-")
+        width = 1 + 4 * ("Q" in blocks) + 12 * ("M" in blocks) + 2 * ("W" in blocks)
         assert len(labels) == width
         assert labels[0] == "ar_c"
-        if spec.has_q:
+        if "Q" in blocks:
             assert labels[1] == "q1"
-        if spec.has_w:
+        if "W" in blocks:
             assert labels[-1] == "w2"
         assert len(rows) and all(len(r.x) == width for r in rows)
         assert len(pred) == 3
@@ -286,7 +306,7 @@ class TestBridgeDesign:
         week, info = _week(ds, 2011, 48)
         energy = nowcast_energy(week, info, spec)
         chat = {n.entity: n.value for n in energy[0]}
-        out, _ = nowcast_co2_density(week, info, spec, config, energy)
+        out, _ = nowcast_co2_density(week, info, spec, config)
         for n in out:
             assert n.quantiles[1] == pytest.approx(chat[n.entity], abs=1e-4)
 
@@ -406,9 +426,9 @@ def _ref_design(ds, info, t, start, spec=None, energy=None):
                          else energy.get(entity))
             parts += [_ref_mean(ds, "CO2", s - lag), _ref_mean(ds, "EC", s - lag)]
         else:
-            for has, var, n in ((spec.has_q, "PI", 4), (spec.has_m, "ELEC", 12),
-                                (spec.has_w, "WECI", 52)):
-                if has:
+            blocks = spec.kind.removeprefix("Direct").split("-")
+            for letter, var, n in (("Q", "PI", 4), ("M", "ELEC", 12), ("W", "WECI", 52)):
+                if letter in blocks:
                     anchor = PeriodIndex(info[var].year + s - t, info[var].sub)
                     lags = _ref_lags(ds, var, entity, anchor, n)
                     parts.append(ALMON_MAP.Q @ lags if var == "WECI" and lags is not None
@@ -548,8 +568,7 @@ class TestDensityNowcast:
         config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2011,
                            fit_density=False)
         week, info = _week(ds, 2011, 20)
-        out, gaps = nowcast_co2_density(week, info, ModelSpec("HistMean"), config,
-                                        None)
+        out, gaps = nowcast_co2_density(week, info, ModelSpec("HistMean"), config)
         assert gaps == []
         for n in out:
             assert n.quantiles == n.benchmark
@@ -560,9 +579,7 @@ class TestDensityNowcast:
         config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2011,
                            fit_density=True)
         week, info = _week(ds, 2011, 30)
-        spec = ModelSpec("AR-W")
-        energy = nowcast_energy(week, info, spec)
-        out, _ = nowcast_co2_density(week, info, spec, config, energy)
+        out, _ = nowcast_co2_density(week, info, ModelSpec("AR-W"), config)
         assert len(out) == 3
         for n in out:
             assert n.quantiles[0] <= n.quantiles[1] <= n.quantiles[2]
@@ -613,7 +630,7 @@ class TestRunOutOfSample:
             expected = ds.get("EC", r["entity"]).value_at(year)
             assert float(r["realized"]) == expected
 
-    def test_one_panel_arrays_per_run_and_one_energy_fit_per_week(self, monkeypatch):
+    def test_one_panel_arrays_per_run_and_one_energy_fit_per_release(self, monkeypatch):
         import co2nowcast.pipeline as pipeline
 
         built, fits = [], []
@@ -639,11 +656,11 @@ class TestRunOutOfSample:
         archive = run_out_of_sample(ds, config)
         assert archive.diagnostics == []
         assert built == [ds]
-        n_weeks = 2 * 48
-        # only AR and AR-W-M-Q fit a within-LS energy stage
-        assert len(fits) == 2 * n_weeks
+        # only AR and AR-W-M-Q fit a within-LS energy stage: AR when CO2 or EC
+        # is released (weeks 1, 9 and 21), AR-W-M-Q every week (WECI)
+        assert len(fits) == 2 * (3 + 48)
 
-    def test_co2_benchmark_quantiles_once_per_week(self, monkeypatch):
+    def test_co2_benchmark_quantiles_once_per_co2_release(self, monkeypatch):
         weeks = []
 
         def counting(panel, info, taus):
@@ -659,9 +676,9 @@ class TestRunOutOfSample:
                            fit_density=False)
         archive = run_out_of_sample(ds, config)
         assert archive.diagnostics == []
-        assert weeks == [(t, v) for t in (2011, 2012) for v in range(1, 49)]
+        assert weeks == [(t, v) for t in (2011, 2012) for v in (1, 9)]
 
-    def test_energy_hist_mean_once_per_week(self, monkeypatch):
+    def test_energy_hist_mean_once_per_ec_release(self, monkeypatch):
         # the archive's energy benchmark and the HistMean spec's nowcasts
         # are the same per-entity means
         weeks = []
@@ -679,7 +696,7 @@ class TestRunOutOfSample:
                            fit_density=False)
         archive = run_out_of_sample(ds, config)
         assert archive.diagnostics == []
-        assert weeks == [(t, v) for t in (2011, 2012) for v in range(1, 49)]
+        assert weeks == [(t, v) for t in (2011, 2012) for v in (1, 21)]
         hist = [r for r in _rows(archive.to_csv())
                 if r["spec"] == "HistMean" and r["variable"] == "EC"]
         assert len(hist) == 2 * 2 * 48
@@ -758,10 +775,10 @@ class TestYearsInParallel:
         """Stage two of spec AR raises error(year) in 2012."""
         density = pipeline.nowcast_co2_density
 
-        def failing(week, info, spec, config, energy):
+        def failing(week, info, spec, config):
             if info.year == 2012 and spec.kind == "AR":
                 raise error(info.year)
-            return density(week, info, spec, config, energy)
+            return density(week, info, spec, config)
 
         monkeypatch.setattr(pipeline, "nowcast_co2_density", failing)
 
@@ -803,17 +820,17 @@ class TestDistinctDesignsFitOnce:
 
         monkeypatch.setattr(panel_qr, "_fit_lp", counting_fit_lp)
         ds, _ = make_dataset(n_entities=3, seed=9)
-        panel, lp = PanelArrays(ds), LPState()  # the weeks of one year share lp
+        panel, kept = PanelArrays(ds), {}  # the weeks of one year share kept
         config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2011,
                            fit_density=False)
 
         def bridge_week(v):
             info = information_set(table2_rules(), 2011, v)
-            week = Week(panel, info, config.estimation_start, lp)
+            week = Week(panel, info, config.estimation_start, kept)
             for kind in ENERGY_KINDS:
                 spec = ModelSpec(kind)
-                energy = nowcast_energy(week, info, spec)
-                out, _ = nowcast_co2_density(week, info, spec, config, energy)
+                nowcast_energy(week, info, spec)
+                out, _ = nowcast_co2_density(week, info, spec, config)
                 assert len(out) == 3
 
         bridge_week(5)
@@ -824,12 +841,19 @@ class TestDistinctDesignsFitOnce:
         assert taus == 2 * list(config.taus)
 
     def test_warm_cache_equals_cold_cache(self, monkeypatch):
-        solves = []
-        fit_lp = panel_qr._fit_lp
+        # nothing outlives its year: a second run in the same process solves
+        # every LP, within-LS fit and skew-t root again, and gives the same
+        # files, also after a run on other data
+        solves = Counter()
 
-        def counting_fit_lp(*args):
-            solves.append(args)
-            return fit_lp(*args)
+        def counting(module, name):
+            solve = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                solves[name] += 1
+                return solve(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
 
         def outputs(seed):
             ds, _ = make_dataset(n_entities=3, seed=seed)
@@ -838,17 +862,14 @@ class TestDistinctDesignsFitOnce:
             archive = run_out_of_sample(ds, config)
             return archive.to_csv(), archive.density_csv(), archive.diagnostics_csv()
 
-        monkeypatch.setattr(panel_qr, "_fit_lp", counting_fit_lp)
-        caches = (panel_ls._fit, skew_t._fit)
-        for cache in caches:
-            cache.cache_clear()
+        for module, name in ((panel_qr, "_fit_lp"), (panel_ls, "_solve_pivoted"),
+                             (skew_t, "_solve_alpha")):
+            counting(module, name)
         cold = outputs(14)
-        hits = [cache.cache_info().hits for cache in caches]
-        n_solves = len(solves)
+        n_solves = Counter(solves)
         warm = outputs(14)
-        assert all(cache.cache_info().hits > h for cache, h in zip(caches, hits))
-        # no LP outlives its year: the second run solves every LP again
-        assert len(solves) == 2 * n_solves > 0
+        assert set(n_solves) == {"_fit_lp", "_solve_pivoted", "_solve_alpha"}
+        assert solves == n_solves + n_solves
         outputs(15)
         interleaved = outputs(14)
         assert cold == warm == interleaved
@@ -939,7 +960,7 @@ class TestWeekSharesBlocks:
                         for w in (week, Week(panel, info, config.estimation_start)))
                     assert shared == alone
 
-    def test_one_bridge_training_set_and_one_energy_block_per_week(self, monkeypatch):
+    def test_one_bridge_training_set_and_one_energy_block_per_release(self, monkeypatch):
         designs, fits, reads = [], [], Counter()
 
         class CountingArrays(PanelArrays):
@@ -965,24 +986,143 @@ class TestWeekSharesBlocks:
                            fit_density=False)
         archive = run_out_of_sample(ds, config)
         assert archive.diagnostics == []
-        n_weeks, n_taus = 48, len(config.taus)
-        assert designs.count("bridge") == n_weeks
-        # the six energy specs and the direct spec build their own designs
-        assert designs.count("energy") == 6 * n_weeks
-        assert designs.count("direct") == n_weeks
+        n_taus, annual = len(config.taus), _releases(("CO2", "EC"))
+        assert annual == [1, 9, 21]
+        # a design, like each item a week keeps, is rebuilt when a period it
+        # reads is released: the bridge's at the CO2 and EC releases, each
+        # spec's own when one of `spec.reads` is
+        assert designs.count("bridge") == 3
+        energy = [len(_releases(ModelSpec(kind).reads)) for kind in ENERGY_KINDS]
+        assert energy == [3, 12, 5, 48, 48, 48]
+        assert designs.count("energy") == sum(energy)
+        assert designs.count("direct") == 48
         # one fit per level for the six bridge specs, one for the direct spec
-        assert fits.count(BRIDGE_LABELS) == n_taus * n_weeks
-        assert len(fits) == 2 * n_taus * n_weeks
-        # one read per distinct (variable, anchor, lags) of the week, shared by
-        # the energy and direct designs: each high-frequency block once; CO2
-        # as y and at its latest lag (the AR lag and the emissions factor);
-        # EC as y (and the bridge's realized energy), at its latest lag, and
-        # at the latest CO2 lag for the energy factor, one read fewer where
-        # those two lags are the same period
+        assert fits.count(BRIDGE_LABELS) == n_taus * 3
+        assert len(fits) == n_taus * (3 + 48)
+        # one read per distinct (variable, anchor, lags) and release of the
+        # variable, shared by the energy and direct designs: each
+        # high-frequency block once per release of its variable; CO2 as y
+        # and at its latest lag, once per CO2 release; EC as y (and the
+        # bridge's realized energy) and at its latest lag, once per EC
+        # release; and each factor, CO2 and EC at the latest CO2 lag, once
+        # per release of either
         for var in ("PI", "ELEC", "WECI"):
-            assert [reads[v, var] for v in range(1, 49)] == [1] * n_weeks
-        assert [reads[v, "CO2"] for v in range(1, 49)] == [2] * n_weeks
-        same = [info["EC"] == info["CO2"] for info in
-                (information_set(table2_rules(), 2012, v) for v in range(1, 49))]
-        assert same == [9 <= v <= 20 for v in range(1, 49)]
-        assert [reads[v, "EC"] for v in range(1, 49)] == [3 - s for s in same]
+            assert [reads[v, var] for v in range(1, 49)] == [
+                v in _releases((var,)) for v in range(1, 49)]
+        assert len(_releases(("PI",))) == 5 and len(_releases(("ELEC",))) == 12
+        assert [reads[v, "CO2"] for v in range(1, 49)] == [
+            3 * (v in (1, 9)) for v in range(1, 49)]
+        assert [reads[v, "EC"] for v in range(1, 49)] == [
+            {1: 3, 9: 1, 21: 3}.get(v, 0) for v in range(1, 49)]
+
+
+class TestReuseRule:
+    """The weeks of a year share one store: an item is rebuilt exactly when
+    a period it reads is released, and never kept when its build raises."""
+
+    @staticmethod
+    def _solves_per_week(monkeypatch, specs, fit_density=True):
+        """The LP, within-LS and skew-t root solves of each week of 2012,
+        run through `_run_year`, as a Counter of (week, solver)."""
+        weeks, solves = [], Counter()
+        info_of = pipeline.information_set
+
+        def counting_info(rules, t, v):
+            weeks.append(v)
+            return info_of(rules, t, v)
+
+        def counting(module, name):
+            solve = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                solves[weeks[-1], name] += 1
+                return solve(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        monkeypatch.setattr(pipeline, "information_set", counting_info)
+        for module, name in ((panel_qr, "_fit_lp"), (panel_ls, "_solve_pivoted"),
+                             (skew_t, "_solve_alpha")):
+            counting(module, name)
+        ds, _ = make_dataset(n_entities=3, seed=12)
+        config = RunConfig(estimation_start=1990, eval_start=2012, eval_end=2012,
+                           specs=specs, fit_density=fit_density)
+        archive = _run_year(PanelArrays(ds), config, 2012)
+        assert archive.diagnostics == []
+        return solves
+
+    def test_a_week_without_a_release_solves_nothing(self, monkeypatch):
+        specs = ("HistMean", "AR", "AR-M", "AR-Q")
+        solves = self._solves_per_week(monkeypatch, specs)
+        changed = _releases(("CO2", "EC", "PI", "ELEC"))
+        assert len(changed) == 12
+        busy = sorted({v for v, _ in solves})
+        assert busy == changed
+        assert {name for _, name in solves} == {"_fit_lp", "_solve_pivoted",
+                                                 "_solve_alpha"}
+
+    def test_co2_and_ec_releases_rebuild_the_fits(self, monkeypatch):
+        solves = self._solves_per_week(monkeypatch, ("AR",), fit_density=False)
+        # week 8 -> 9 releases CO2: the bridge's three LPs are solved anew,
+        # and so is the AR energy fit, whose stamp names CO2; week 20 -> 21
+        # releases EC: the energy fit and the bridge's LPs are rebuilt
+        assert solves == Counter({(v, name): n for v in (1, 9, 21)
+                                  for name, n in (("_fit_lp", 3), ("_solve_pivoted", 1))})
+
+    def test_a_failed_build_is_not_kept(self, monkeypatch):
+        calls = []
+
+        def failing_fit_within(rows, labels=None):
+            calls.append(len(rows))
+            raise SingularDesignError("forced")
+
+        monkeypatch.setattr(pipeline, "fit_within", failing_fit_within)
+        ds, _ = make_dataset(n_entities=2, seed=12)
+        config = RunConfig(estimation_start=1990, eval_start=2012, eval_end=2012,
+                           specs=("AR",), fit_density=False)
+        archive = _run_year(PanelArrays(ds), config, 2012)
+        # the stamp of AR changes in three weeks, but a week whose build
+        # raised kept nothing, so every week builds and raises again
+        assert len(calls) == 48
+        notes = [(int(d["week"]), d["stage"], d["detail"])
+                 for d in _rows(archive.diagnostics_csv())]
+        assert notes == [(v, stage, "forced") for v in range(1, 49)
+                         for stage in ("energy", "co2")]
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_dataset(n_entities=3, seed=16)[0], _late_starter])
+    def test_shared_store_equals_fresh_weeks(self, make):
+        # staleness check: each week built through the year's store equals,
+        # within the golden tolerance, the same week built in a fresh `Week`
+        panel = PanelArrays(make())
+        config = RunConfig(estimation_start=1990, eval_start=2012, eval_end=2012)
+
+        def outcome(week, info, spec):
+            try:
+                energy = None if spec.is_direct else nowcast_energy(week, info, spec)
+                return energy, nowcast_co2_density(week, info, spec, config)
+            except DataError as exc:
+                return type(exc), str(exc)
+
+        def close(a, b):
+            if isinstance(a, (list, tuple)):
+                return len(a) == len(b) and all(map(close, a, b))
+            if isinstance(a, float):
+                return a == pytest.approx(b, rel=REL)
+            if hasattr(a, "__dataclass_fields__"):
+                return type(a) is type(b) and close(
+                    [getattr(a, f) for f in a.__dataclass_fields__],
+                    [getattr(b, f) for f in b.__dataclass_fields__])
+            return a == b
+
+        kept = {}
+        for v in range(1, 49):
+            info = information_set(table2_rules(), 2012, v)
+            shared = Week(panel, info, config.estimation_start, kept)
+            fresh = Week(panel, info, config.estimation_start)
+            for kind in MODEL_KINDS:
+                spec = ModelSpec(kind)
+                got, want = outcome(shared, info, spec), outcome(fresh, info, spec)
+                assert close(got, want), (v, kind)
+            # the store holds this week's items and nothing else
+            assert kept.keys() == fresh._kept.keys(), v

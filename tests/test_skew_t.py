@@ -411,45 +411,15 @@ PINNED_FITS = [
 @pytest.mark.parametrize("levels, values, want", [c[1:] for c in PINNED_FITS],
                          ids=[c[0] for c in PINNED_FITS])
 def test_fit_pinned_bit_for_bit(levels, values, want):
-    skew_t._fit.cache_clear()
     fit = fit_from_quantiles(levels, values)
     assert (fit.mu.hex(), fit.sigma.hex(), fit.alpha.hex()) == want
 
 
 class TestFitMemo:
-    VALUES = (-0.8, 0.1, 1.3)  # spacing ratio 0.43, inside the matched range
+    """What a fit that the pipeline keeps and shares relies on: a rejected
+    triple raises on every call."""
 
-    @pytest.fixture
-    def roots(self, monkeypatch):
-        skew_t._fit.cache_clear()
-        calls = []
-        solve = skew_t._solve_alpha
-
-        def counting_solve(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(skew_t, "_solve_alpha", counting_solve)
-        return calls
-
-    def test_same_triple_fits_once(self, roots):
-        first = fit_from_quantiles(LEVELS, self.VALUES)
-        second = fit_from_quantiles(list(LEVELS), np.array(self.VALUES))
-        assert len(roots) == 1
-        assert first == second
-
-    @pytest.mark.parametrize("levels, values, nu", [
-        (LEVELS, VALUES, 5.0),
-        ((0.1, 0.5, 0.9), VALUES, 3.0),
-        (LEVELS, (-0.8, 0.1, 1.31), 3.0),
-    ], ids=["nu", "levels", "value"])
-    def test_any_change_is_a_new_fit(self, roots, levels, values, nu):
-        base = fit_from_quantiles(LEVELS, self.VALUES)
-        other = fit_from_quantiles(levels, values, nu=nu)
-        assert len(roots) == 2
-        assert other != base
-
-    def test_rejected_input_raises_every_time(self, roots):
+    def test_rejected_input_raises_every_time(self):
         for _ in range(2):
             with pytest.raises(OrderingError):
                 fit_from_quantiles(LEVELS, (1.0, 0.5, 2.0))

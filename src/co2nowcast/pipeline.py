@@ -32,15 +32,15 @@ and published years. The bridge's training set reads realized energy, so
 it and its quantile fits serve every bridge spec.
 
 One rule decides what is reused: the weeks of a year share one store, and
-each item a week builds (a read block, the Almon block, a benchmark, a
-factor, the bridge's training set and fits, each spec's stage-one nowcasts
-and stage-two cells) is kept there with its stamp, the week's latest
-periods of the variables it reads. A week drops every item whose stamp
-its information set does not match and builds only what is missing; a
-build that raises keeps nothing. So an item is rebuilt exactly when a
-period it reads is released: of the 384 (spec, week) cells of a year of
-the Table 2 calendar, 215 are built, 3 for HistMean, 3 for AR, 5 for AR-Q,
-12 for AR-M and 48 for each spec with the weekly block.
+each item a week builds (a read block, a benchmark, a factor, the bridge's
+training set and fits, each spec's two stages) is kept there with its
+stamp, the latest periods of the variables its build looked up in the
+week's information set, itself or through the items it used, which it
+must fetch inside the build. A week drops every item whose stamp its
+information set does not match and builds only what is missing; a build
+that raises keeps nothing. With all eight specs, a year of the Table 2
+calendar builds 214 CO2 stages (2 for HistMean) and 165 energy stages (2
+each for HistMean and AR) over its 384 (spec, week) cells.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 
 import numpy as np
@@ -121,12 +121,6 @@ class ModelSpec:
         letters = self.kind.removeprefix("Direct").split("-")
         return tuple(b for b in HF_BLOCKS if b[0] in letters)
 
-    @property
-    def reads(self) -> tuple:
-        """The stamp of what the spec's stages keep: CO2, EC and its
-        high-frequency variables, every variable either stage may read."""
-        return (VAR_CO2, VAR_EC) + tuple(var for _, var, *_ in self.hf)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -151,6 +145,8 @@ class RunConfig:
             raise ConfigError("taus must be strictly ascending")
         if not self.specs:
             raise ConfigError("specs must name at least one model")
+        if unknown := [s for s in self.specs if s not in MODEL_KINDS]:
+            raise ConfigError(f"unknown model {unknown[0]!r}; expected one of {MODEL_KINDS}")
         repeated = sorted({s for s in self.specs if self.specs.count(s) > 1})
         if repeated:
             raise ConfigError(f"specs name a model more than once: {repeated}")
@@ -263,14 +259,25 @@ def _hf_labels(spec):
 BRIDGE_LABELS = ("ar_e", "c_hat", "f_e", "f_c")
 
 
+class _Looked(dict):
+    """A week's latest periods, which note each variable looked up into
+    `open`, the set of variables of each build open in `Week._keep`."""
+
+    def __getitem__(self, var):
+        for looked in self.open:
+            looked.add(var)
+        return super().__getitem__(var)
+
+
 class Week:
     """One calendar week: the panel's arrays, its information set `info`
     and the first training year, with what the week's specs share, each item
     built on first use and kept in `kept`, the store that the weeks of one
     year share in turn (None: a store of this week alone). An item is kept
-    with its stamp, the week's latest periods of the variables it reads,
-    until a week whose `info` differs there. `lp` is the year's dict of final
-    quantile-LP bases (`fit_quantile`), an item that reads no variable.
+    with its stamp, the week's latest periods of the variables its build
+    looked up in `info`, itself or through the items it fetched inside it,
+    until a week whose `info` differs there. `lp` is the year's dict of
+    final quantile-LP bases (`fit_quantile`), which looks up no variable.
 
     The frame is every entity of the panel and the years from
     `estimation_start` to the target year t, `info.year`, last: `info` hides
@@ -283,54 +290,59 @@ class Week:
 
     def __init__(self, panel: PanelArrays, info: InformationSet, estimation_start: int,
                  kept: dict | None = None):
-        self.panel, self.info, self.t = panel, info, info.year
+        self.panel, self.t = panel, info.year
+        self.info = replace(info, latest=_Looked(info.latest))
+        self.info.latest.open = []
         self.years = np.arange(estimation_start, self.t + 1)
         self._kept = {} if kept is None else kept
         for key in [key for key, (stamp, _) in self._kept.items()
                     if any(info[var] != period for var, period in stamp)]:
             del self._kept[key]
-        self.lp = self._keep("lp bases", (), dict)
+        self.lp = self._keep("lp bases", dict)
 
-    def _keep(self, key, variables, build):
-        """The item kept under `key`, built by build() if the store lacks it
-        and kept with the week's latest periods of `variables`, every
-        variable the item reads."""
+    def _keep(self, key, build):
+        """The item kept under `key`, built by build() if the store lacks it;
+        an item used inside another build, built or found, adds its stamp to
+        that build's. A build that raises keeps nothing."""
+        latest = self.info.latest
         if key not in self._kept:
-            stamp = tuple((var, self.info[var]) for var in variables)
-            self._kept[key] = stamp, build()
-        return self._kept[key][1]
+            latest.open.append(set())
+            try:
+                value = build()
+            finally:
+                looked = latest.open.pop()
+            self._kept[key] = tuple((v, p) for v, p in latest.items() if v in looked), value
+        stamp, value = self._kept[key]
+        for looked in latest.open:
+            looked.update(var for var, _ in stamp)
+        return value
 
-    def read(self, var, anchor, n=1):
+    def read(self, var, anchor, n=1, almon=None):
         """`var` at ordinal(anchor) + per_year * (s - t) minus 0..n-1 in each
-        year s of the frame, as a read-only (entity, year, lag) array."""
+        year s of the frame, as a read-only (entity, year, lag) array, or
+        with an Almon map `almon` its Almon-weighted lags."""
         def build():
             block = self.panel.read(self.info, var, anchor, self.years - self.t, n)
+            if almon is not None:  # one Q @ lags per row, bit for bit
+                block = np.matmul(almon.Q, block.reshape(-1, n, 1)).reshape(
+                    *block.shape[:2], -1)
             block.flags.writeable = False
             return block
-        return self._keep(("read", var, anchor, n), (var,), build)
+        return self._keep(("read", var, anchor, n, almon and almon.spec), build)
 
     def hf(self, spec):
-        """The blocks of `spec.hf` at their latest periods, each its lags or,
-        where it has an Almon map, its Almon-weighted lags."""
-        blocks = []
-        for _, var, n, _, almon in spec.hf:
-            lags = self.read(var, self.info[var], n)
-            if almon is not None:  # one Q @ lags per row, bit for bit
-                lags = self._keep(("almon", var), (var,), lambda: np.matmul(
-                    almon.Q, lags.reshape(-1, n, 1)).reshape(*lags.shape[:2], -1))
-            blocks.append(lags)
-        return blocks
+        """The blocks of `spec.hf` at their latest periods."""
+        return [self.read(var, self.info[var], n, almon) for _, var, n, _, almon in spec.hf]
 
     def hist_mean(self):
         """The week's `energy_hist_mean`: the archive's energy benchmark and
         the HistMean spec's nowcasts."""
-        return self._keep("hist_mean", (VAR_EC,),
-                          lambda: energy_hist_mean(self.panel, self.info))
+        return self._keep("hist_mean", lambda: energy_hist_mean(self.panel, self.info))
 
     def co2_benchmarks(self, taus):
         """The week's `co2_benchmark_quantiles` at `taus`: the archive's CO2
         benchmark and the HistMean spec's quantiles."""
-        return self._keep(("co2 benchmarks", taus), (VAR_CO2,),
+        return self._keep(("co2 benchmarks", taus),
                           lambda: co2_benchmark_quantiles(self.panel, self.info, taus))
 
     def factor(self, var):
@@ -347,7 +359,7 @@ class Week:
                 have = col[np.isfinite(col)]
                 means.append(math.fsum(have) / have.size if have.size else np.nan)
             return np.array(means)[None, :, None]
-        return self._keep(("factor", var), (var, VAR_CO2), build)
+        return self._keep(("factor", var), build)
 
     def design(self, y_var, blocks, name):
         """The `y_var` design on its AR lag and `blocks`: its training
@@ -379,21 +391,17 @@ class Week:
             c = self.read(VAR_EC, PeriodIndex(self.t))
             blocks = [c, self.factor(VAR_CO2), self.factor(VAR_EC)]
             return self.design(VAR_CO2, blocks, "bridge")
-        return self._keep("bridge", (VAR_CO2, VAR_EC), build)
+        return self._keep("bridge", build)
 
     def bridge_models(self, taus, lam):
         """One quantile fit of the shared bridge training rows per level."""
-        rows = self.bridge()[0]
-        return self._keep(("bridge fits", taus, lam), (VAR_CO2, VAR_EC), lambda: [
-            fit_quantile(rows, QuantileSpec(tau=tau, lam=lam), labels=BRIDGE_LABELS,
-                         lp=self.lp)
-            for tau in taus])
+        return self._keep(("bridge fits", taus, lam), lambda: [
+            fit_quantile(self.bridge()[0], QuantileSpec(tau=tau, lam=lam),
+                         labels=BRIDGE_LABELS, lp=self.lp) for tau in taus])
 
     def stage(self, build, spec, *args):
-        """build(self, spec, *args), one stage of `spec`, kept under the
-        stamp `spec.reads`."""
-        return self._keep((build, spec, *args), spec.reads,
-                          lambda: build(self, spec, *args))
+        """build(self, spec, *args), one stage of `spec`, kept."""
+        return self._keep((build, spec, *args), lambda: build(self, spec, *args))
 
 
 def assemble_energy_design(week: Week, spec: ModelSpec):

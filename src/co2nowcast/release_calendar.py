@@ -24,8 +24,6 @@ VAR_PI = "PI"
 VAR_ELEC = "ELEC"
 VAR_WECI = "WECI"
 
-CALENDAR_VARIABLES = (VAR_CO2, VAR_EC, VAR_PI, VAR_ELEC, VAR_WECI)
-
 
 @dataclass(frozen=True)
 class ScheduleEntry:

@@ -60,13 +60,10 @@ class TestModelSpec:
     def test_blocks(self):
         for kind in ("HistMean", "AR"):
             assert ModelSpec(kind).hf == ()
-            assert ModelSpec(kind).reads == ("CO2", "EC")
         spec = ModelSpec("AR-W-M-Q")
         assert [b[:4] for b in spec.hf] == [("Q", "PI", 4, "q"), ("M", "ELEC", 12, "m"),
                                             ("W", "WECI", 52, "w")]
         assert spec.hf[2][4] is ALMON_MAP and not spec.is_direct
-        assert spec.reads == ("CO2", "EC", "PI", "ELEC", "WECI")
-        assert ModelSpec("AR-M").reads == ("CO2", "EC", "ELEC")
         direct = ModelSpec("DirectAR-W-M-Q")
         assert direct.is_direct and direct.hf == spec.hf
 
@@ -94,6 +91,10 @@ class TestRunConfig:
             RunConfig(specs=())
         with pytest.raises(ConfigError, match=r"more than once: \['AR'\]"):
             RunConfig(specs=("AR", "HistMean", "AR"))
+
+    def test_unknown_spec_is_rejected_when_built(self):
+        with pytest.raises(ConfigError, match="unknown model 'ARX'"):
+            RunConfig(specs=("ARX",))
 
     @pytest.mark.parametrize("taus", [(0.5,), (0.25, 0.75), (0.1, 0.25, 0.75, 0.9)])
     def test_density_needs_three_taus(self, taus):
@@ -656,9 +657,9 @@ class TestRunOutOfSample:
         archive = run_out_of_sample(ds, config)
         assert archive.diagnostics == []
         assert built == [ds]
-        # only AR and AR-W-M-Q fit a within-LS energy stage: AR when CO2 or EC
-        # is released (weeks 1, 9 and 21), AR-W-M-Q every week (WECI)
-        assert len(fits) == 2 * (3 + 48)
+        # only AR and AR-W-M-Q fit a within-LS energy stage: AR when EC is
+        # released (weeks 1 and 21), AR-W-M-Q every week (WECI)
+        assert len(fits) == 2 * (2 + 48)
 
     def test_co2_benchmark_quantiles_once_per_co2_release(self, monkeypatch):
         weeks = []
@@ -990,11 +991,12 @@ class TestWeekSharesBlocks:
         assert annual == [1, 9, 21]
         # a design, like each item a week keeps, is rebuilt when a period it
         # reads is released: the bridge's at the CO2 and EC releases, each
-        # spec's own when one of `spec.reads` is
+        # energy design at the releases of EC and of its spec's blocks (EC
+        # comes out in weeks 1 and 21, with an ELEC and a PI release)
         assert designs.count("bridge") == 3
-        energy = [len(_releases(ModelSpec(kind).reads)) for kind in ENERGY_KINDS]
-        assert energy == [3, 12, 5, 48, 48, 48]
-        assert designs.count("energy") == sum(energy)
+        energy = {"AR": 2, "AR-M": 12, "AR-Q": 5, "AR-W": 48, "AR-W-M": 48, "AR-W-M-Q": 48}
+        assert list(energy) == ENERGY_KINDS
+        assert designs.count("energy") == sum(energy.values())
         assert designs.count("direct") == 48
         # one fit per level for the six bridge specs, one for the direct spec
         assert fits.count(BRIDGE_LABELS) == n_taus * 3
@@ -1064,10 +1066,11 @@ class TestReuseRule:
     def test_co2_and_ec_releases_rebuild_the_fits(self, monkeypatch):
         solves = self._solves_per_week(monkeypatch, ("AR",), fit_density=False)
         # week 8 -> 9 releases CO2: the bridge's three LPs are solved anew,
-        # and so is the AR energy fit, whose stamp names CO2; week 20 -> 21
+        # but not the AR energy fit, which reads no CO2; week 20 -> 21
         # releases EC: the energy fit and the bridge's LPs are rebuilt
-        assert solves == Counter({(v, name): n for v in (1, 9, 21)
-                                  for name, n in (("_fit_lp", 3), ("_solve_pivoted", 1))})
+        assert solves == Counter({(v, name): n for v, name, n in (
+            (1, "_fit_lp", 3), (9, "_fit_lp", 3), (21, "_fit_lp", 3),
+            (1, "_solve_pivoted", 1), (21, "_solve_pivoted", 1))})
 
     def test_a_failed_build_is_not_kept(self, monkeypatch):
         calls = []
@@ -1088,6 +1091,74 @@ class TestReuseRule:
                  for d in _rows(archive.diagnostics_csv())]
         assert notes == [(v, stage, "forced") for v in range(1, 49)
                          for stage in ("energy", "co2")]
+
+    @staticmethod
+    def _stamp(week, key):
+        return dict(week._kept[key][0])
+
+    def test_a_nested_build_takes_the_stamp_of_the_items_it_uses(self):
+        week, info = _week(make_dataset(n_entities=2, seed=12)[0], 2012, 30)
+
+        def outer(key, var):
+            return week._keep(key, lambda: (
+                week.info[var], week._keep("inner", lambda: week.info["PI"])))
+
+        outer("built", "ELEC")  # builds the inner item
+        outer("found", "WECI")  # finds it in the store
+        assert self._stamp(week, "inner") == {"PI": info["PI"]}
+        assert self._stamp(week, "built") == {"PI": info["PI"], "ELEC": info["ELEC"]}
+        assert self._stamp(week, "found") == {"PI": info["PI"], "WECI": info["WECI"]}
+
+    def test_a_build_that_raises_leaves_no_open_stamp(self):
+        week, info = _week(make_dataset(n_entities=2, seed=12)[0], 2012, 30)
+
+        def failing():
+            week.info["PI"]
+            raise DataError("forced")
+
+        def outer():
+            week.info["ELEC"]
+            with pytest.raises(DataError):
+                week._keep("inner", failing)
+            week.info["WECI"]
+
+        with pytest.raises(DataError):
+            week._keep("failed", failing)
+        week._keep("next", lambda: week.info["CO2"])
+        # an outer build that catches the failure still read what it looked up
+        week._keep("outer", outer)
+        assert "failed" not in week._kept and "inner" not in week._kept
+        assert self._stamp(week, "next") == {"CO2": info["CO2"]}
+        assert self._stamp(week, "outer") == {v: info[v] for v in ("PI", "ELEC", "WECI")}
+        assert week.info.latest.open == []
+
+    def test_each_stage_is_rebuilt_only_at_the_releases_it_reads(self, monkeypatch):
+        builds = []
+
+        def counting(name):
+            stage = getattr(pipeline, name)
+
+            def counted(week, spec, *args):
+                builds.append((name, spec.kind, week.info.week))
+                return stage(week, spec, *args)
+
+            monkeypatch.setattr(pipeline, name, counted)
+
+        counting("_energy")
+        counting("_co2")
+        solves = self._solves_per_week(monkeypatch, ("HistMean", "AR"), fit_density=False)
+
+        def weeks(name, kind):
+            return [v for n, k, v in builds if (n, k) == (name, kind)]
+
+        # HistMean's energy stage reads EC alone and its CO2 cells CO2
+        # alone; AR's energy stage reads no CO2, and its bridge cells both
+        assert weeks("_energy", "HistMean") == [1, 21]
+        assert weeks("_co2", "HistMean") == [1, 9]
+        assert weeks("_energy", "AR") == [1, 21]
+        assert weeks("_co2", "AR") == [1, 9, 21]
+        assert {v: n for (v, name), n in solves.items()
+                if name == "_solve_pivoted"} == {1: 1, 21: 1}
 
     @pytest.mark.parametrize("make", [
         lambda: make_dataset(n_entities=3, seed=16)[0], _late_starter])

@@ -56,10 +56,10 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_calendar(args) -> int:
-    rows = calendar_rows(table2_rules(), args.year)
+    rules = table2_rules()
     out = io.StringIO()
-    out.write("phase,week,date,CO2,EC,PI,ELEC,WECI\n")
-    for phase, v, label, cells in rows:
+    out.write("phase,week,date," + ",".join(r.variable for r in rules) + "\n")
+    for phase, v, label, cells in calendar_rows(rules, args.year):
         out.write(f"{phase},{v},{label},{','.join(cells)}\n")
     text = out.getvalue()
     if args.out:

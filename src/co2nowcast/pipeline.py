@@ -23,8 +23,8 @@ information set.
 
 Every stage takes its calendar week as a `Week`, whose one frame is every
 entity and every year from the first training year to the target year.
-One fancy index per distinct (variable, anchor, lags) read gathers a block
-over the frame for the energy, bridge and direct designs alike. A design is
+One fancy index per distinct (variable, anchor variable, lags) read
+gathers a block over the frame for every design and factor. A design is
 one record array (`panel_ls.design`), one record per complete (entity,
 year) of the frame, gathered by one masked index: a row with any missing
 value is skipped, which leaves the design its regressand's own entities
@@ -36,11 +36,13 @@ each item a week builds (a read block, a benchmark, a factor, the bridge's
 training set and fits, each spec's two stages) is kept there with its
 stamp, the latest periods of the variables its build looked up in the
 week's information set, itself or through the items it used, which it
-must fetch inside the build. A week drops every item whose stamp its
-information set does not match and builds only what is missing; a build
-that raises keeps nothing. With all eight specs, a year of the Table 2
-calendar builds 214 CO2 stages (2 for HistMean) and 165 energy stages (2
-each for HistMean and AR) over its 384 (spec, week) cells.
+must fetch inside the build. No key holds a period, and every value a
+week reads from the panel is read inside a kept build (the coverage check
+reads none). A week drops every item whose stamp its information set does
+not match and builds only what is missing; a build that raises keeps
+nothing. With all eight specs, a year of the Table 2 calendar builds 214
+CO2 stages (2 for HistMean) and 165 energy stages (2 each for HistMean and
+AR) over its 384 (spec, week) cells.
 """
 
 from __future__ import annotations
@@ -213,12 +215,14 @@ class PanelArrays:
     def check(self, info: InformationSet) -> None:
         """Raise, variable by variable in sorted order, `UnknownVariableError`
         for one without a release rule in `info` and `CoverageError` for the
-        first entity whose series starts after the variable's latest period."""
-        for var, (freq, *_) in sorted(self._vars.items()):
+        first entity whose series starts after the variable's latest period,
+        reading no value: a series has no interior gaps."""
+        for var in sorted(self._vars):
             if var not in info.latest:
                 raise UnknownVariableError(f"variable {var!r} has no release rule")
-            for e, values in self.visible(info, var):
-                if not values.size:
+            freq, _, spans, end = self._col(var, info[var])
+            for e, _, a, _ in spans:
+                if a > end:
                     raise CoverageError(f"truncation at {info[var].label(freq)} "
                                         f"precedes the start of entity {e!r}")
 
@@ -276,8 +280,9 @@ class Week:
     year share in turn (None: a store of this week alone). An item is kept
     with its stamp, the week's latest periods of the variables its build
     looked up in `info`, itself or through the items it fetched inside it,
-    until a week whose `info` differs there. `lp` is the year's dict of
-    final quantile-LP bases (`fit_quantile`), which looks up no variable.
+    until a week whose `info` differs there; every panel value is read
+    inside a build. `lp` is the year's dict of final quantile-LP bases
+    (`fit_quantile`), which looks up no variable.
 
     The frame is every entity of the panel and the years from
     `estimation_start` to the target year t, `info.year`, last: `info` hides
@@ -317,12 +322,14 @@ class Week:
             looked.update(var for var, _ in stamp)
         return value
 
-    def read(self, var, anchor, n=1, almon=None):
-        """`var` at ordinal(anchor) + per_year * (s - t) minus 0..n-1 in each
-        year s of the frame, as a read-only (entity, year, lag) array, or
-        with an Almon map `almon` its Almon-weighted lags."""
+    def read(self, var, anchor=None, n=1, almon=None):
+        """`var` at the latest period of variable `anchor` (None: year t)
+        plus per_year * (s - t), minus 0..n-1, in each year s of the frame,
+        as a read-only (entity, year, lag) array, or with an Almon map
+        `almon` its Almon-weighted lags; the build looks up that period."""
         def build():
-            block = self.panel.read(self.info, var, anchor, self.years - self.t, n)
+            p = PeriodIndex(self.t) if anchor is None else self.info[anchor]
+            block = self.panel.read(self.info, var, p, self.years - self.t, n)
             if almon is not None:  # one Q @ lags per row, bit for bit
                 block = np.matmul(almon.Q, block.reshape(-1, n, 1)).reshape(
                     *block.shape[:2], -1)
@@ -332,7 +339,7 @@ class Week:
 
     def hf(self, spec):
         """The blocks of `spec.hf` at their latest periods."""
-        return [self.read(var, self.info[var], n, almon) for _, var, n, _, almon in spec.hf]
+        return [self.read(var, var, n, almon) for _, var, n, _, almon in spec.hf]
 
     def hist_mean(self):
         """The week's `energy_hist_mean`: the archive's energy benchmark and
@@ -350,12 +357,8 @@ class Week:
         year of the frame, over every entity with a value there; NaN where
         none has one."""
         def build():
-            # not through `read`: kept under the period of CO2 but stamped
-            # with `var` alone, a block would outlive CO2's next release
-            block = self.panel.read(self.info, var, self.info[VAR_CO2],
-                                    self.years - self.t, 1)
             means = []
-            for col in block[:, :, 0].T:
+            for col in self.read(var, VAR_CO2)[:, :, 0].T:
                 have = col[np.isfinite(col)]
                 means.append(math.fsum(have) / have.size if have.size else np.nan)
             return np.array(means)[None, :, None]
@@ -365,8 +368,8 @@ class Week:
         """The `y_var` design on its AR lag and `blocks`: its training
         records, entity-major with years ascending, skipping any row with a
         missing value, and the target year's (entity, regressor) array."""
-        y = self.read(y_var, PeriodIndex(self.t))[:, :, 0]
-        blocks = [self.read(y_var, self.info[y_var]), *blocks]
+        y = self.read(y_var)[:, :, 0]
+        blocks = [self.read(y_var, y_var), *blocks]
         X = np.concatenate([np.broadcast_to(b, y.shape + b.shape[2:]) for b in blocks],
                            axis=2)
         train = np.isfinite(X[:, :-1]).all(axis=2) & np.isfinite(y[:, :-1])
@@ -388,8 +391,7 @@ class Week:
         """The bridge design on realized energy: its training rows, shared by
         every bridge spec, and a target-year array without c_hat."""
         def build():
-            c = self.read(VAR_EC, PeriodIndex(self.t))
-            blocks = [c, self.factor(VAR_CO2), self.factor(VAR_EC)]
+            blocks = [self.read(VAR_EC), self.factor(VAR_CO2), self.factor(VAR_EC)]
             return self.design(VAR_CO2, blocks, "bridge")
         return self._keep("bridge", build)
 

@@ -44,8 +44,8 @@ quantiles' own error cannot flip. So alpha never leaves the bracket, the
 bracket always holds the root, and the final quantiles are polished at
 that alpha to |F(q) - tau| <= 1e-13. A fit keeps no result between
 calls: the pipeline's week store decides which fits to reuse. The only
-memoised values are tables that no data enters: the t quantiles (`_t_ppf`)
-and the grid's standardized quantiles (`_grid_quantiles`).
+memo is a table that no data enters: the grid's standardized quantiles
+(`_grid_quantiles`).
 """
 
 from __future__ import annotations
@@ -141,11 +141,6 @@ def _std_cdf_dalpha(z, alpha: float, nu: float) -> np.ndarray:
         np.pi * (1.0 + alpha * alpha))
 
 
-@lru_cache(maxsize=4096)
-def _t_ppf(tau: float, nu: float) -> float:
-    return float(stdtrit(nu, tau))
-
-
 def _std_quantiles(taus, alpha: float, nu: float, z0=None) -> np.ndarray:
     """Roots of F(z) = tau, batched safeguarded Newton with bisection.
     F falls in alpha from min(2 T_nu(z), 1) (alpha -> -inf) through T_nu(z)
@@ -156,8 +151,8 @@ def _std_quantiles(taus, alpha: float, nu: float, z0=None) -> np.ndarray:
     taus = np.asarray(taus, dtype=float)
     if alpha == 0.0:
         return stdtrit(nu, taus)
-    lo = np.full(taus.shape, _t_ppf(float(np.min(taus)) / 2.0, nu) - 1.0)
-    hi = np.full(taus.shape, _t_ppf(0.5 + float(np.max(taus)) / 2.0, nu) + 1.0)
+    lo = np.full(taus.shape, stdtrit(nu, float(np.min(taus)) / 2.0) - 1.0)
+    hi = np.full(taus.shape, stdtrit(nu, 0.5 + float(np.max(taus)) / 2.0) + 1.0)
     z = 0.5 * (lo + hi)
     if z0 is not None:
         z0 = np.asarray(z0, dtype=float)
@@ -301,7 +296,7 @@ def fit_from_quantiles(levels, values, nu: float = NU) -> SkewTParams:
     if np.any(np.diff(values) < 0):
         raise OrderingError(f"quantile values not ascending: {values.tolist()}")
     # widen exact ties so the target is strictly ascending
-    eps = 1e-9 * max(1.0, abs(float(np.median(values))))
+    eps = 1e-9 * max(1.0, abs(float(values[1])))
     for j in range(1, len(values)):
         if values[j] <= values[j - 1]:
             values[j] = values[j - 1] + eps

@@ -1001,19 +1001,19 @@ class TestWeekSharesBlocks:
         # one fit per level for the six bridge specs, one for the direct spec
         assert fits.count(BRIDGE_LABELS) == n_taus * 3
         assert len(fits) == n_taus * (3 + 48)
-        # one read per distinct (variable, anchor, lags) and release of the
-        # variable, shared by the energy and direct designs: each
-        # high-frequency block once per release of its variable; CO2 as y
-        # and at its latest lag, once per CO2 release; EC as y (and the
-        # bridge's realized energy) and at its latest lag, once per EC
-        # release; and each factor, CO2 and EC at the latest CO2 lag, once
-        # per release of either
+        # one read per distinct (variable, anchor variable, lags) and
+        # release of either variable, shared by the energy and direct
+        # designs: each high-frequency block once per release of its
+        # variable; CO2 as y and at its latest lag (which the CO2 factor
+        # shares), once per CO2 release; EC as y (and the bridge's realized
+        # energy) and at its latest lag, once per EC release; and EC at the
+        # latest CO2 lag, for its factor, once per release of either
         for var in ("PI", "ELEC", "WECI"):
             assert [reads[v, var] for v in range(1, 49)] == [
                 v in _releases((var,)) for v in range(1, 49)]
         assert len(_releases(("PI",))) == 5 and len(_releases(("ELEC",))) == 12
         assert [reads[v, "CO2"] for v in range(1, 49)] == [
-            3 * (v in (1, 9)) for v in range(1, 49)]
+            2 * (v in (1, 9)) for v in range(1, 49)]
         assert [reads[v, "EC"] for v in range(1, 49)] == [
             {1: 3, 9: 1, 21: 3}.get(v, 0) for v in range(1, 49)]
 
@@ -1197,3 +1197,40 @@ class TestReuseRule:
                 assert close(got, want), (v, kind)
             # the store holds this week's items and nothing else
             assert kept.keys() == fresh._kept.keys(), v
+
+    def test_every_value_a_week_reads_is_read_inside_a_kept_build(self, monkeypatch):
+        # so each value is in the stamp of an item; the coverage check reads
+        # none, and `factor` reads through `Week.read`
+        inside, outside = [], []
+        read = PanelArrays._read
+
+        def counting_read(self, info, var, rows, k):
+            open_builds = getattr(info.latest, "open", [])
+            (inside if open_builds else outside).append((info.week, var))
+            return read(self, info, var, rows, k)
+
+        monkeypatch.setattr(PanelArrays, "_read", counting_read)
+        ds, _ = make_dataset(n_entities=3, seed=12)
+        config = RunConfig(estimation_start=1990, eval_start=2012, eval_end=2012)
+        archive = _run_year(PanelArrays(ds), config, 2012)
+        assert archive.diagnostics == []
+        assert outside == []
+        assert inside
+
+    def test_no_kept_key_holds_a_period(self, monkeypatch):
+        # a key holding a period would keep an item past a release of the
+        # period's variable unless its stamp named that variable
+        keys = []
+        keep = Week._keep
+
+        def recording_keep(self, key, build):
+            keys.append(key)
+            return keep(self, key, build)
+
+        monkeypatch.setattr(Week, "_keep", recording_keep)
+        ds, _ = make_dataset(n_entities=3, seed=12)
+        config = RunConfig(estimation_start=1990, eval_start=2012, eval_end=2012)
+        _run_year(PanelArrays(ds), config, 2012)
+        elements = [e for k in keys for e in (k if isinstance(k, tuple) else (k,))]
+        assert {"read", "factor"} <= set(elements)
+        assert not [e for e in elements if isinstance(e, PeriodIndex)]

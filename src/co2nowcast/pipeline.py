@@ -14,12 +14,12 @@ latest period of the variable; a bridge spec's CO2 stage reads the energy
 nowcasts that stage one produced from that information. No target year
 reads another year's fits, so the years run in parallel, one forked worker
 process per year up to the usable CPUs. A worker formats each row as its
-CSV line where it computes the row, and the parent concatenates the lines
-of the years in year order; the archive is the same as that of one process
-running them in turn. Lag offsets are pure functions of the calendar week,
-applied identically to training years and the target year (the "direct
-method" alignment), so no regressor can use information beyond the week's
-information set.
+CSV line straight from the week's kept stage result, with no per-cell
+object, and the parent concatenates the years' lines in year order; the
+archive is that of one process running them in turn. Lag offsets are pure
+functions of the calendar week, applied identically to training years and
+the target year (the "direct method" alignment), so no regressor can use
+information beyond the week's information set.
 
 Every stage takes its calendar week as a `Week`, whose one frame is every
 entity and every year from the first training year to the target year.
@@ -80,7 +80,7 @@ from .release_calendar import (
     information_set,
     table2_rules,
 )
-from .skew_t import SkewTParams, fit_from_quantiles
+from .skew_t import fit_from_quantiles
 
 MODEL_KINDS = (
     "HistMean",
@@ -160,24 +160,6 @@ class RunConfig:
     @property
     def eval_years(self):
         return range(self.eval_start, self.eval_end + 1)
-
-
-@dataclass(frozen=True)
-class EnergyNowcast:
-    entity: str
-    year: int
-    week: int
-    value: float
-
-
-@dataclass(frozen=True)
-class CO2DensityNowcast:
-    entity: str
-    year: int
-    week: int
-    quantiles: tuple  # ascending, post-rearrangement
-    benchmark: tuple  # per-entity historical quantiles at the same levels
-    params: SkewTParams | None
 
 
 class PanelArrays:
@@ -367,7 +349,8 @@ class Week:
     def design(self, y_var, blocks, name):
         """The `y_var` design on its AR lag and `blocks`: its training
         records, entity-major with years ascending, skipping any row with a
-        missing value, and the target year's (entity, regressor) array."""
+        missing value, and the target year's (entity, regressor) array, both
+        read-only: the bridge's serve every bridge spec until a release."""
         y = self.read(y_var)[:, :, 0]
         blocks = [self.read(y_var, y_var), *blocks]
         X = np.concatenate([np.broadcast_to(b, y.shape + b.shape[2:]) for b in blocks],
@@ -378,7 +361,9 @@ class Week:
             raise CoverageError(
                 f"empty {name} design at ({self.t}, week {self.info.week})")
         names = np.asarray(self.panel.entities)
-        return design(names[i], self.years[j], y[i, j], X[i, j]), X[:, -1]
+        rows, last = design(names[i], self.years[j], y[i, j], X[i, j]), X[:, -1]
+        rows.flags.writeable = last.flags.writeable = False
+        return rows, last
 
     def pred(self, last):
         """(entity, regressors) per entity whose target-year row `last` is
@@ -435,23 +420,21 @@ def energy_hist_mean(panel, info: InformationSet) -> dict:
 
 def _energy(week: Week, spec: ModelSpec):
     """Stage one of `spec` for `week`: assemble, fit, predict. Returns
-    ((entity, nowcast) per predicted entity, gap entities)."""
+    ((entity, nowcast) per predicted entity, gap entities), both tuples."""
     if spec.kind == "HistMean":
-        return list(week.hist_mean().items()), []
+        return tuple(week.hist_mean().items()), ()
     rows, pred, labels = assemble_energy_design(week, spec)
     rows, pred, gaps = _drop_thin_entities(rows, pred, week.panel.entities_of(VAR_EC))
     model = fit_within(rows, labels=labels)
-    return [(e, predict(model, e, x)) for e, x in pred], gaps
+    return tuple((e, predict(model, e, x)) for e, x in pred), tuple(gaps)
 
 
 def nowcast_energy(week: Week, info: InformationSet, spec: ModelSpec):
-    """Stage one for `week`, whose information set is `info`. Returns
-    (nowcasts, gap entities)."""
+    """Stage one of `spec` for `week`, as kept (see `_energy`). `info` is
+    unused: it goes with this wrapper once the benchmark stops pinning both."""
     if spec.is_direct:
         raise DomainError("the direct model has no energy stage")
-    values, gaps = week.stage(_energy, spec)
-    return [EnergyNowcast(entity=e, year=info.year, week=info.week, value=value)
-            for e, value in values], list(gaps)  # a copy: the store keeps the list
+    return week.stage(_energy, spec)
 
 
 def bridge_design(week: Week, energy: dict):
@@ -484,7 +467,7 @@ def _co2(week: Week, spec: ModelSpec, config: RunConfig):
     """Stage two of `spec` for `week`: quantile predictions at `config.taus`,
     rearrangement and density fit. A bridge spec reads its stage one through
     `week`. Returns ((entity, quantiles, params) per predicted entity, gap
-    entities, the gaps including stage one's)."""
+    entities, the gaps including stage one's), both tuples."""
     taus = config.taus
     benchmarks = week.co2_benchmarks(taus)
 
@@ -493,12 +476,12 @@ def _co2(week: Week, spec: ModelSpec, config: RunConfig):
         return e, q, fit_from_quantiles(taus, q) if config.fit_density else None
 
     if spec.kind == "HistMean":
-        return [cell(e, benchmarks[e]) for e in sorted(benchmarks)], []
+        return tuple(cell(e, benchmarks[e]) for e in sorted(benchmarks)), ()
     if spec.is_direct:
         rows, pred, labels = direct_design(week, spec)
         models = [fit_quantile(rows, QuantileSpec(tau=tau, lam=config.lam),
                                labels=labels, lp=week.lp) for tau in taus]
-        gaps_energy = []
+        gaps_energy = ()
     else:
         values, gaps_energy = week.stage(_energy, spec)
         _, pred, _ = bridge_design(week, dict(values))
@@ -506,24 +489,16 @@ def _co2(week: Week, spec: ModelSpec, config: RunConfig):
     # an entity is predicted where it has training rows (the fits' entities)
     # and a prediction row; every other entity with a benchmark is a gap
     pred = [(e, x) for e, x in pred if e in models[0].gamma]
-    gaps = sorted(set(benchmarks).difference(e for e, _ in pred).union(gaps_energy))
-    return [cell(e, [predict_quantile(m, e, x) for m in models]) for e, x in pred], gaps
+    gaps = tuple(sorted(set(benchmarks).difference(e for e, _ in pred).union(gaps_energy)))
+    return tuple(cell(e, [predict_quantile(m, e, x) for m in models]) for e, x in pred), gaps
 
 
 def nowcast_co2_density(week: Week, info: InformationSet, spec: ModelSpec,
                         config: RunConfig):
-    """Stage two for `week`, whose information set is `info`: quantile
-    predictions, rearrangement, density fit and the week's benchmark triple
-    at `config.taus`. A bridge spec's CO2 stage reads the spec's stage one
-    of the same week.
-
-    Returns (nowcasts, gap entities), the gaps including stage one's. A
-    failure of either stage raises its `DataError` to the caller."""
-    benchmarks = week.co2_benchmarks(config.taus)
-    cells, gaps = week.stage(_co2, spec, config)
-    return [CO2DensityNowcast(entity=e, year=info.year, week=info.week, quantiles=q,
-                              benchmark=benchmarks[e], params=params)
-            for e, q, params in cells], list(gaps)
+    """Stage two of `spec` for `week`, as kept (see `_co2`); either stage's
+    `DataError` reaches the caller. `info` is unused: it goes with this
+    wrapper once the benchmark stops pinning both."""
+    return week.stage(_co2, spec, config)
 
 
 @dataclass
@@ -577,14 +552,14 @@ def _run_year(panel: PanelArrays, config: RunConfig, t: int) -> NowcastArchive:
         try:
             panel.check(info)
             bench_energy = week.hist_mean()
-            week.co2_benchmarks(config.taus)  # kept for stage two; fails the week here
+            bench_co2 = week.co2_benchmarks(config.taus)
         except DataError as exc:
             note("*", "benchmark", str(exc))
             continue
         for spec in specs:
             if not spec.is_direct:
                 try:
-                    nowcasts, gaps = nowcast_energy(week, info, spec)
+                    values, gaps = nowcast_energy(week, info, spec)
                 except DataError as exc:
                     # a bridge CO2 stage reads stage one, so it fails alike
                     # (HistMean's stage one cannot raise)
@@ -592,24 +567,24 @@ def _run_year(panel: PanelArrays, config: RunConfig, t: int) -> NowcastArchive:
                     note(spec.kind, "co2", str(exc))
                     continue
                 archive.energy.extend(
-                    f"{spec.kind},EC,{n.entity},{t},{v},point,{n.value!r},"
-                    f"{bench_energy[n.entity]!r},{realized[VAR_EC][n.entity]!r}\n"
-                    for n in nowcasts)
+                    f"{spec.kind},EC,{e},{t},{v},point,{value!r},"
+                    f"{bench_energy[e]!r},{realized[VAR_EC][e]!r}\n"
+                    for e, value in values)
                 for e in gaps:
                     note(spec.kind, "energy",
                          f"entity {e} dropped: insufficient history")
             try:
-                densities, gaps = nowcast_co2_density(week, info, spec, config)
+                cells, gaps = nowcast_co2_density(week, info, spec, config)
             except DataError as exc:
                 note(spec.kind, "co2", str(exc))
                 continue
-            for n in densities:
+            for e, quantiles, p in cells:
                 archive.co2.extend(
-                    f"{spec.kind},CO2,{n.entity},{t},{v},{tau!r},{pred_q!r},{bench_q!r},"
-                    f"{realized[VAR_CO2][n.entity]!r}\n"
-                    for tau, pred_q, bench_q in zip(config.taus, n.quantiles, n.benchmark))
-                if (p := n.params) is not None:
-                    archive.density.append(f"{spec.kind},{n.entity},{t},{v},"
+                    f"{spec.kind},CO2,{e},{t},{v},{tau!r},{pred_q!r},{bench_q!r},"
+                    f"{realized[VAR_CO2][e]!r}\n"
+                    for tau, pred_q, bench_q in zip(config.taus, quantiles, bench_co2[e]))
+                if p is not None:
+                    archive.density.append(f"{spec.kind},{e},{t},{v},"
                                            f"{p.mu!r},{p.sigma!r},{p.alpha!r},{p.nu!r}\n")
             for e in gaps:
                 note(spec.kind, "co2", f"entity {e} dropped: insufficient history")

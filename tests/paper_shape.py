@@ -4,7 +4,10 @@ Builds the synthetic panel `make_dataset(n_entities=51, first_year=1985,
 last_year=2018, seed=1)`, runs `_run_year` for 2018 in this process with the
 default `RunConfig`, and prints the first 16 hex digits of the sha256 of the
 archive's three texts (`to_csv() + density_csv() + diagnostics_csv()`), the
-seconds the year took, and how often it called each solver and panel read.
+seconds the year took, how often it called each solver and panel read, how
+many HiGHS solves were duals and how many face LPs (by the `what` argument
+of `panel_qr._highs`), and how many of the archived densities are clamped at
+the shape bound |alpha| = 32.
 The hash pins the year's outputs, so two commits that print the same one
 produced the same bytes. Not a test: pytest does not collect this file.
 """
@@ -43,6 +46,14 @@ def main():
 
         setattr(owner, name, counted)
 
+    solves = Counter()
+    highs = panel_qr._highs
+
+    def counted_highs(*args, what="quantile LP", **kwargs):
+        solves[what] += 1
+        return highs(*args, what=what, **kwargs)
+
+    panel_qr._highs = counted_highs
     ds, _ = make_dataset(n_entities=51, first_year=1985, last_year=2018, seed=1)
     panel = pipeline.PanelArrays(ds)
     for owner, name in COUNTED:
@@ -56,6 +67,11 @@ def main():
     for owner, name in COUNTED:
         label = f"{owner.__name__}.{name}" if isinstance(owner, type) else name
         print(f"{label} {calls[name]}")
+    for what in ("quantile LP", "quantile tie-break LP"):
+        print(f"_highs {what!r} {solves[what]}")
+    alphas = [float(line.split(",")[6]) for line in archive.density]
+    clamped = sum(abs(a) >= 32.0 for a in alphas)
+    print(f"densities clamped at |alpha| = 32: {clamped} of {len(alphas)}")
 
 
 if __name__ == "__main__":

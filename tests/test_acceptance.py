@@ -4,6 +4,7 @@ budgets are part of the criteria and asserted here."""
 
 import io
 import math
+import re
 import time
 from contextlib import redirect_stdout
 
@@ -12,6 +13,7 @@ import pytest
 
 from co2nowcast.almon import AlmonSpec, build_almon_map, implied_weights, restriction_matrix
 from co2nowcast.cli import EXIT_OK, main
+from co2nowcast.errors import DataError
 from co2nowcast.evaluation import score_columns
 from co2nowcast.panel import MixedFreqSeries, PanelDataset, PeriodIndex, ordinal
 from co2nowcast.panel_ls import design, fit_within
@@ -290,10 +292,39 @@ def test_criterion_7_information_discipline_sentinel_audit():
                     _assert_clean(*direct_design(week, spec)[:2])
                     continue
                 _assert_clean(*assemble_energy_design(week, spec)[:2])
-                nowcasts, _ = nowcast_energy(week, info, spec)
-                own = {n.entity: n.value for n in nowcasts}
+                own = dict(nowcast_energy(week, info, spec)[0])
                 _assert_clean(*bridge_design(week, own)[:2])
     assert time.monotonic() - t0 < 30.0
+
+
+def test_criterion_7_every_stage_result_equals_the_clean_one_on_a_poisoned_panel():
+    """Every output of a week depends on its information set alone: both
+    stage results of every spec, built in a fresh `Week` on the panel
+    poisoned after the week's information set, equal those of a fresh
+    `Week` on the clean panel. A stage that raises on the poisoned panel
+    only fails the audit."""
+    dataset, _ = make_dataset(n_entities=3, first_year=1990, last_year=2012, seed=5)
+    clean = PanelArrays(dataset)
+    config = RunConfig(estimation_start=1995, eval_start=2011, eval_end=2012)
+    rules, start = table2_rules(), config.estimation_start
+    specs = [ModelSpec(kind=k) for k in MODEL_KINDS]
+    for t in config.eval_years:
+        for v in range(1, 49):
+            info = information_set(rules, t, v)
+            poisoned = Week(PanelArrays(_poison_after(dataset, info)), info, start)
+            fresh = Week(clean, info, start)
+            for spec in specs:
+                stages = [lambda week: nowcast_co2_density(week, info, spec, config)]
+                if not spec.is_direct:
+                    stages.insert(0, lambda week: nowcast_energy(week, info, spec))
+                for stage in stages:
+                    try:
+                        want = stage(fresh)
+                    except DataError as exc:
+                        with pytest.raises(type(exc), match=re.escape(str(exc))):
+                            stage(poisoned)
+                        continue
+                    assert stage(poisoned) == want, (t, v, spec.kind)
 
 
 def _relative_scores_one_seed(seed):
@@ -318,18 +349,19 @@ def _relative_scores_one_seed(seed):
             for m_spec in (spec, hist):
                 out, _ = nowcast_energy(week, info, m_spec)
                 archive.extend(
-                    dict(spec=m_spec.kind, variable="EC", entity=n.entity, target_year=t,
-                         week=v, tau_or_point=math.nan, prediction=n.value,
-                         realized=realized("EC", n.entity, t))
-                    for n in out
+                    dict(spec=m_spec.kind, variable="EC", entity=e, target_year=t,
+                         week=v, tau_or_point=math.nan, prediction=value,
+                         realized=realized("EC", e, t))
+                    for e, value in out
                 )
         info = information_set(rules, t, 48)
         week = Week(ds, info, config.estimation_start)
         out, _ = nowcast_co2_density(week, info, spec, config)
-        for n in out:
-            y = realized("CO2", n.entity, t)
-            for tau, q_m, q_b in zip(config.taus, n.quantiles, n.benchmark):
-                archive += [dict(spec=kind, variable="CO2", entity=n.entity, target_year=t,
+        benchmarks = week.co2_benchmarks(config.taus)
+        for e, quantiles, _ in out:
+            y = realized("CO2", e, t)
+            for tau, q_m, q_b in zip(config.taus, quantiles, benchmarks[e]):
+                archive += [dict(spec=kind, variable="CO2", entity=e, target_year=t,
                                  week=48, tau_or_point=tau, prediction=q, realized=y)
                             for kind, q in ((spec.kind, q_m), (hist.kind, q_b))]
 

@@ -4,7 +4,9 @@ whose archive, density and diagnostics values are pinned in
 reproduce every row, in order, to a relative tolerance of 1e-9.
 
 The cases cover all eight model specs, bridge density fits with three
-quantile levels, and the diagnostics of thin entities and failed stages.
+quantile levels, the diagnostics of thin entities and failed stages, and
+(case `faces`) quantile fits whose optimal face is flat, so the tie-break LP
+picks their point, and skew-t densities matched inside the shape bound.
 Regenerate the file only for an intended change of output:
 
     PYTHONPATH=src python tests/test_golden_archive.py
@@ -21,6 +23,7 @@ import os
 import numpy as np
 import pytest
 
+from co2nowcast import panel_qr
 from co2nowcast.panel import Frequency, MixedFreqSeries, PanelDataset, PeriodIndex
 from co2nowcast.pipeline import MODEL_KINDS, RunConfig, run_out_of_sample
 
@@ -69,6 +72,12 @@ CASES = {
         make_dataset(n_entities=2, first_year=2005, last_year=2009, seed=2)[0],
         RunConfig(estimation_start=2005, eval_start=2009, eval_end=2009,
                   specs=("HistMean", "AR-W", "DirectAR-W-M-Q"), fit_density=False),
+    ),
+    # quantile LPs with flat optimal faces and skew-t densities matched
+    # inside the shape bound
+    "faces": lambda: (
+        make_dataset(n_entities=8, first_year=1985, last_year=2018, seed=1)[0],
+        RunConfig(eval_start=2018, eval_end=2018, specs=("HistMean", "DirectAR-W-M-Q")),
     ),
 }
 
@@ -120,6 +129,20 @@ def test_golden_covers_every_spec_and_a_density_fit(golden):
     assert golden["density"]["density"]
     assert any(d[3] == "energy" for d in golden["late_starter"]["diagnostics"])
     assert any(d[3] == "co2" for d in golden["short_sample"]["diagnostics"])
+
+
+def test_faces_case_reaches_face_lps_and_matched_densities(monkeypatch):
+    whats = []
+    highs = panel_qr._highs
+
+    def counted(*args, what="quantile LP", **kwargs):
+        whats.append(what)
+        return highs(*args, what=what, **kwargs)
+
+    monkeypatch.setattr(panel_qr, "_highs", counted)
+    tables = _run("faces")
+    assert "quantile tie-break LP" in whats
+    assert any(abs(alpha) < 32.0 for *_, alpha, _ in tables["density"])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

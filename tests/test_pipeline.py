@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -169,7 +170,7 @@ class TestEnergyDesign:
                     s = MixedFreqSeries(e, Frequency.WEEKLY, s.start, s.values[:-60])
                 ds.add(var, s)
         out, gaps = nowcast_energy(*_week(ds, 2012, 40), ModelSpec("AR-W"))
-        assert [n.entity for n in out] == ["S00", "S02"]
+        assert [e for e, _ in out] == ["S00", "S02"]
         assert "S01" in gaps
 
     def test_entity_without_any_row_is_a_gap(self):
@@ -183,8 +184,8 @@ class TestEnergyDesign:
                     s = MixedFreqSeries(e, Frequency.WEEKLY, s.start, s.values[:60])
                 ds.add(var, s)
         out, gaps = nowcast_energy(*_week(ds, 2012, 40), ModelSpec("AR-W"))
-        assert [n.entity for n in out] == ["S00", "S02"]
-        assert gaps == ["S01"]
+        assert [e for e, _ in out] == ["S00", "S02"]
+        assert gaps == ("S01",)
 
     def test_alignment_is_a_pure_function_of_week(self):
         # training year s reads the same within-year offsets as target year t
@@ -232,8 +233,8 @@ class TestNowcastEnergy:
         ds.add("WECI", MixedFreqSeries("A", Frequency.WEEKLY, PeriodIndex(2000, 1),
                                        [0.0] * 104))
         out, gaps = nowcast_energy(*_week(ds, 2005, 10), ModelSpec("HistMean"))
-        assert gaps == []
-        assert out[0].value == pytest.approx(0.0)
+        assert gaps == ()
+        assert out[0][1] == pytest.approx(0.0)
 
     def test_direct_spec_rejected(self):
         ds, _ = make_dataset(n_entities=2, seed=3)
@@ -245,11 +246,11 @@ class TestNowcastEnergy:
         # noise-free panel is fit exactly and the nowcast equals the outcome
         ds, truth = make_dataset(n_entities=4, seed=4, noise_c=0.0, noise_e=0.0)
         out, gaps = nowcast_energy(*_week(ds, 2011, 48), ModelSpec("AR-W-M-Q"))
-        assert gaps == []
+        assert gaps == ()
         assert len(out) == 4
-        for n in out:
-            realized = ds.get("EC", n.entity).value_at(PeriodIndex(2011))
-            assert n.value == pytest.approx(realized, abs=1e-6)
+        for e, value in out:
+            realized = ds.get("EC", e).value_at(PeriodIndex(2011))
+            assert value == pytest.approx(realized, abs=1e-6)
 
     def test_ar_spec_matches_reduced_regression(self):
         ds, _ = make_dataset(n_entities=3, seed=5)
@@ -268,9 +269,9 @@ class TestNowcastEnergy:
                 rows.append((e, s, s_ec.value_at(PeriodIndex(s)),
                              [s_ec.value_at(PeriodIndex(s - d_v))]))
         model = fit_within(design(*zip(*rows)))
-        for n in out:
-            x = np.array([ds.get("EC", n.entity).value_at(PeriodIndex(t - d_v))])
-            assert n.value == pytest.approx(predict(model, n.entity, x), abs=1e-10)
+        for e, value in out:
+            x = np.array([ds.get("EC", e).value_at(PeriodIndex(t - d_v))])
+            assert value == pytest.approx(predict(model, e, x), abs=1e-10)
 
 
 class TestBridgeDesign:
@@ -305,11 +306,10 @@ class TestBridgeDesign:
                            fit_density=False)
         spec = ModelSpec("AR-W-M-Q")
         week, info = _week(ds, 2011, 48)
-        energy = nowcast_energy(week, info, spec)
-        chat = {n.entity: n.value for n in energy[0]}
+        chat = dict(nowcast_energy(week, info, spec)[0])
         out, _ = nowcast_co2_density(week, info, spec, config)
-        for n in out:
-            assert n.quantiles[1] == pytest.approx(chat[n.entity], abs=1e-4)
+        for e, quantiles, _ in out:
+            assert quantiles[1] == pytest.approx(chat[e], abs=1e-4)
 
 
 class TestDirectDesign:
@@ -570,10 +570,10 @@ class TestDensityNowcast:
                            fit_density=False)
         week, info = _week(ds, 2011, 20)
         out, gaps = nowcast_co2_density(week, info, ModelSpec("HistMean"), config)
-        assert gaps == []
-        for n in out:
-            assert n.quantiles == n.benchmark
-            assert n.quantiles[0] <= n.quantiles[1] <= n.quantiles[2]
+        assert gaps == ()
+        for e, quantiles, _ in out:
+            assert quantiles == week.co2_benchmarks(config.taus)[e]
+            assert quantiles[0] <= quantiles[1] <= quantiles[2]
 
     def test_bridge_quantiles_ascending_with_density(self):
         ds, _ = make_dataset(n_entities=3, seed=9)
@@ -582,10 +582,10 @@ class TestDensityNowcast:
         week, info = _week(ds, 2011, 30)
         out, _ = nowcast_co2_density(week, info, ModelSpec("AR-W"), config)
         assert len(out) == 3
-        for n in out:
-            assert n.quantiles[0] <= n.quantiles[1] <= n.quantiles[2]
-            assert n.params is not None
-            assert n.params.sigma > 0
+        for _, quantiles, params in out:
+            assert quantiles[0] <= quantiles[1] <= quantiles[2]
+            assert params is not None
+            assert params.sigma > 0
 
 
 class TestRunOutOfSample:
@@ -954,8 +954,7 @@ class TestWeekSharesBlocks:
                     if spec.is_direct:
                         continue
                     # the bridge rows with this spec's own nowcasts as c_hat
-                    nowcasts, _ = nowcast_energy(week, info, spec)
-                    energy = {n.entity: n.value for n in nowcasts}
+                    energy = dict(nowcast_energy(week, info, spec)[0])
                     shared, alone = (
                         _design_bytes(*bridge_design(w, energy))
                         for w in (week, Week(panel, info, config.estimation_start)))
@@ -1234,3 +1233,42 @@ class TestReuseRule:
         elements = [e for k in keys for e in (k if isinstance(k, tuple) else (k,))]
         assert {"read", "factor"} <= set(elements)
         assert not [e for e in elements if isinstance(e, PeriodIndex)]
+
+    def test_a_stage_result_is_the_kept_one(self):
+        # each wrapper returns the week's kept result itself, which no caller
+        # can change: tuples all the way down, no list, dict or writable array
+        def frozen(x):
+            if isinstance(x, np.ndarray):
+                return not x.flags.writeable
+            if isinstance(x, (list, dict)):
+                return False
+            if isinstance(x, tuple):
+                return all(map(frozen, x))
+            if dataclasses.is_dataclass(x):
+                return all(frozen(getattr(x, f.name)) for f in dataclasses.fields(x))
+            return True
+
+        ds, _ = make_dataset(n_entities=3, seed=9)
+        config = RunConfig(estimation_start=1990, eval_start=2011, eval_end=2011)
+        week, info = _week(ds, 2011, 30)
+        for kind in MODEL_KINDS:
+            spec = ModelSpec(kind)
+            stages = [lambda: nowcast_co2_density(week, info, spec, config)]
+            if not spec.is_direct:
+                stages.append(lambda: nowcast_energy(week, info, spec))
+            for stage in stages:
+                result = stage()
+                assert stage() is result, kind
+                assert frozen(result), kind
+                assert result[0], kind
+
+    def test_kept_designs_are_read_only(self):
+        # the bridge's training rows serve every bridge spec of every week
+        # until a release
+        ds, _ = make_dataset(n_entities=3, seed=9)
+        week, _ = _week(ds, 2011, 30)
+        rows, last = week.bridge()
+        with pytest.raises(ValueError):
+            rows.y[0] = 0.0
+        with pytest.raises(ValueError):
+            last[0, 0] = 0.0

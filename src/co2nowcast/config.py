@@ -5,21 +5,31 @@ from __future__ import annotations
 from .errors import ConfigError
 from .pipeline import RunConfig
 
-KNOWN_KEYS = (
-    "data_dir",
-    "estimation_start",
-    "eval_start",
-    "eval_end",
-    "taus",
-    "lambda",
-    "specs",
-    "fit_density",
-)
-
 
 def parse_specs(value: str) -> tuple:
     """Comma-separated model kinds; `RunConfig` checks them."""
     return tuple(s.strip() for s in value.split(",") if s.strip())
+
+
+def _flag(value: str) -> bool:
+    if value.lower() not in ("true", "false", "1", "0"):
+        raise ValueError(value)
+    return value.lower() in ("true", "1")
+
+
+# config key: (RunConfig field, parser, error for a value the parser
+# rejects), in parse order: of several bad values, the first is reported
+SETTINGS = {
+    "estimation_start": ("estimation_start", int, "expected integer"),
+    "eval_start": ("eval_start", int, "expected integer"),
+    "eval_end": ("eval_end", int, "expected integer"),
+    "taus": ("taus", lambda value: tuple(float(t) for t in value.split(",")),
+             "expected comma-separated floats"),
+    "lambda": ("lam", float, "expected a float"),
+    "specs": ("specs", parse_specs, "expected comma-separated model kinds"),
+    "fit_density": ("fit_density", _flag, "expected true/false"),
+}
+KNOWN_KEYS = ("data_dir", *SETTINGS)  # data_dir is a deployment setting
 
 
 def parse_config_text(text: str):
@@ -39,31 +49,11 @@ def parse_config_text(text: str):
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
         values[key] = value
 
-    def as_int(key):
-        try:
-            return int(values[key])
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: expected integer") from None
-
-    # only the keys the file gives: RunConfig holds the defaults
-    kwargs = {key: as_int(key) for key in ("estimation_start", "eval_start", "eval_end")
-              if key in values}
-    if "taus" in values:
-        try:
-            kwargs["taus"] = tuple(float(t) for t in values["taus"].split(","))
-        except ValueError:
-            raise ConfigError("config key 'taus': expected comma-separated floats") from None
-    if "lambda" in values:
-        try:
-            kwargs["lam"] = float(values["lambda"])
-        except ValueError:
-            raise ConfigError("config key 'lambda': expected a float") from None
-    if "specs" in values:
-        kwargs["specs"] = parse_specs(values["specs"])
-    if "fit_density" in values:
-        flag = values["fit_density"].lower()
-        if flag not in ("true", "false", "1", "0"):
-            raise ConfigError("config key 'fit_density': expected true/false")
-        kwargs["fit_density"] = flag in ("true", "1")
+    kwargs = {}  # only the keys the file gives: RunConfig holds the defaults
+    for key, (name, parse, expected) in SETTINGS.items():
+        if key in values:
+            try:
+                kwargs[name] = parse(values[key])
+            except ValueError:
+                raise ConfigError(f"config key {key!r}: {expected}") from None
     return RunConfig(**kwargs), values.get("data_dir")
-

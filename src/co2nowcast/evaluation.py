@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ScoringGapError
-from .release_calendar import BACKCAST_LAST_WEEK
+from .release_calendar import phase
 
 DIST_LEVELS = (0.10, 0.25, 0.50, 0.75, 0.90)
 
@@ -251,7 +251,7 @@ def score_columns(columns: dict, metric: str, tau: float | None = None,
                                      model_agg.tolist(), bench_agg.tolist()):
         q10, q25, q50, q75, q90 = q
         tables[specs[code]].append(dict(
-            phase="Backcast" if v <= BACKCAST_LAST_WEEK else "Nowcast",
+            phase=phase(v),
             week=v, q10=q10, q25=q25, q50=q50, q75=q75, q90=q90, aggregate=agg,
             model_aggregate=m, benchmark_aggregate=b))
     return tables

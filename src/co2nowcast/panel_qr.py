@@ -21,10 +21,11 @@ Each LP is one HiGHS model, built through SciPy's binding and solved
 without presolve (`_highs`). A design is the record array of
 `panel_ls.design`; its entities index the intercepts in sorted order. A fit
 keeps no result between calls: the pipeline's week store decides which fits
-to reuse. The fits of one target year may share one dict of final bases,
-one per chain of same-sized LPs (design shape, entity count, tau, lambda):
-each solve starts from its chain's basis and leaves its own there. A fit
-without the dict is one cold solve.
+to reuse. The fits of one target year may share one dict of final dual
+bases, one per chain of same-sized duals (design shape, entity count, tau,
+lambda): each dual solve starts from its chain's basis and leaves its own
+there. A fit without the dict solves its dual cold, and a face LP always
+starts cold.
 """
 
 from __future__ import annotations
@@ -186,9 +187,9 @@ def _fit_lp(y, X, idx, n_ent, tau, lam, basis=None):
 
 def fit_quantile(rows, spec: QuantileSpec, labels=None, lp=None) -> QuantileModel:
     """Fit one quantile level of the design `rows` (see `panel_ls.design`) by
-    the exact LP. `lp`, if given, is the target year's dict of final bases
-    per chain: the solve starts from its chain's basis and, if it succeeds,
-    leaves its own there. `beta` is read-only."""
+    the exact LP. `lp`, if given, is the target year's dict of final dual
+    bases per chain: the dual solve starts from its chain's basis and, if it
+    succeeds, leaves its own there. `beta` is read-only."""
     y, X, labels = _stack(rows, labels)
     ents, idx = np.unique(rows.entity, return_inverse=True)
     ents = ents.tolist()

@@ -53,8 +53,11 @@ class ReleaseRule:
 class InformationSet:
     year: int
     week: int
-    phase: str  # "Backcast" or "Nowcast"
     latest: dict  # variable -> PeriodIndex
+
+    @property
+    def phase(self) -> str:
+        return phase(self.week)
 
     def __getitem__(self, variable: str) -> PeriodIndex:
         try:
@@ -92,12 +95,16 @@ def table2_rules() -> tuple:
     return (co2, ec, pi, elec, weci)
 
 
+def phase(week: int) -> str:
+    """Backcast while a week's weekly data refer to the previous year, then Nowcast."""
+    return "Backcast" if week <= BACKCAST_LAST_WEEK else "Nowcast"
+
+
 def information_set(rules, t: int, v: int) -> InformationSet:
     if not 1 <= v <= N_WEEKS:
         raise DomainError(f"week v={v} outside [1, {N_WEEKS}]")
-    phase = "Backcast" if v <= BACKCAST_LAST_WEEK else "Nowcast"
     latest = {rule.variable: rule.latest(t, v) for rule in rules}
-    return InformationSet(year=t, week=v, phase=phase, latest=latest)
+    return InformationSet(year=t, week=v, latest=latest)
 
 
 def calendar_rows(rules, t: int):

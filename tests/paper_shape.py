@@ -5,9 +5,10 @@ last_year=2018, seed=1)`, runs `_run_year` for 2018 in this process with the
 default `RunConfig`, and prints the first 16 hex digits of the sha256 of the
 archive's three texts (`to_csv() + density_csv() + diagnostics_csv()`), the
 seconds the year took, how often it called each solver and panel read, how
-many HiGHS solves were duals and how many face LPs (by the `what` argument
-of `panel_qr._highs`), and how many of the archived densities are clamped at
-the shape bound |alpha| = 32.
+many HiGHS solves of each kind `panel_qr._highs` made and the seconds they
+took (a dual started from a basis is warm, one without is cold, and a face
+LP is told apart by its `what` argument), and how many of the archived
+densities are clamped at the shape bound |alpha| = 32.
 The hash pins the year's outputs, so two commits that print the same one
 produced the same bytes. Not a test: pytest does not collect this file.
 """
@@ -32,6 +33,7 @@ COUNTED = (
     (pipeline.PanelArrays, "read"),
     (pipeline.PanelArrays, "_read"),
 )
+SOLVE_KINDS = ("warm dual", "cold dual", "tie-break LP")
 
 
 def main():
@@ -46,14 +48,21 @@ def main():
 
         setattr(owner, name, counted)
 
-    solves = Counter()
+    solves, solve_seconds = Counter(), Counter()
     highs = panel_qr._highs
 
-    def counted_highs(*args, what="quantile LP", **kwargs):
-        solves[what] += 1
-        return highs(*args, what=what, **kwargs)
+    def timed_highs(*args, what="quantile LP", **kwargs):
+        basis = args[6] if len(args) > 6 else kwargs.get("basis")
+        kind = ("tie-break LP" if what == "quantile tie-break LP"
+                else "cold dual" if basis is None else "warm dual")
+        start = time.perf_counter()
+        try:
+            return highs(*args, what=what, **kwargs)
+        finally:
+            solves[kind] += 1
+            solve_seconds[kind] += time.perf_counter() - start
 
-    panel_qr._highs = counted_highs
+    panel_qr._highs = timed_highs
     ds, _ = make_dataset(n_entities=51, first_year=1985, last_year=2018, seed=1)
     panel = pipeline.PanelArrays(ds)
     for owner, name in COUNTED:
@@ -67,8 +76,8 @@ def main():
     for owner, name in COUNTED:
         label = f"{owner.__name__}.{name}" if isinstance(owner, type) else name
         print(f"{label} {calls[name]}")
-    for what in ("quantile LP", "quantile tie-break LP"):
-        print(f"_highs {what!r} {solves[what]}")
+    for kind in SOLVE_KINDS:
+        print(f"_highs {kind} {solves[kind]} in {solve_seconds[kind]:.2f} s")
     alphas = [float(line.split(",")[6]) for line in archive.density]
     clamped = sum(abs(a) >= 32.0 for a in alphas)
     print(f"densities clamped at |alpha| = 32: {clamped} of {len(alphas)}")

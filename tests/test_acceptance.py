@@ -2,6 +2,7 @@
 verbose pytest report reads as a pass/fail checklist. Tolerances and runtime
 budgets are part of the criteria and asserted here."""
 
+import csv
 import io
 import math
 import re
@@ -24,6 +25,7 @@ from co2nowcast.pipeline import (
     PanelArrays,
     RunConfig,
     Week,
+    _run_year,
     assemble_energy_design,
     bridge_design,
     co2_benchmark_quantiles,
@@ -325,6 +327,35 @@ def test_criterion_7_every_stage_result_equals_the_clean_one_on_a_poisoned_panel
                             stage(poisoned)
                         continue
                     assert stage(poisoned) == want, (t, v, spec.kind)
+
+
+def test_criterion_7_a_year_through_its_shared_store_equals_the_clean_one():
+    """Every output of a week depends on its information set alone, also
+    through the store the weeks of a year share: the year run on the panel
+    poisoned after week v's information set writes, in weeks 1..v, every
+    column of all four tables that the clean run writes, realized aside.
+    A poisoned week that raises writes a diagnostics row the clean run
+    lacks, so it fails the audit. The weeks cover the backcast/nowcast
+    switch and a release of each variable."""
+    dataset, _ = make_dataset(n_entities=3, first_year=1990, last_year=2012, seed=5)
+    config = RunConfig(estimation_start=1995, eval_start=2012, eval_end=2012)
+    rules, t = table2_rules(), 2012
+
+    def weeks_up_to(v, archive):
+        """Each table's rows of weeks 1..v as lists of fields, realized cut."""
+        tables = dict(energy=(archive.energy, 4, -1), co2=(archive.co2, 4, -1),
+                      density=(archive.density, 3, None),
+                      diagnostics=(archive.diagnostics, 2, None))
+        return {name: [row[:end] for row in csv.reader(lines) if int(row[week]) <= v]
+                for name, (lines, week, end) in tables.items()}
+
+    clean = _run_year(PanelArrays(dataset), config, t)
+    assert clean.energy and clean.co2 and clean.density and not clean.diagnostics
+    for v in (1, 5, 9, 21, 33, 45, 48):
+        poisoned = PanelArrays(_poison_after(dataset, information_set(rules, t, v)))
+        got, want = weeks_up_to(v, _run_year(poisoned, config, t)), weeks_up_to(v, clean)
+        for name in want:
+            assert got[name] == want[name], (v, name)
 
 
 def _relative_scores_one_seed(seed):

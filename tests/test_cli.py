@@ -111,6 +111,18 @@ class TestIngestAndRun:
         rows = list(csv.DictReader(_body(os.path.join(out, "archive.csv"))))
         assert rows and {r["spec"] for r in rows} == {"AR"}
 
+    def test_data_dir_flag_overrides_config(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "elsewhere.cfg"
+        cfg.write_text(CONFIG_TEXT.format(store=tmp_path / "missing"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_FATAL
+        assert "missing" in capsys.readouterr().err
+        assert main(["run", "--config", str(cfg), "--data-dir", workspace["store"],
+                     "--out", str(out)]) == EXIT_OK
+        for name in ("archive.csv", "density_params.csv"):
+            assert (_body(out / name)
+                    == _body(os.path.join(workspace["out"], name)))
+
     @pytest.mark.parametrize("specs", [",", "AR,AR"])
     def test_empty_or_repeated_specs_flag_is_fatal(self, workspace, tmp_path, specs):
         out = tmp_path / "out"
@@ -278,6 +290,15 @@ class TestEvaluate:
         assert capsys.readouterr().err == f"error: {path}{message}\n"
         assert not out.exists()
 
+    def test_archive_without_a_header_line(self, tmp_path, capsys):
+        path = tmp_path / "comments.csv"
+        path.write_text("# config_hash=x version=0\n# nothing else\n")
+        rc = main(["evaluate", "--archive", str(path), "--metric", "rmsfe",
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_FATAL
+        assert capsys.readouterr().err == f"error: {path}: no header line\n"
+        assert not (tmp_path / "out").exists()
+
     def test_crps_needs_quantile_rows(self, tmp_path, capsys):
         path = tmp_path / "points_only.csv"
         path.write_text(
@@ -355,6 +376,20 @@ class TestDensityCommand:
         assert rc == EXIT_FATAL
         assert capsys.readouterr().err == f"error: {path}{message}\n"
         assert not out.exists()
+
+    def test_run_without_densities_has_none_to_export(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "points.cfg"
+        cfg.write_text(f"data_dir = {workspace['store']}\nestimation_start = 1999\n"
+                       "eval_start = 2009\neval_end = 2009\n"
+                       "specs = HistMean\nfit_density = false\n")
+        run_out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(run_out)]) == EXIT_OK
+        rc = main(["density", "--archive-dir", str(run_out), "--entity", "S00",
+                   "--year", "2009", "--weeks", "9", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_FATAL
+        path = run_out / "density_params.csv"
+        assert capsys.readouterr().err == f"error: {path}: no fitted densities\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_week_token(self, workspace, capsys):
         rc = main(["density", "--archive-dir", workspace["out"],

@@ -178,6 +178,10 @@ class TestRelativeAndDistribution:
         with pytest.raises(DomainError):
             relative({"A": 1.0}, {"A": 0.0})
 
+    def test_zero_benchmark_entity_under_a_nonzero_aggregate(self):
+        with pytest.raises(DomainError, match="benchmark score for entity 'B' is zero"):
+            relative({"A": 1.0, "B": 1.0}, {"A": 2.0, "B": 0.0})
+
 
 class TestScoreTable:
     def _weekly(self):
@@ -272,6 +276,11 @@ class TestScoreTable:
         assert tables["DirectAR-W-M-Q"] == []
         assert score_table_csv(tables["DirectAR-W-M-Q"]) == (
             "phase,week,q10,q25,q50,q75,q90,aggregate\n")
+
+    def test_rmsfe_of_an_archive_without_energy_rows_is_empty_per_spec(self):
+        model, bench = self._weekly()
+        archive = tagged(model, "AR", "CO2", 0.5) + tagged(bench, "HistMean", "CO2", 0.5)
+        assert score(archive, "rmsfe") == {"AR": [], "HistMean": []}
 
     def test_failure_in_the_benchmark_names_the_benchmark(self):
         archive, _, _ = self._archive()

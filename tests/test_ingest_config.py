@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import os
 import re
 
 import pytest
 
-from co2nowcast.config import parse_config_text
+from co2nowcast.config import KNOWN_KEYS, SETTINGS, parse_config_text
 from co2nowcast.errors import ConfigError, IngestError
 from co2nowcast.ingest import (
     STORE_MANIFEST,
@@ -312,6 +313,22 @@ class TestConfig:
         assert cfg.lam == 2.5
         assert cfg.specs == ("HistMean", "AR-W")
         assert cfg.fit_density is False
+
+    def test_settings_set_every_run_config_field_once(self):
+        fields = [name for name, _, _ in SETTINGS.values()]
+        assert len(fields) == len(set(fields))
+        assert set(fields) == {f.name for f in dataclasses.fields(RunConfig)}
+        assert KNOWN_KEYS == ("data_dir", *SETTINGS)
+
+    def test_first_bad_value_in_parse_order_is_reported(self):
+        bad = ["fit_density = maybe", "lambda = abc", "taus = x", "eval_end = soon"]
+        for key, message in [("eval_end", "expected integer"),
+                             ("taus", "expected comma-separated floats"),
+                             ("lambda", "expected a float"),
+                             ("fit_density", "expected true/false")]:
+            with pytest.raises(ConfigError, match=f"^config key '{key}': {message}$"):
+                parse_config_text("\n".join(bad) + "\n")
+            bad.pop()
 
     def test_weci_transform_key_is_unknown(self):
         # the WECI transform is set per file in the ingest manifest

@@ -308,6 +308,12 @@ class TestValidationAndPlumbing:
         with pytest.raises(UnknownEntityError):
             predict_quantile(model, "B", [1.0])
 
+    def test_regressor_length_checked(self):
+        rows = design(["A"] * 3, range(3), [1.0, 2.0, 3.0], [[1.0]] * 3)
+        model = fit_quantile(rows, QuantileSpec(tau=0.5, lam=0.0))
+        with pytest.raises(DomainError, match="regressor length"):
+            predict_quantile(model, "A", [1.0, 2.0])
+
     def test_label_length_checked(self, lp_calls):
         rows = design(["A", "A"], range(2), [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(LengthError):
